@@ -48,6 +48,9 @@ CHECKS = ("thm14", "cor15", "prop16", "conjecture", "formulas")
 
 STRUCTURE_N_MAX = 12
 
+# Default for a row's sdepth cell when the check does not ask for the value.
+_NOT_REQUESTED = object()
+
 
 @dataclass(frozen=True)
 class ScanRow:
@@ -60,7 +63,7 @@ class ScanRow:
     depth: int | None
     bound_lo: int | None
     bound_hi: int | None
-    status: str  # ok | violation | unknown | skipped
+    status: str  # ok | violation | unknown
     ms: int
 
 
@@ -80,8 +83,15 @@ def _instances(check: str, n_max: int, m_min: int, m_max: int | None) -> list[tu
 
 
 def _certified_sdepth(pair, time_limit_s, max_poset, cert_path=None):
-    """Solve, re-verify the certificate independently, optionally store it."""
-    result = sdepth_of_pair(pair, time_limit_s=time_limit_s, max_poset=max_poset)
+    """Solve, re-verify the certificate independently, optionally store it.
+
+    Returns None when the search hits the time limit or the poset cap: the
+    value is then unknown, which is never evidence against a claim.
+    """
+    try:
+        result = sdepth_of_pair(pair, time_limit_s=time_limit_s, max_poset=max_poset)
+    except (TimeLimitExceededError, PosetCapExceededError):
+        return None
     report = verify_decomposition(result.poset, result.certificate, result.value)
     if not report.ok:
         raise AssertionError(f"certificate rejected: {report.first_failure}")
@@ -91,115 +101,76 @@ def _certified_sdepth(pair, time_limit_s, max_poset, cert_path=None):
     return result.value
 
 
-def _cert_path(cert_dir, check, n, m):
-    if cert_dir is None:
-        return None
-    return os.path.join(cert_dir, f"{check}-n{n}-m{m}.cert")
-
-
 def _compute_rows(args: tuple) -> list[ScanRow]:
+    """Rows of one (n, m) instance.
+
+    Each check computes only the quantities it needs and states whether its
+    asserted claim holds on the values that were computed; ``row`` turns that
+    into the status and stamps the milliseconds since the previous row.
+    """
     check, n, m, time_limit_s, max_poset, cert_dir = args
     started = time.monotonic()
     rec = formula_table(n, m)
+    cycle = cycle_path_ideal(n, m)
+    cert_path = None if cert_dir is None else os.path.join(cert_dir, f"{check}-n{n}-m{m}.cert")
 
-    def finish(**kw) -> ScanRow:
-        ms = int((time.monotonic() - started) * 1000)
-        base = dict(
-            n=n, m=m, check=check, psi=rec.psi, phi=rec.phi,
-            sdepth=None, depth=None, bound_lo=None, bound_hi=None,
-            status="ok", ms=ms,
-        )
-        base.update(kw)
-        return ScanRow(**base)
+    def sdepth_of(pair):
+        return _certified_sdepth(pair, time_limit_s, max_poset, cert_path)
+
+    def row(label, holds, bound_lo, bound_hi, *, depth=None, sdepth=_NOT_REQUESTED):
+        # A requested sdepth that is missing makes the row unknown; only a
+        # computed value that breaks the claim makes it a violation.
+        nonlocal started
+        if not holds:
+            status = "violation"
+        elif sdepth is None:
+            status = "unknown"
+        else:
+            status = "ok"
+        if sdepth is _NOT_REQUESTED:
+            sdepth = None
+        now = time.monotonic()
+        out = ScanRow(n, m, label, rec.psi, rec.phi, sdepth, depth, bound_lo, bound_hi,
+                      status, int((now - started) * 1000))
+        started = now
+        return out
 
     if check == "thm14":
-        cycle = cycle_path_ideal(n, m)
         depth = depth_squarefree(cycle)
-        sdepth = None
-        try:
-            sdepth = _certified_sdepth(
-                ring_quotient(cycle), time_limit_s, max_poset, _cert_path(cert_dir, check, n, m)
-            )
-        except (TimeLimitExceededError, PosetCapExceededError):
-            pass
-        violated = depth != rec.psi or (
-            sdepth is not None and not rec.psi <= sdepth <= rec.phi
-        )
-        status = "violation" if violated else ("unknown" if sdepth is None else "ok")
-        return [finish(sdepth=sdepth, depth=depth, bound_lo=rec.psi, bound_hi=rec.phi,
-                       status=status)]
+        sdepth = sdepth_of(ring_quotient(cycle))
+        holds = depth == rec.psi and (sdepth is None or rec.psi <= sdepth <= rec.phi)
+        return [row(check, holds, rec.psi, rec.phi, depth=depth, sdepth=sdepth)]
 
     if check == "cor15":
-        cycle = cycle_path_ideal(n, m)
         depth = depth_squarefree(cycle) if n <= STRUCTURE_N_MAX else None
-        if is_equality_case(n, m):
-            sdepth = None
-            try:
-                sdepth = _certified_sdepth(
-                    ring_quotient(cycle), time_limit_s, max_poset,
-                    _cert_path(cert_dir, check, n, m),
-                )
-            except (TimeLimitExceededError, PosetCapExceededError):
-                pass
-            violated = (depth is not None and depth != rec.phi) or (
-                sdepth is not None and sdepth != rec.phi
-            )
-            status = "violation" if violated else ("unknown" if sdepth is None else "ok")
-            return [finish(sdepth=sdepth, depth=depth, bound_lo=rec.phi, bound_hi=rec.phi,
-                           status=status)]
-        # Bracket conditions as printed select exactly the non-equality
-        # instances, where the formulas force depth = psi < phi; reported as
-        # informational rows rather than asserted.
-        return [finish(check="cor15-printed-cond", depth=depth, bound_lo=rec.psi,
-                       bound_hi=rec.phi, status="ok")]
+        if not is_equality_case(n, m):
+            # Bracket conditions as printed select exactly the non-equality
+            # instances, where the formulas force depth = psi < phi; reported
+            # as informational rows rather than asserted.
+            return [row("cor15-printed-cond", True, rec.psi, rec.phi, depth=depth)]
+        sdepth = sdepth_of(ring_quotient(cycle))
+        holds = depth in (None, rec.phi) and sdepth in (None, rec.phi)
+        return [row(check, holds, rec.phi, rec.phi, depth=depth, sdepth=sdepth)]
 
     if check == "prop16":
-        pair = QuotientPresentation(cycle_path_ideal(n, m), line_path_ideal(n, m))
         bound = quotient_module_bound(n, m)
-        sdepth = None
-        try:
-            sdepth = _certified_sdepth(
-                pair, time_limit_s, max_poset, _cert_path(cert_dir, check, n, m)
-            )
-        except (TimeLimitExceededError, PosetCapExceededError):
-            pass
-        derived = None
-        structure_ok = None
-        if n <= STRUCTURE_N_MAX:
-            report = prop16_structure_check(n, m)
-            derived = report.derived_depth
-            structure_ok = report.ok
-        violated = structure_ok is False or (sdepth is not None and sdepth < bound)
-        status = "violation" if violated else ("unknown" if sdepth is None else "ok")
-        return [finish(sdepth=sdepth, depth=derived, bound_lo=bound, status=status)]
+        sdepth = sdepth_of(QuotientPresentation(cycle, line_path_ideal(n, m)))
+        report = prop16_structure_check(n, m) if n <= STRUCTURE_N_MAX else None
+        holds = (report is None or report.ok) and (sdepth is None or sdepth >= bound)
+        derived = None if report is None else report.derived_depth
+        return [row(check, holds, bound, None, depth=derived, sdepth=sdepth)]
 
     if check == "conjecture":
-        cycle = cycle_path_ideal(n, m)
-        sdepth = None
-        try:
-            sdepth = _certified_sdepth(
-                ring_quotient(cycle), time_limit_s, max_poset, _cert_path(cert_dir, check, n, m)
-            )
-        except (TimeLimitExceededError, PosetCapExceededError):
-            pass
         # Open statement: agreement with phi is recorded, never asserted.
-        status = "unknown" if sdepth is None else "ok"
-        return [finish(sdepth=sdepth, bound_lo=rec.phi, bound_hi=rec.phi, status=status)]
+        sdepth = sdepth_of(ring_quotient(cycle))
+        return [row(check, True, rec.phi, rec.phi, sdepth=sdepth)]
 
     if check == "formulas":
         depth_line = depth_squarefree(line_path_ideal(n, m))
-        row_line = finish(check="formulas-line", depth=depth_line, bound_lo=rec.phi,
-                          bound_hi=rec.phi,
-                          status="ok" if depth_line == rec.phi else "violation")
-        started_cycle = time.monotonic()
-        depth_cycle = depth_squarefree(cycle_path_ideal(n, m))
-        ms_cycle = int((time.monotonic() - started_cycle) * 1000)
-        row_cycle = ScanRow(
-            n=n, m=m, check="formulas-cycle", psi=rec.psi, phi=rec.phi, sdepth=None,
-            depth=depth_cycle, bound_lo=rec.psi, bound_hi=rec.psi,
-            status="ok" if depth_cycle == rec.psi else "violation", ms=ms_cycle,
-        )
-        return [row_line, row_cycle]
+        line_row = row("formulas-line", depth_line == rec.phi, rec.phi, rec.phi, depth=depth_line)
+        depth_cycle = depth_squarefree(cycle)
+        return [line_row,
+                row("formulas-cycle", depth_cycle == rec.psi, rec.psi, rec.psi, depth=depth_cycle)]
 
     raise InputError(f"unknown check {check!r}")
 
@@ -472,12 +443,9 @@ def sequence_check(
 
     def sdepth_ring(ideal):
         if ideal not in sdepth_cache:
-            try:
-                sdepth_cache[ideal] = _certified_sdepth(
-                    ring_quotient(ideal), time_limit_s, DEFAULT_POSET_CAP
-                )
-            except TimeLimitExceededError:
-                sdepth_cache[ideal] = None
+            sdepth_cache[ideal] = _certified_sdepth(
+                ring_quotient(ideal), time_limit_s, DEFAULT_POSET_CAP
+            )
         return sdepth_cache[ideal]
 
     steps = []

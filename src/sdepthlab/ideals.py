@@ -215,10 +215,6 @@ def relabel(ideal: MonomialIdeal, index_map: Mapping[int, int], new_ambient: int
     return minimalize(new_gens, new_ambient)
 
 
-def ideals_equal(a: MonomialIdeal, b: MonomialIdeal) -> bool:
-    return a == b
-
-
 # ---------------------------------------------------------------------------
 # Text format
 #

@@ -74,9 +74,6 @@ class CharacteristicPoset:
             out.append(e)
         return tuple(out)
 
-    def rho_of_exps(self, exps: tuple[int, ...]) -> int:
-        return sum(1 for e, gj in zip(exps, self.g) if e == gj)
-
     def contains_exps(self, exps: tuple[int, ...]) -> bool:
         if any(e > gj for e, gj in zip(exps, self.g)):
             return False
@@ -231,8 +228,6 @@ def exists_partition(
     k: int,
     *,
     time_limit_s: float | None = None,
-    prune: bool = True,
-    memo: bool = False,
 ) -> StanleyDecomposition | None:
     """Complete search for an interval partition with min rho(top) >= k.
 
@@ -247,7 +242,7 @@ def exists_partition(
     if k > poset.max_rho:
         return None
     deadline = None if time_limit_s is None else time.monotonic() + time_limit_s
-    intervals = _search(poset, k, deadline, prune, memo)
+    intervals = _search(poset, k, deadline)
     if intervals is None:
         return None
     out = []
@@ -259,7 +254,7 @@ def exists_partition(
     return StanleyDecomposition(poset.n, tuple(out), poset.g)
 
 
-def _search(poset, k, deadline, prune, memo):
+def _search(poset, k, deadline):
     n = poset.n
     g = poset.g
     codes = poset.codes
@@ -314,9 +309,6 @@ def _search(poset, k, deadline, prune, memo):
             heights[s] = forced
         return True
 
-    use_memo = memo and size <= 64
-    failed_states: set[bytes] | None = set() if use_memo else None
-
     if squarefree:
         def dominates(t, u):
             cu = codes[u]
@@ -359,7 +351,7 @@ def _search(poset, k, deadline, prune, memo):
             cells = [c + t * w for t in range(g[j] - e[j] + 1) for c in cells]
         return cells
 
-    def prune_ok():
+    def none_stranded():
         for u in lows:
             if covered[u]:
                 continue
@@ -374,7 +366,7 @@ def _search(poset, k, deadline, prune, memo):
                 return False
         return True
 
-    if prune and moments_apply and not moments_ok():
+    if moments_apply and not moments_ok():
         return None
 
     # Frame layout: [element index, candidate list, next position, cells placed
@@ -405,8 +397,6 @@ def _search(poset, k, deadline, prune, memo):
         frame = frames[-1]
         ei, cands, pos, placed = frame
         if pos >= len(cands):
-            if failed_states is not None:
-                failed_states.add(bytes(covered))
             frames.pop()
             if placed is not None:
                 unplace(placed)
@@ -432,11 +422,7 @@ def _search(poset, k, deadline, prune, memo):
         if remaining == 0:
             return list(intervals)
 
-        if (
-            (prune and moments_apply and not moments_ok())
-            or (prune and not prune_ok())
-            or (failed_states is not None and bytes(covered) in failed_states)
-        ):
+        if (moments_apply and not moments_ok()) or not none_stranded():
             unplace(cell_idx)
             intervals.pop()
             continue
@@ -463,7 +449,6 @@ def sdepth_of_poset(
     poset: CharacteristicPoset,
     *,
     time_limit_s: float | None = DEFAULT_TIME_LIMIT_S,
-    memo: bool = False,
 ) -> SdepthResult:
     """Largest k admitting a partition, by binary search over feasibility.
 
@@ -480,7 +465,7 @@ def sdepth_of_poset(
     infeasible_at = None
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        found = exists_partition(poset, mid, time_limit_s=time_limit_s, memo=memo)
+        found = exists_partition(poset, mid, time_limit_s=time_limit_s)
         if found is None:
             hi = mid - 1
             infeasible_at = mid if infeasible_at is None else min(infeasible_at, mid)
@@ -489,7 +474,7 @@ def sdepth_of_poset(
             certificate = found
     value = lo
     if infeasible_at != value + 1 and value + 1 <= n:
-        refute = exists_partition(poset, value + 1, time_limit_s=time_limit_s, memo=memo)
+        refute = exists_partition(poset, value + 1, time_limit_s=time_limit_s)
         assert refute is None, "binary search upper bound was wrong"
         infeasible_at = value + 1
 
@@ -503,11 +488,10 @@ def sdepth_of_pair(
     *,
     time_limit_s: float | None = DEFAULT_TIME_LIMIT_S,
     max_poset: int = DEFAULT_POSET_CAP,
-    memo: bool = False,
 ) -> SdepthResult:
     """Build the poset of the presentation and compute its invariant."""
     poset = build_poset(pair, cap=max_poset)
-    return sdepth_of_poset(poset, time_limit_s=time_limit_s, memo=memo)
+    return sdepth_of_poset(poset, time_limit_s=time_limit_s)
 
 
 @dataclass(frozen=True)

@@ -150,6 +150,85 @@ class TestEmitters:
             run_scan("nonsense")
 
 
+# Whole emitted tables for small grids, blank cells and informational rows
+# included; any change to a row's bytes shows up here.
+PINNED_CSV = {
+    ("thm14", 5): (
+        "n,m,check,psi,phi,sdepth,depth,bound_lo,bound_hi,status,ms\n"
+        "3,2,thm14,1,1,1,1,1,1,ok,0\n"
+        "4,2,thm14,1,2,1,1,1,2,ok,0\n"
+        "4,3,thm14,2,2,2,2,2,2,ok,0\n"
+        "5,2,thm14,2,2,2,2,2,2,ok,0\n"
+        "5,3,thm14,2,3,2,2,2,3,ok,0\n"
+        "5,4,thm14,3,3,3,3,3,3,ok,0\n"
+    ),
+    ("cor15", 5): (
+        "n,m,check,psi,phi,sdepth,depth,bound_lo,bound_hi,status,ms\n"
+        "3,2,cor15,1,1,1,1,1,1,ok,0\n"
+        "4,2,cor15-printed-cond,1,2,,1,1,2,ok,0\n"
+        "4,3,cor15,2,2,2,2,2,2,ok,0\n"
+        "5,2,cor15,2,2,2,2,2,2,ok,0\n"
+        "5,3,cor15-printed-cond,2,3,,2,2,3,ok,0\n"
+        "5,4,cor15,3,3,3,3,3,3,ok,0\n"
+    ),
+    ("prop16", 5): (
+        "n,m,check,psi,phi,sdepth,depth,bound_lo,bound_hi,status,ms\n"
+        "3,2,prop16,1,1,2,2,2,,ok,0\n"
+        "4,2,prop16,1,2,2,2,2,,ok,0\n"
+        "4,3,prop16,2,2,3,3,3,,ok,0\n"
+        "5,2,prop16,2,2,3,3,3,,ok,0\n"
+        "5,3,prop16,2,3,3,3,3,,ok,0\n"
+        "5,4,prop16,3,3,4,4,4,,ok,0\n"
+    ),
+    ("formulas", 5): (
+        "n,m,check,psi,phi,sdepth,depth,bound_lo,bound_hi,status,ms\n"
+        "3,2,formulas-cycle,1,1,,1,1,1,ok,0\n"
+        "3,2,formulas-line,1,1,,1,1,1,ok,0\n"
+        "4,2,formulas-cycle,1,2,,1,1,1,ok,0\n"
+        "4,2,formulas-line,1,2,,2,2,2,ok,0\n"
+        "4,3,formulas-cycle,2,2,,2,2,2,ok,0\n"
+        "4,3,formulas-line,2,2,,2,2,2,ok,0\n"
+        "5,2,formulas-cycle,2,2,,2,2,2,ok,0\n"
+        "5,2,formulas-line,2,2,,2,2,2,ok,0\n"
+        "5,3,formulas-cycle,2,3,,2,2,2,ok,0\n"
+        "5,3,formulas-line,2,3,,3,3,3,ok,0\n"
+        "5,4,formulas-cycle,3,3,,3,3,3,ok,0\n"
+        "5,4,formulas-line,3,3,,3,3,3,ok,0\n"
+    ),
+    ("conjecture", 10): (
+        "n,m,check,psi,phi,sdepth,depth,bound_lo,bound_hi,status,ms\n"
+        "10,2,conjecture,3,4,4,,4,4,ok,0\n"
+    ),
+}
+
+
+class TestPinnedOutput:
+    def test_small_grid_csv_bytes(self):
+        for (check, n_max), text in PINNED_CSV.items():
+            assert emit_csv(run_scan(check, n_max=n_max)) == text, check
+
+
+class TestUnknownRows:
+    def test_poset_cap_makes_sdepth_unknown(self):
+        # A cap of one cell makes every poset build raise, so every requested
+        # sdepth is missing; the checks that need none keep their values.
+        for check, n_max in [("thm14", 6), ("cor15", 6), ("prop16", 6), ("conjecture", 10)]:
+            rows = run_scan(check, n_max=n_max, max_poset=1)
+            assert rows, check
+            asked = [r for r in rows if r.check != "cor15-printed-cond"]
+            assert asked, check
+            for row in asked:
+                assert row.sdepth is None, (check, row)
+                assert row.status == "unknown", (check, row)
+            if check == "thm14":
+                assert all(r.depth == r.psi for r in rows)
+            if check == "cor15":
+                printed = [r for r in rows if r.check == "cor15-printed-cond"]
+                uncapped = [r for r in run_scan("cor15", n_max=n_max)
+                            if r.check == "cor15-printed-cond"]
+                assert printed and emit_csv(printed) == emit_csv(uncapped)
+
+
 class TestStructureCheck:
     def test_four_two_single_element(self):
         report = prop16_structure_check(4, 2)

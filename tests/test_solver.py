@@ -133,17 +133,10 @@ class TestExistsPartition:
             exists_partition(poset, 5)
 
     def test_time_limit_raises(self):
-        poset = build_poset(cycle_quotient(10, 7))
+        # Cycle (13,3) at level 7 does not settle within a minute.
+        poset = build_poset(cycle_quotient(13, 3))
         with pytest.raises(TimeLimitExceededError):
-            exists_partition(poset, 8, time_limit_s=0.02, prune=False)
-
-    def test_memo_matches_default(self):
-        for n, m in [(5, 2), (6, 2), (6, 3)]:
-            poset = build_poset(cycle_quotient(n, m))
-            for k in range(poset.n):
-                assert (exists_partition(poset, k) is None) == (
-                    exists_partition(poset, k, memo=True) is None
-                )
+            exists_partition(poset, 7, time_limit_s=0.02)
 
 
 class TestSdepth:
