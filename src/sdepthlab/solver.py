@@ -366,7 +366,8 @@ def _search(poset, k, deadline):
                 return False
         return True
 
-    if moments_apply and not moments_ok():
+    # The loop's two refutations also run before the first placement.
+    if (moments_apply and not moments_ok()) or not none_stranded():
         return None
 
     # Frame layout: [element index, candidate list, next position, cells placed

@@ -12,6 +12,7 @@ from sdepthlab import (
     exists_partition,
     format_certificate,
     line_path_ideal,
+    minimalize,
     monomial,
     parse_certificate,
     parse_ideal,
@@ -131,6 +132,18 @@ class TestExistsPartition:
             exists_partition(poset, -1)
         with pytest.raises(InputError):
             exists_partition(poset, 5)
+
+    def test_rho_zero_maximal_element_refutes_level_one(self):
+        # x1..x5 lies outside the square of the (5,3) cycle ideal and nothing
+        # above it does; with rho 0 it can only top its own interval.
+        ideal = cycle_path_ideal(5, 3)
+        square = minimalize([a.times(b) for a in ideal.gens for b in ideal.gens], 5)
+        poset = build_poset(ring_quotient(square))
+        top = poset.exps[poset.index[poset.encode((1, 1, 1, 1, 1))]]
+        assert sum(e == gj for e, gj in zip(top, poset.g)) == 0
+        assert not any(e != top and all(a <= b for a, b in zip(top, e)) for e in poset.exps)
+        assert exists_partition(poset, 1) is None
+        assert sdepth_of_poset(poset).value == 0
 
     def test_time_limit_raises(self):
         # Cycle (13,3) at level 7 does not settle within a minute.
