@@ -15,7 +15,7 @@ from pathlib import Path
 from .errors import InputError, ResourceCapError
 from .families import FamilyInstance, formula_table
 from .harness import CHECKS, emit_csv, emit_json, emit_md, run_scan
-from .homology import depth_squarefree, hochster_betti
+from .homology import hochster_betti
 from .ideals import QuotientPresentation, format_ideal, parse_ideal, ring_quotient
 from .solver import (
     DEFAULT_POSET_CAP,
@@ -110,9 +110,8 @@ def _cmd_sdepth(args) -> int:
 def _cmd_depth(args) -> int:
     ideal = _read_ideal(args.ideal_file)
     table = hochster_betti(ideal)
-    pd = table.projective_dimension()
-    print(f"depth = {ideal.ambient - pd}")
-    print(f"pd = {pd}")
+    print(f"depth = {table.depth()}")
+    print(f"pd = {table.projective_dimension()}")
     if args.betti:
         print("i,F,rank")
         for (i, fvars), rank in sorted(table.entries.items()):

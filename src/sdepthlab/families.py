@@ -146,8 +146,6 @@ def formula_table(n: int, m: int) -> FormulaRecord:
     )
     assert rec.depth_line == rec.phi
     assert rec.depth_cycle == rec.psi
-    assert rec.psi == line_depth_formula(n - 1, m)
-    assert 0 <= rec.d <= m
     return rec
 
 

@@ -41,7 +41,6 @@ from .solver import (
     DEFAULT_TIME_LIMIT_S,
     format_certificate,
     sdepth_of_pair,
-    verify_decomposition,
 )
 
 CHECKS = ("thm14", "cor15", "prop16", "conjecture", "formulas")
@@ -83,7 +82,7 @@ def _instances(check: str, n_max: int, m_min: int, m_max: int | None) -> list[tu
 
 
 def _certified_sdepth(pair, time_limit_s, max_poset, cert_path=None):
-    """Solve, re-verify the certificate independently, optionally store it.
+    """Solve, optionally store the certificate the solver has verified.
 
     Returns None when the search hits the time limit or the poset cap: the
     value is then unknown, which is never evidence against a claim.
@@ -92,9 +91,6 @@ def _certified_sdepth(pair, time_limit_s, max_poset, cert_path=None):
         result = sdepth_of_pair(pair, time_limit_s=time_limit_s, max_poset=max_poset)
     except (TimeLimitExceededError, PosetCapExceededError):
         return None
-    report = verify_decomposition(result.poset, result.certificate, result.value)
-    if not report.ok:
-        raise AssertionError(f"certificate rejected: {report.first_failure}")
     if cert_path is not None:
         with open(cert_path, "w", encoding="utf-8") as handle:
             handle.write(format_certificate(result.certificate))
@@ -231,11 +227,7 @@ def emit_csv(rows: list[ScanRow], *, timings: bool = False) -> str:
 
 
 def emit_json(rows: list[ScanRow], *, timings: bool = False) -> str:
-    payload = []
-    for row in rows:
-        data = asdict(row)
-        data["ms"] = data["ms"] if timings else 0
-        payload.append(data)
+    payload = [dict(zip(_COLUMNS, _row_cells(row, timings))) for row in rows]
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 

@@ -164,8 +164,9 @@ class BettiTable:
     def projective_dimension(self) -> int:
         return max(i for i, _ in self.entries)
 
-    def entry(self, i: int, variables: tuple[int, ...]) -> int:
-        return self.entries.get((i, tuple(sorted(variables))), 0)
+    def depth(self) -> int:
+        """Depth of the quotient ring: ambient minus projective dimension."""
+        return self.n - self.projective_dimension()
 
 
 MAX_HOCHSTER_AMBIENT = 14
@@ -204,8 +205,4 @@ def hochster_betti(ideal: MonomialIdeal) -> BettiTable:
 
 def depth_squarefree(ideal: MonomialIdeal) -> int:
     """Depth of the quotient ring by a squarefree ideal: ambient minus pd."""
-    table = hochster_betti(ideal)
-    pd = table.projective_dimension()
-    depth = ideal.ambient - pd
-    assert depth + pd == ideal.ambient
-    return depth
+    return hochster_betti(ideal).depth()

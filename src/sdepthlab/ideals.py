@@ -60,9 +60,6 @@ class Monomial:
     def times(self, other: "Monomial") -> "Monomial":
         return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
 
-    def gcd(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(min(a, b) for a, b in zip(self.exponents, other.exponents)))
-
     def colon_by(self, other: "Monomial") -> "Monomial":
         """The monomial ``self / gcd(self, other)``."""
         return Monomial(tuple(max(a - b, 0) for a, b in zip(self.exponents, other.exponents)))

@@ -55,7 +55,6 @@ class CharacteristicPoset:
     rho: tuple[int, ...]
     index: dict[int, int]
     squarefree: bool
-    ring_quotient_proper: bool
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -161,7 +160,6 @@ def build_poset(
         rho=rho,
         index=index,
         squarefree=squarefree,
-        ring_quotient_proper=pair.numerator.is_unit() and not pair.denominator.is_zero(),
     )
     if __debug__:
         _assert_box_convex_sample(poset)
@@ -184,43 +182,33 @@ class StanleyDecomposition:
     """A list of (bottom multidegree, variable set) interval descriptions.
 
     The interval of a pair (a, Z) runs from a to the top that has coordinate
-    g_j for every x_j in Z and a's coordinate elsewhere.  ``g`` is carried when
-    the decomposition was produced against a known poset; parsed certificates
-    leave it None and are interpreted against the poset they are verified on.
+    g_j for every x_j in Z and a's coordinate elsewhere, where g is the bound
+    of the poset the decomposition is verified on.
     """
 
     n: int
     intervals: tuple[tuple[Monomial, frozenset[int]], ...]
-    g: tuple[int, ...] | None = None
-
-    def value(self) -> int:
-        """min over intervals of rho(top); requires the bound g."""
-        if self.g is None:
-            raise InputError("decomposition has no bound attached; verify it against a poset")
-        return min(_rho_of_top(bottom, zvars, self.g) for bottom, zvars in self.intervals)
 
     def __len__(self) -> int:
         return len(self.intervals)
 
 
-def _top_exps(bottom: Monomial, zvars: frozenset[int], g: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(
-        g[j] if (j + 1) in zvars else e for j, e in enumerate(bottom.exponents)
-    )
+def _interval(
+    poset: CharacteristicPoset, bottom: int, top: int
+) -> tuple[Monomial, frozenset[int]]:
+    """The (bottom, variable set) pair of the interval between two element indices."""
+    zvars = frozenset(j + 1 for j, (e, gj) in enumerate(zip(poset.exps[top], poset.g)) if e == gj)
+    return Monomial(poset.exps[bottom]), zvars
 
 
-def _rho_of_top(bottom: Monomial, zvars: frozenset[int], g: tuple[int, ...]) -> int:
-    top = _top_exps(bottom, zvars, g)
-    return sum(1 for e, gj in zip(top, g) if e == gj)
+def _check_level(poset: CharacteristicPoset, k: int) -> None:
+    if not 0 <= k <= poset.n:
+        raise InputError(f"k must be in 0..{poset.n}, got {k}")
 
 
 def singleton_decomposition(poset: CharacteristicPoset) -> StanleyDecomposition:
     """Every element as its own interval; always a valid partition."""
-    intervals = []
-    for e in poset.exps:
-        zvars = frozenset(j + 1 for j in range(poset.n) if e[j] == poset.g[j])
-        intervals.append((Monomial(e), zvars))
-    return StanleyDecomposition(poset.n, tuple(intervals), poset.g)
+    return StanleyDecomposition(poset.n, tuple(_interval(poset, i, i) for i in range(len(poset))))
 
 
 def exists_partition(
@@ -235,8 +223,7 @@ def exists_partition(
     TimeLimitExceededError when the budget runs out, which is a distinct
     outcome from infeasibility.
     """
-    if not 0 <= k <= poset.n:
-        raise InputError(f"k must be in 0..{poset.n}, got {k}")
+    _check_level(poset, k)
     if k == 0:
         return singleton_decomposition(poset)
     if k > poset.max_rho:
@@ -245,13 +232,9 @@ def exists_partition(
     intervals = _search(poset, k, deadline)
     if intervals is None:
         return None
-    out = []
-    for ei, bcode in intervals:
-        bottom = Monomial(poset.exps[ei])
-        top = poset.decode(bcode)
-        zvars = frozenset(j + 1 for j in range(poset.n) if top[j] == poset.g[j])
-        out.append((bottom, zvars))
-    return StanleyDecomposition(poset.n, tuple(out), poset.g)
+    return StanleyDecomposition(
+        poset.n, tuple(_interval(poset, ei, poset.index[bcode]) for ei, bcode in intervals)
+    )
 
 
 def _search(poset, k, deadline):
@@ -456,11 +439,11 @@ def sdepth_of_poset(
     Feasibility is monotone decreasing in k, level 0 is always feasible, and
     the result ships both a verified certificate at the optimum and a failed
     search one level higher (trivially so when the optimum is the ambient
-    size, which no interval top can exceed).
+    size, which no interval top can exceed).  Both checks raise AssertionError
+    when they fail, under ``python -O`` too.
     """
     n = poset.n
-    hi = n - 1 if poset.ring_quotient_proper else n
-    hi = min(hi, poset.max_rho)
+    hi = poset.max_rho
     lo = 0
     certificate = singleton_decomposition(poset)
     infeasible_at = None
@@ -475,12 +458,13 @@ def sdepth_of_poset(
             certificate = found
     value = lo
     if infeasible_at != value + 1 and value + 1 <= n:
-        refute = exists_partition(poset, value + 1, time_limit_s=time_limit_s)
-        assert refute is None, "binary search upper bound was wrong"
+        if exists_partition(poset, value + 1, time_limit_s=time_limit_s) is not None:
+            raise AssertionError("binary search upper bound was wrong")
         infeasible_at = value + 1
 
     report = verify_decomposition(poset, certificate, value)
-    assert report.ok, f"internal certificate failed verification: {report.failures}"
+    if not report.ok:
+        raise AssertionError(f"internal certificate failed verification: {report.failures}")
     return SdepthResult(value, certificate, poset, infeasible_at)
 
 
@@ -501,10 +485,6 @@ class VerificationReport:
     failures: tuple[str, ...]
     min_rho: int | None
 
-    @property
-    def first_failure(self) -> str | None:
-        return self.failures[0] if self.failures else None
-
 
 def verify_decomposition(
     poset: CharacteristicPoset,
@@ -515,8 +495,10 @@ def verify_decomposition(
 
     Confirms that every interval lies inside the poset, that the intervals are
     pairwise disjoint, that they cover every element, and that every interval
-    top has rho at least k.  Failures are reported, never raised.
+    top has rho at least k.  Failures are reported, never raised; a level
+    outside 0..n is an input error.
     """
+    _check_level(poset, k)
     failures: list[str] = []
     seen: dict[int, int] = {}
     min_rho: int | None = None
@@ -535,7 +517,7 @@ def verify_decomposition(
         if any(e > gj for e, gj in zip(bottom.exponents, poset.g)):
             failures.append(f"{label}: bottom {bottom} exceeds the bound")
             continue
-        top = _top_exps(bottom, zvars, poset.g)
+        top = tuple(poset.g[j] if j + 1 in zvars else e for j, e in enumerate(bottom.exponents))
         r = sum(1 for e, gj in zip(top, poset.g) if e == gj)
         min_rho = r if min_rho is None else min(min_rho, r)
         if r < k:
@@ -579,7 +561,6 @@ def principal_decomposition(u: Monomial) -> StanleyDecomposition:
     if u.is_constant():
         raise InputError("the principal generator must not be constant")
     n = u.ambient
-    g = u.exponents
     allvars = frozenset(range(1, n + 1))
     intervals = []
     prefix = [0] * n
@@ -587,7 +568,7 @@ def principal_decomposition(u: Monomial) -> StanleyDecomposition:
         for _ in range(u.exponents[j - 1]):
             intervals.append((Monomial(tuple(prefix)), allvars - {j}))
             prefix[j - 1] += 1
-    return StanleyDecomposition(n, tuple(intervals), g)
+    return StanleyDecomposition(n, tuple(intervals))
 
 
 # ---------------------------------------------------------------------------
@@ -631,4 +612,4 @@ def parse_certificate(text: str, n: int) -> StanleyDecomposition:
                     raise InputError(f"certificate line {lineno}: variable x{v} out of range")
                 zvars.add(v)
         intervals.append((bottom, frozenset(zvars)))
-    return StanleyDecomposition(n, tuple(intervals), None)
+    return StanleyDecomposition(n, tuple(intervals))

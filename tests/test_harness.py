@@ -48,6 +48,33 @@ class TestThm14Scan:
         parallel = emit_csv(run_scan("thm14", n_max=6, jobs=2))
         assert sequential == parallel
 
+    def test_each_certificate_verified_once(self, monkeypatch, capsys, tmp_path):
+        # Wrap the checker in every loaded module that holds it, so a second
+        # check made through any import path is counted as well.
+        import sdepthlab.solver
+
+        original = sdepthlab.solver.verify_decomposition
+        levels = []
+
+        def counted(*args, **kw):
+            levels.append(args[2])
+            return original(*args, **kw)
+
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "sdepthlab" and (
+                getattr(module, "verify_decomposition", None) is original
+            ):
+                monkeypatch.setattr(module, "verify_decomposition", counted)
+        rows = run_scan("thm14", n_max=6)
+        assert levels == [r.sdepth for r in rows]
+
+        levels.clear()
+        ideal_file = tmp_path / "j42.txt"
+        ideal_file.write_text(format_ideal(cycle_path_ideal(4, 2)))
+        assert cli.main(["sdepth", "--ideal-file", str(ideal_file)]) == 0
+        assert "sdepth = 1" in capsys.readouterr().out
+        assert levels == [1]
+
     def test_certificates_stored(self, tmp_path):
         run_scan("thm14", n_max=4, cert_dir=str(tmp_path))
         files = sorted(p.name for p in tmp_path.iterdir())
@@ -202,10 +229,68 @@ PINNED_CSV = {
 }
 
 
+PINNED_THM14_N4_JSON = (
+    '[\n'
+    '  {\n'
+    '    "bound_hi": 1,\n'
+    '    "bound_lo": 1,\n'
+    '    "check": "thm14",\n'
+    '    "depth": 1,\n'
+    '    "m": 2,\n'
+    '    "ms": 0,\n'
+    '    "n": 3,\n'
+    '    "phi": 1,\n'
+    '    "psi": 1,\n'
+    '    "sdepth": 1,\n'
+    '    "status": "ok"\n'
+    '  },\n'
+    '  {\n'
+    '    "bound_hi": 2,\n'
+    '    "bound_lo": 1,\n'
+    '    "check": "thm14",\n'
+    '    "depth": 1,\n'
+    '    "m": 2,\n'
+    '    "ms": 0,\n'
+    '    "n": 4,\n'
+    '    "phi": 2,\n'
+    '    "psi": 1,\n'
+    '    "sdepth": 1,\n'
+    '    "status": "ok"\n'
+    '  },\n'
+    '  {\n'
+    '    "bound_hi": 2,\n'
+    '    "bound_lo": 2,\n'
+    '    "check": "thm14",\n'
+    '    "depth": 2,\n'
+    '    "m": 3,\n'
+    '    "ms": 0,\n'
+    '    "n": 4,\n'
+    '    "phi": 2,\n'
+    '    "psi": 2,\n'
+    '    "sdepth": 2,\n'
+    '    "status": "ok"\n'
+    '  }\n'
+    ']\n'
+)
+
+PINNED_THM14_N4_MD = (
+    "| n | m | check | psi | phi | sdepth | depth | bound_lo | bound_hi | status | ms |\n"
+    "| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |\n"
+    "| 3 | 2 | thm14 | 1 | 1 | 1 | 1 | 1 | 1 | ok | 0 |\n"
+    "| 4 | 2 | thm14 | 1 | 2 | 1 | 1 | 1 | 2 | ok | 0 |\n"
+    "| 4 | 3 | thm14 | 2 | 2 | 2 | 2 | 2 | 2 | ok | 0 |\n"
+)
+
+
 class TestPinnedOutput:
     def test_small_grid_csv_bytes(self):
         for (check, n_max), text in PINNED_CSV.items():
             assert emit_csv(run_scan(check, n_max=n_max)) == text, check
+
+    def test_small_grid_json_and_md_bytes(self):
+        rows = run_scan("thm14", n_max=4)
+        assert emit_json(rows) == PINNED_THM14_N4_JSON
+        assert emit_md(rows) == PINNED_THM14_N4_MD
 
 
 class TestUnknownRows:
@@ -359,6 +444,19 @@ class TestCli:
         )
         assert proc.returncode == 2
         assert "invalid" in proc.stdout
+
+    def test_verify_level_out_of_range_is_input_error(self, tmp_path):
+        ideal_file = tmp_path / "j42.txt"
+        ideal_file.write_text(format_ideal(cycle_path_ideal(4, 2)))
+        cert = tmp_path / "out.cert"
+        run_cli("sdepth", "--ideal-file", str(ideal_file), "--certificate", str(cert))
+        for k in ("-1", "9"):
+            proc = run_cli(
+                "verify-decomp", "--ideal-file", str(ideal_file),
+                "--decomp-file", str(cert), "--k", k,
+            )
+            assert proc.returncode == 3, (k, proc.stdout)
+            assert "k must be in 0..4" in proc.stderr
 
     def test_sdepth_quotient_module(self, tmp_path):
         num = tmp_path / "num.txt"

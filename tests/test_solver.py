@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 
 from helpers import brute_force_sdepth, enumerate_small_ideals
@@ -33,6 +36,10 @@ def mono(n, *factors):
 
 def cycle_quotient(n, m):
     return ring_quotient(cycle_path_ideal(n, m))
+
+
+def principal_poset(text, n):
+    return build_poset(ring_quotient(parse_ideal(f"n={n}: {text}")))
 
 
 class TestBuildPoset:
@@ -93,7 +100,7 @@ class TestExistsPartition:
         assert decomposition is not None
         report = verify_decomposition(poset, decomposition, 1)
         assert report.ok
-        assert decomposition.value() >= 1
+        assert report.min_rho >= 1
 
     def test_level_two_infeasible(self):
         poset = build_poset(cycle_quotient(4, 2))
@@ -115,10 +122,10 @@ class TestExistsPartition:
                 (mono(4, 2), frozenset({2, 4})),
                 (mono(4, 4), frozenset({4})),
             ),
-            poset.g,
         )
-        assert verify_decomposition(poset, hand, 1).ok
-        assert hand.value() == 1
+        report = verify_decomposition(poset, hand, 1)
+        assert report.ok
+        assert report.min_rho == 1
 
     def test_monotone_in_level(self):
         for pair in [cycle_quotient(5, 2), cycle_quotient(6, 3)]:
@@ -249,7 +256,7 @@ class TestPrincipalDecomposition:
             (mono(2), frozenset({2})),
             (mono(2, 1), frozenset({1})),
         )
-        assert d.value() == 1
+        assert verify_decomposition(principal_poset("x1*x2", 2), d, 0).min_rho == 1
 
     def test_square_one_variable(self):
         d = principal_decomposition(parse_monomial("x1^2", 1))
@@ -257,12 +264,12 @@ class TestPrincipalDecomposition:
             (mono(1), frozenset()),
             (mono(1, 1), frozenset()),
         )
-        assert d.value() == 0
+        assert verify_decomposition(principal_poset("x1^2", 1), d, 0).min_rho == 0
 
     def test_three_variables(self):
         d = principal_decomposition(parse_monomial("x1*x2*x3", 3))
         assert len(d) == 3
-        assert d.value() == 2
+        assert verify_decomposition(principal_poset("x1*x2*x3", 3), d, 0).min_rho == 2
 
     @pytest.mark.parametrize(
         "text,n",
@@ -271,8 +278,7 @@ class TestPrincipalDecomposition:
     def test_verifies_against_poset(self, text, n):
         u = parse_monomial(text, n)
         d = principal_decomposition(u)
-        poset = build_poset(ring_quotient(parse_ideal(f"n={n}: {text}")))
-        assert verify_decomposition(poset, d, n - 1).ok
+        assert verify_decomposition(principal_poset(text, n), d, n - 1).ok
         assert sdepth_of_pair(ring_quotient(parse_ideal(f"n={n}: {text}"))).value == n - 1
 
     def test_constant_rejected(self):
@@ -284,7 +290,7 @@ class TestVerification:
     def test_uncovered_reported(self):
         poset = build_poset(cycle_quotient(4, 2))
         decomposition = exists_partition(poset, 1)
-        tampered = StanleyDecomposition(4, decomposition.intervals[:-1], decomposition.g)
+        tampered = StanleyDecomposition(4, decomposition.intervals[:-1])
         report = verify_decomposition(poset, tampered, 1)
         assert not report.ok
         assert any("uncovered element" in f for f in report.failures)
@@ -292,16 +298,14 @@ class TestVerification:
     def test_double_cover_reported(self):
         poset = build_poset(cycle_quotient(4, 2))
         decomposition = exists_partition(poset, 1)
-        doubled = StanleyDecomposition(
-            4, decomposition.intervals + decomposition.intervals[-1:], decomposition.g
-        )
+        doubled = StanleyDecomposition(4, decomposition.intervals + decomposition.intervals[-1:])
         report = verify_decomposition(poset, doubled, 1)
         assert not report.ok
         assert any("double cover" in f for f in report.failures)
 
     def test_outside_poset_reported(self):
         poset = build_poset(ring_quotient(parse_ideal("n=2: x1*x2")))
-        bad = StanleyDecomposition(2, ((mono(2), frozenset({1, 2})),), poset.g)
+        bad = StanleyDecomposition(2, ((mono(2), frozenset({1, 2})),))
         report = verify_decomposition(poset, bad, 0)
         assert not report.ok
         assert any("outside the poset" in f for f in report.failures)
@@ -312,6 +316,25 @@ class TestVerification:
         report = verify_decomposition(poset, decomposition, 4)
         assert not report.ok
         assert any("rho" in f for f in report.failures)
+
+    def test_failed_certificate_raises_under_optimize(self):
+        # The solver's own check must survive python -O, which strips asserts.
+        code = "\n".join([
+            "import sdepthlab.solver as solver",
+            "from sdepthlab import cycle_path_ideal, ring_quotient",
+            "solver.verify_decomposition = (",
+            "    lambda *args: solver.VerificationReport(False, ('planted',), None))",
+            "try:",
+            "    solver.sdepth_of_pair(ring_quotient(cycle_path_ideal(4, 2)))",
+            "except AssertionError as exc:",
+            "    print('raised:', exc)",
+            "else:",
+            "    print('returned')",
+        ])
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("raised:"), proc.stdout
+        assert "planted" in proc.stdout
 
 
 class TestCertificates:
