@@ -1,14 +1,16 @@
 """Command line interface.
 
-Exit codes: 0 when everything ran and no asserted claim failed, 2 when a scan
-or verification found a violation, 3 for input errors, 4 when a resource cap
-or time limit was hit at the command level.
+Exit codes: 0 when everything ran and no asserted claim failed, 1 when the
+reader closed standard output before all of it was written, 2 when a scan or
+verification found a violation, 3 for input errors, 4 when a resource cap or
+time limit was hit at the command level.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -28,6 +30,7 @@ from .solver import (
 )
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_VIOLATION = 2
 EXIT_INPUT = 3
 EXIT_RESOURCE = 4
@@ -207,13 +210,21 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ResourceCapError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except BrokenPipeError:
+        # As in the signal module's documentation: point stdout at devnull so
+        # the interpreter's final flush cannot fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass
-from itertools import combinations
 from math import prod
 
 from .errors import (
@@ -253,9 +252,12 @@ def _search(poset, k, deadline):
     intervals: list[tuple[int, int]] = []
 
     # Elements that cannot top their own interval; only these can get stranded.
+    # watchers[t] lists the lows whose current witness (an uncovered top above
+    # them) is t.  Each low sits on exactly one list; a covered low stays on
+    # its list, so that backtracking leaves every witness valid again.
     lows = [i for i in range(size) if rho[i] < k]
     tops_desc = [i for i in range(size - 1, -1, -1) if rho[i] >= k]
-    witness = [-1] * size
+    watchers: list[list[int]] = [[] for _ in range(size)]
 
     # Degree-moment account.  For squarefree bounds rho is degree plus the
     # count z of coordinates pinned at zero.  When the poset's maximal degree
@@ -302,28 +304,39 @@ def _search(poset, k, deadline):
             et = exps[t]
             return all(a <= b for a, b in zip(eu, et))
 
+    # Candidate tops of an element depend only on the element and k, so each
+    # list is built once per level, on first use.
+    tables: list[list | None] = [None] * size
+
     def candidates(ei):
+        cands = tables[ei]
+        if cands is not None:
+            return cands
         e = exps[ei]
-        ecode = codes[ei]
         free = [j for j in range(n) if e[j] < g[j]]
-        base = n - len(free)
-        need = k - base
-        if need < 0:
-            need = 0
-        if need > len(free):
-            return []
-        cands = []
-        for csize in range(need, len(free) + 1):
-            for combo in combinations(free, csize):
-                bcode = ecode
-                box = 1
-                for j in combo:
-                    span = g[j] - e[j]
-                    bcode += span * weights[j]
-                    box *= span + 1
-                if bcode in index:
-                    cands.append((box, bcode, combo))
-        cands.sort(key=lambda t: (t[0], t[1]))
+        nfree = len(free)
+        need = k - (n - nfree)
+        cands = tables[ei] = []
+
+        # Raise one free coordinate to g_j at a time, in increasing order.  A
+        # top outside the poset ends its branch: the poset is box-convex and ei
+        # lies below the whole branch.  So does a branch that cannot reach
+        # need raised coordinates.
+        def walk(bcode, box, combo, start):
+            if len(combo) >= need:
+                cands.append((box, bcode, combo))
+            for i in range(start, nfree):
+                if len(combo) + nfree - i < need:
+                    break
+                j = free[i]
+                span = g[j] - e[j]
+                top = bcode + span * weights[j]
+                if top in index:
+                    walk(top, box * (span + 1), combo + (j,), i + 1)
+
+        walk(codes[ei], 1, (), 0)
+        # The tops of one element are distinct, so this is the (box, top) order.
+        cands.sort()
         return cands
 
     def box_cells(ei, combo):
@@ -334,23 +347,31 @@ def _search(poset, k, deadline):
             cells = [c + t * w for t in range(g[j] - e[j] + 1) for c in cells]
         return cells
 
-    def none_stranded():
-        for u in lows:
-            if covered[u]:
+    def rewitness(u):
+        for t in tops_desc:
+            if not covered[t] and dominates(t, u):
+                watchers[t].append(u)
+                return True
+        return False
+
+    def none_stranded(cell_idx):
+        # Only the uncovered lows watching a newly covered cell lost their
+        # witness.  On failure the unscanned tail goes back on the list.
+        for c in cell_idx:
+            watching = watchers[c]
+            if not watching:
                 continue
-            w = witness[u]
-            if w >= 0 and not covered[w]:
-                continue
-            for t in tops_desc:
-                if not covered[t] and dominates(t, u):
-                    witness[u] = t
-                    break
-            else:
-                return False
+            kept = watchers[c] = []
+            for pos, u in enumerate(watching):
+                if covered[u]:
+                    kept.append(u)
+                elif not rewitness(u):
+                    kept.extend(watching[pos:])
+                    return False
         return True
 
     # The loop's two refutations also run before the first placement.
-    if (moments_apply and not moments_ok()) or not none_stranded():
+    if (moments_apply and not moments_ok()) or not all(rewitness(u) for u in lows):
         return None
 
     # Frame layout: [element index, candidate list, next position, cells placed
@@ -406,7 +427,7 @@ def _search(poset, k, deadline):
         if remaining == 0:
             return list(intervals)
 
-        if (moments_apply and not moments_ok()) or not none_stranded():
+        if (moments_apply and not moments_ok()) or not none_stranded(cell_idx):
             unplace(cell_idx)
             intervals.pop()
             continue

@@ -1,5 +1,6 @@
 import itertools
 import json
+import os
 import subprocess
 import sys
 
@@ -505,3 +506,20 @@ class TestCli:
         proc = run_cli("scan", "--check", "thm14", "--n-max", "5")
         assert proc.returncode == 0
         assert proc.stdout.startswith("n,m,check")
+
+    @pytest.mark.parametrize("args", [
+        ("family", "--kind", "cycle", "--n", "7", "--m", "3"),
+        ("scan", "--check", "thm14", "--n-max", "6"),
+    ])
+    def test_closed_stdout_exits_quietly(self, args):
+        # The reader end is closed before the CLI starts, so its first write
+        # or final flush always meets a broken pipe.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(CLI + list(args), stdout=write_end,
+                                  stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert proc.stderr == ""
+        assert proc.returncode == cli.EXIT_BROKEN_PIPE

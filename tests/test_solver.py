@@ -1,11 +1,14 @@
+import hashlib
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from helpers import brute_force_sdepth, enumerate_small_ideals
 from sdepthlab import (
     InputError,
+    InvalidPresentationError,
     Monomial,
     QuotientPresentation,
     StanleyDecomposition,
@@ -25,6 +28,7 @@ from sdepthlab import (
     ring_quotient,
     sdepth_of_pair,
     sdepth_of_poset,
+    unit_ideal,
     verify_decomposition,
     zero_ideal,
 )
@@ -40,6 +44,30 @@ def cycle_quotient(n, m):
 
 def principal_poset(text, n):
     return build_poset(ring_quotient(parse_ideal(f"n={n}: {text}")))
+
+
+def square(ideal):
+    return minimalize([a.times(b) for a in ideal.gens for b in ideal.gens], ideal.ambient)
+
+
+@st.composite
+def small_presentations(draw):
+    """S/I or J/I with J containing I, squarefree or with exponents up to 2."""
+    max_exp = draw(st.sampled_from((1, 2)))
+    n = draw(st.integers(min_value=2, max_value=5 if max_exp == 1 else 4))
+    monomials = st.builds(
+        lambda e: Monomial(tuple(e)),
+        st.lists(st.integers(min_value=0, max_value=max_exp), min_size=n, max_size=n),
+    )
+    # Generators of degree 2 or more keep most posets above a handful of elements.
+    relations = monomials.filter(lambda u: sum(u.exponents) >= 2)
+    denominator = minimalize(draw(st.lists(relations, min_size=0, max_size=4)), n)
+    extra = draw(st.lists(monomials, min_size=0, max_size=3))
+    numerator = minimalize([*denominator.gens, *extra], n) if extra else unit_ideal(n)
+    try:
+        return build_poset(QuotientPresentation(numerator, denominator))
+    except InvalidPresentationError:
+        reject()
 
 
 class TestBuildPoset:
@@ -241,6 +269,41 @@ class TestSdepth:
                     seen += 1
                     assert sdepth_of_poset(poset).value == brute_force_sdepth(poset)
         assert seen >= 10
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_presentations())
+    def test_every_level_matches_brute_force(self, poset):
+        # Covers both candidate paths: squarefree posets and exponent-2 boxes,
+        # quotient rings and box-convex modules that are not down-closed.
+        if len(poset) > 12:
+            reject()
+        best = brute_force_sdepth(poset)
+        for k in range(poset.n + 1):
+            assert (exists_partition(poset, k) is not None) == (best >= k), (poset.exps, k)
+
+    # sha256 of format_certificate.  The search visits its nodes in a fixed
+    # order, so a speed-up that keeps that order keeps these bytes: the heaviest
+    # sdepth-sqfree instance, a non-squarefree S/I^2 and a box-convex module
+    # that is not down-closed.
+    @pytest.mark.parametrize("pair, value, digest", [
+        (
+            ring_quotient(cycle_path_ideal(9, 3)), 5,
+            "0fe5dad6ef4c10f27034e90e8f722e4871283f79865f7c7794f5c032cfc56f8d",
+        ),
+        (
+            ring_quotient(square(cycle_path_ideal(7, 3))), 4,
+            "bd49d5fe768c10bca5fdabc87114610ab4c9adb52b61a9bea50b7508a467dbe6",
+        ),
+        (
+            QuotientPresentation(cycle_path_ideal(7, 3), line_path_ideal(7, 3)), 5,
+            "492ea47342d067d67c31e9a717f904c0e94cbc0a837ea36b2a1f38663d7bef9d",
+        ),
+    ], ids=["cycle-9-3", "cycle-7-3-squared", "prop16-7-3"])
+    def test_pinned_certificate(self, pair, value, digest):
+        result = sdepth_of_pair(pair)
+        assert result.value == value
+        text = format_certificate(result.certificate)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_principal_characterization_small(self):
         # Among small ideals the top value n-1 happens exactly for one generator.
