@@ -124,7 +124,7 @@ def _cmd_depth(args) -> int:
 
 def _cmd_verify_decomp(args) -> int:
     pair = _load_pair(args)
-    poset = build_poset(pair)
+    poset = build_poset(pair, cap=args.max_poset)
     try:
         text = Path(args.decomp_file).read_text(encoding="utf-8")
     except OSError as exc:
@@ -201,6 +201,7 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--quotient-by", default=None)
     p_verify.add_argument("--decomp-file", required=True)
     p_verify.add_argument("--k", type=int, required=True)
+    p_verify.add_argument("--max-poset", type=int, default=DEFAULT_POSET_CAP)
     p_verify.set_defaults(func=_cmd_verify_decomp)
 
     return parser

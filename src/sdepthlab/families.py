@@ -124,12 +124,11 @@ def formula_table(n: int, m: int) -> FormulaRecord:
     r = n % k
     if r <= m - 1:
         num = 2 * (n - r)
-        assert num % k == 0
-        pd_line = num // k
     else:  # r == m
         num = 2 * n - m + 1
-        assert num % k == 0
-        pd_line = num // k
+    if num % k:
+        raise AssertionError(f"pd_line numerator {num} is not divisible by {k}")
+    pd_line = num // k
     pd_cycle = 2 * p + 1 if d != 0 else 2 * p
 
     rec = FormulaRecord(
@@ -144,8 +143,8 @@ def formula_table(n: int, m: int) -> FormulaRecord:
         p=p,
         d=d,
     )
-    assert rec.depth_line == rec.phi
-    assert rec.depth_cycle == rec.psi
+    if rec.depth_line != rec.phi or rec.depth_cycle != rec.psi:
+        raise AssertionError(f"n - pd disagrees with phi/psi at (n, m) = ({n}, {m})")
     return rec
 
 

@@ -65,25 +65,24 @@ def _integer_rank(rows: list[dict[int, int]]) -> int:
     """Rank of an integer matrix given as sparse rows, by exact elimination.
 
     Cross-multiplication keeps everything in the integers; rows are reduced by
-    their gcd after each elimination step so entries stay small.
+    their gcd after each elimination step so entries stay small.  The rank does
+    not depend on the pivot order, so the pivot rule only affects the cost.
     """
     active = [dict(r) for r in rows if r]
     rank = 0
     while active:
-        best = None
-        for ri, row in enumerate(active):
-            for col, val in row.items():
-                key = (abs(val) != 1, len(row), ri, col)
-                if best is None or key < best[0]:
-                    best = (key, ri, col)
-            if best is not None and not best[0][0] and best[0][1] <= 2:
-                break  # a +-1 pivot in a near-singleton row is good enough
-        _, pi, pc = best
-        pivot_row = active.pop(pi)
+        # A shortest row, and in it a +-1 entry if there is one, keeps fill-in
+        # and entry growth low without scanning every entry of every row.
+        pivot_row = min(active, key=len)
+        pc = next((col for col, val in pivot_row.items() if abs(val) == 1), None)
+        if pc is None:
+            pc = min(pivot_row, key=lambda col: abs(pivot_row[col]))
         pv = pivot_row[pc]
         rank += 1
         next_rows = []
         for row in active:
+            if row is pivot_row:
+                continue
             v = row.get(pc)
             if v is None:
                 next_rows.append(row)
@@ -145,8 +144,10 @@ def homology_ranks(complex_: SimplicialComplex) -> tuple[int, ...]:
 
     euler_faces = sum((-1) ** (s + 1) * len(by_size[s]) for s in range(top + 1))
     euler_homology = sum((-1) ** (s + 1) * ranks[s] for s in range(top + 1))
-    assert euler_faces == euler_homology, "Euler count mismatch: rank computation is broken"
-    assert all(r >= 0 for r in ranks)
+    if euler_faces != euler_homology:
+        raise AssertionError("Euler count mismatch: rank computation is broken")
+    if any(r < 0 for r in ranks):
+        raise AssertionError("negative homology rank: rank computation is broken")
     return tuple(ranks)
 
 
@@ -176,8 +177,10 @@ def hochster_betti(ideal: MonomialIdeal) -> BettiTable:
     """Full Betti table of the quotient by a squarefree ideal.
 
     The rank in homological index i and squarefree degree F is the reduced
-    homology rank of the restriction to F in degree |F| - i - 1.  Subsets are
-    scanned ascending by (popcount, value) so the table is deterministic.
+    homology rank of the restriction to F in degree |F| - i - 1.  Only subsets
+    F that are unions of generator supports can carry a nonzero rank; the rest
+    are skipped without building their restriction.  Subsets are scanned
+    ascending by (popcount, value) so the table is deterministic.
     """
     if ideal.ambient > MAX_HOCHSTER_AMBIENT:
         raise InputError(
@@ -188,6 +191,16 @@ def hochster_betti(ideal: MonomialIdeal) -> BettiTable:
     entries: dict[tuple[int, tuple[int, ...]], int] = {}
     subsets = sorted(range(1 << n), key=lambda m: (m.bit_count(), m))
     for fmask in subsets:
+        # Betti numbers live on the lcm lattice: if some vertex v of F lies in
+        # no nonface inside F, v is a cone apex of the restriction to F, whose
+        # reduced homology is then zero in every degree, -1 included (F is not
+        # empty).  The empty set is its own union of nonfaces and is computed.
+        covered = 0
+        for nf in complex_.nonface_masks:
+            if nf & fmask == nf:
+                covered |= nf
+        if covered != fmask:
+            continue
         size = fmask.bit_count()
         ranks = homology_ranks(complex_.restrict(fmask))
         fvars = tuple(j + 1 for j in range(n) if fmask >> j & 1)
@@ -198,8 +211,10 @@ def hochster_betti(ideal: MonomialIdeal) -> BettiTable:
 
     gen_supports = {g.support() for g in ideal.gens}
     degree_one = {f for i, f in entries if i == 1}
-    assert degree_one == gen_supports, "index-1 table entries must be the generator supports"
-    assert entries[(0, ())] == 1
+    if degree_one != gen_supports:
+        raise AssertionError("index-1 table entries must be the generator supports")
+    if entries.get((0, ())) != 1:
+        raise AssertionError("the index-0 entry of the empty degree must be 1")
     return BettiTable(n, entries)
 
 

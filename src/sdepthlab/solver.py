@@ -160,8 +160,7 @@ def build_poset(
         index=index,
         squarefree=squarefree,
     )
-    if __debug__:
-        _assert_box_convex_sample(poset)
+    _assert_box_convex_sample(poset)
     return poset
 
 
@@ -173,7 +172,8 @@ def _assert_box_convex_sample(poset: CharacteristicPoset, limit: int = 12) -> No
             if a is b or any(x > y for x, y in zip(a, b)):
                 continue
             mid = tuple((x + y) // 2 for x, y in zip(a, b))
-            assert poset.contains_exps(mid), "element set is not box-convex"
+            if not poset.contains_exps(mid):
+                raise AssertionError("element set is not box-convex")
 
 
 @dataclass(frozen=True)

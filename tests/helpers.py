@@ -1,8 +1,9 @@
 """Independent oracles shared by the unit and acceptance tests."""
 
+from fractions import Fraction
 from itertools import combinations, product
 
-from sdepthlab import Monomial, MonomialIdeal, minimalize
+from sdepthlab import Monomial, MonomialIdeal, homology_ranks, minimalize, sr_complex
 
 
 def brute_force_sdepth(poset) -> int:
@@ -67,3 +68,31 @@ def enumerate_small_ideals(n: int, max_gens: int = 3, max_exp: int = 2):
             if ideal not in seen:
                 seen[ideal] = None
     return sorted(seen, key=lambda ideal: (len(ideal.gens), tuple(g.sort_key() for g in ideal.gens)))
+
+
+def fraction_rank(matrix: list[list[int]]) -> int:
+    """Rank of a dense integer matrix by Gaussian elimination over Fraction."""
+    rows = [[Fraction(v) for v in row] for row in matrix]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / rows[rank][col]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def reference_betti(ideal: MonomialIdeal) -> dict[tuple[int, tuple[int, ...]], int]:
+    """Hochster's formula on every vertex restriction, with no subset skipped."""
+    complex_ = sr_complex(ideal)
+    entries = {}
+    for fmask in range(1 << ideal.ambient):
+        fvars = tuple(j + 1 for j in range(ideal.ambient) if fmask >> j & 1)
+        for degree_plus_one, rank in enumerate(homology_ranks(complex_.restrict(fmask))):
+            if rank:
+                entries[(len(fvars) - degree_plus_one, fvars)] = rank
+    return entries

@@ -459,6 +459,23 @@ class TestCli:
             assert proc.returncode == 3, (k, proc.stdout)
             assert "k must be in 0..4" in proc.stderr
 
+    def test_verify_max_poset(self, tmp_path):
+        # The (4, 2) cycle's multidegree box has 2^4 = 16 cells.
+        ideal_file = tmp_path / "j42.txt"
+        ideal_file.write_text(format_ideal(cycle_path_ideal(4, 2)))
+        cert = tmp_path / "out.cert"
+        proc = run_cli("sdepth", "--ideal-file", str(ideal_file), "--max-poset", "16",
+                       "--certificate", str(cert))
+        assert proc.returncode == 0, proc.stderr
+        verify = ["verify-decomp", "--ideal-file", str(ideal_file),
+                  "--decomp-file", str(cert), "--k", "1", "--max-poset"]
+        proc = run_cli(*verify, "16")
+        assert proc.returncode == 0, proc.stderr
+        assert "valid decomposition" in proc.stdout
+        proc = run_cli(*verify, "15")
+        assert proc.returncode == 4
+        assert "cap is 15" in proc.stderr
+
     def test_sdepth_quotient_module(self, tmp_path):
         num = tmp_path / "num.txt"
         den = tmp_path / "den.txt"

@@ -1,17 +1,28 @@
-import pytest
+import hashlib
+import subprocess
+import sys
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from helpers import fraction_rank, reference_betti
 from sdepthlab import (
     InputError,
+    Monomial,
     cycle_depth_formula,
     cycle_path_ideal,
     depth_squarefree,
+    format_ideal,
     hochster_betti,
     homology_ranks,
     line_depth_formula,
     line_path_ideal,
+    minimalize,
     parse_ideal,
     sr_complex,
 )
+from sdepthlab import cli
+from sdepthlab.homology import _integer_rank
 
 
 class TestComplex:
@@ -81,8 +92,58 @@ class TestHomologyRanks:
             euler_ranks = sum((-1) ** (s + 1) * r for s, r in enumerate(ranks))
             assert euler_faces == euler_ranks
 
+    def test_wrong_rank_raises_under_optimize(self):
+        # The rank checks must survive python -O, which strips asserts.  A rank
+        # larger than the true one drives a homology rank negative.
+        code = "\n".join([
+            "import sdepthlab.homology as homology",
+            "from sdepthlab import parse_ideal, sr_complex",
+            "homology._integer_rank = lambda rows: len(rows) + 1",
+            "try:",
+            "    homology.homology_ranks(sr_complex(parse_ideal('n=3: x1*x2*x3')))",
+            "except AssertionError as exc:",
+            "    print('raised:', exc)",
+            "else:",
+            "    print('returned')",
+        ])
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("raised:"), proc.stdout
+
+
+@st.composite
+def small_matrices(draw):
+    values = draw(st.sampled_from([range(-3, 4), (-3, -2, 0, 2, 3)]))
+    ncols = draw(st.integers(min_value=1, max_value=6))
+    row = st.lists(st.sampled_from(values), min_size=ncols, max_size=ncols)
+    return draw(st.lists(row, max_size=7))
+
+
+class TestIntegerRank:
+    @settings(max_examples=300)
+    @given(small_matrices())
+    @example([[0, 0, 0], [2, -2, 0], [0, 0, 0], [3, 3, -2]])
+    @example([[2, 3], [3, 2], [-2, 3], [0, 0]])
+    def test_matches_fraction_elimination(self, matrix):
+        sparse = [{col: v for col, v in enumerate(row) if v} for row in matrix]
+        assert _integer_rank(sparse) == fraction_rank(matrix)
+
+
+@st.composite
+def squarefree_ideals(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    masks = draw(st.lists(st.integers(min_value=1, max_value=(1 << n) - 1),
+                          min_size=1, max_size=6))
+    gens = [Monomial(tuple(mask >> j & 1 for j in range(n))) for mask in masks]
+    return minimalize(gens, n)
+
 
 class TestBettiTable:
+    @settings(max_examples=80, deadline=None)
+    @given(squarefree_ideals())
+    def test_matches_every_restriction(self, ideal):
+        assert hochster_betti(ideal).entries == reference_betti(ideal)
+
     def test_principal_three(self):
         table = hochster_betti(parse_ideal("n=3: x1*x2*x3"))
         assert table.projective_dimension() == 1
@@ -120,6 +181,24 @@ class TestBettiTable:
     def test_ambient_cap(self):
         with pytest.raises(InputError):
             hochster_betti(line_path_ideal(15, 2))
+
+
+class TestPinnedTables:
+    # sha256 of the `sdepthlab depth --betti` text, recorded before the
+    # lcm-lattice skip and the shortest-row pivot rule.
+    @pytest.mark.parametrize("ideal, digest", [
+        (line_path_ideal(10, 5),
+         "ff871ea320c1cc656bf7536a0e29971d2c8b2dc8ed1f7a1850a653b2932aecad"),
+        (cycle_path_ideal(10, 3),
+         "4807aa6adfc53576b6a907ec226dec2bc122d9a8d98db53ef4af4cc2ec179fc9"),
+        (cycle_path_ideal(9, 4),
+         "98093bb84e3ab71913867ebae25c476e88ac224b9f21de1773af08515a2c578c"),
+    ], ids=["line-10-5", "cycle-10-3", "cycle-9-4"])
+    def test_depth_betti_text(self, ideal, digest, tmp_path, capsys):
+        ideal_file = tmp_path / "ideal.txt"
+        ideal_file.write_text(format_ideal(ideal))
+        assert cli.main(["depth", "--ideal-file", str(ideal_file), "--betti"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestDepth:
