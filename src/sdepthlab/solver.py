@@ -442,7 +442,11 @@ def _search(poset, k, deadline):
 
 @dataclass(frozen=True)
 class SdepthResult:
-    """Computed invariant with its certificate and the poset it lives on."""
+    """Computed invariant with its certificate and the poset it lives on.
+
+    ``infeasible_at`` is value + 1, the level at which no partition exists,
+    or None when the value is the ambient size and no higher level exists.
+    """
 
     value: int
     certificate: StanleyDecomposition
@@ -455,33 +459,22 @@ def sdepth_of_poset(
     *,
     time_limit_s: float | None = DEFAULT_TIME_LIMIT_S,
 ) -> SdepthResult:
-    """Largest k admitting a partition, by binary search over feasibility.
+    """Largest k admitting a partition, by scanning the levels downwards.
 
-    Feasibility is monotone decreasing in k, level 0 is always feasible, and
-    the result ships both a verified certificate at the optimum and a failed
-    search one level higher (trivially so when the optimum is the ambient
-    size, which no interval top can exceed).  Both checks raise AssertionError
-    when they fail, under ``python -O`` too.
+    The scan starts at the largest rho in the poset, which no interval top can
+    exceed, and stops at the first level where the search finds a partition;
+    level 0 always has one.  Every level above the value was refuted by its
+    own search (or lies above the largest rho), so the result ships a failed
+    search at value + 1 and a certificate at the value.  Low levels are the
+    costly ones to search, and the scan never visits a level below the value.
+    The certificate is verified with a check that raises AssertionError under
+    ``python -O`` too.
     """
-    n = poset.n
-    hi = poset.max_rho
-    lo = 0
-    certificate = singleton_decomposition(poset)
-    infeasible_at = None
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        found = exists_partition(poset, mid, time_limit_s=time_limit_s)
-        if found is None:
-            hi = mid - 1
-            infeasible_at = mid if infeasible_at is None else min(infeasible_at, mid)
-        else:
-            lo = mid
-            certificate = found
-    value = lo
-    if infeasible_at != value + 1 and value + 1 <= n:
-        if exists_partition(poset, value + 1, time_limit_s=time_limit_s) is not None:
-            raise AssertionError("binary search upper bound was wrong")
-        infeasible_at = value + 1
+    for value in range(poset.max_rho, -1, -1):
+        certificate = exists_partition(poset, value, time_limit_s=time_limit_s)
+        if certificate is not None:
+            break
+    infeasible_at = value + 1 if value < poset.n else None
 
     report = verify_decomposition(poset, certificate, value)
     if not report.ok:

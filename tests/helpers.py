@@ -3,7 +3,14 @@
 from fractions import Fraction
 from itertools import combinations, product
 
-from sdepthlab import Monomial, MonomialIdeal, homology_ranks, minimalize, sr_complex
+from sdepthlab import (
+    Monomial,
+    MonomialIdeal,
+    exists_partition,
+    homology_ranks,
+    minimalize,
+    sr_complex,
+)
 
 
 def brute_force_sdepth(poset) -> int:
@@ -51,6 +58,28 @@ def brute_force_sdepth(poset) -> int:
 
     rec(0, poset.n + 1)
     return best
+
+
+def bisect_sdepth(poset):
+    """(value, infeasible_at, certificate) by binary search over the levels.
+
+    The level order ``sdepth_of_poset`` used before it scanned down from the
+    largest rho: binary search over 0..max_rho, then a direct search at
+    value + 1 when the bisection did not refute that level itself.
+    """
+    lo, hi = 0, poset.max_rho
+    certificate = exists_partition(poset, 0)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        found = exists_partition(poset, mid)
+        if found is None:
+            hi = mid - 1
+        else:
+            lo, certificate = mid, found
+    if lo == poset.n:
+        return lo, None, certificate
+    assert exists_partition(poset, lo + 1) is None
+    return lo, lo + 1, certificate
 
 
 def enumerate_small_ideals(n: int, max_gens: int = 3, max_exp: int = 2):

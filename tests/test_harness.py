@@ -487,6 +487,25 @@ class TestCli:
         assert proc.returncode == 0
         assert "sdepth = 3" in proc.stdout
 
+    @pytest.mark.parametrize("ideal, quotient_by, stdout", [
+        (format_ideal(cycle_path_ideal(5, 2)), None,
+         "sdepth = 2\nposet elements = 11\ncertified: partition at 2, none at 3\n"),
+        ("n=3: x1*x2", "n=3: 0",
+         "sdepth = 3\nposet elements = 1\ncertified: partition at 3 (ambient bound)\n"),
+    ], ids=["cycle-5-2", "free-module"])
+    def test_sdepth_stdout_bytes(self, tmp_path, ideal, quotient_by, stdout):
+        # The whole text: the `certified:` line is the only output of infeasible_at.
+        ideal_file = tmp_path / "ideal.txt"
+        ideal_file.write_text(ideal)
+        args = ["sdepth", "--ideal-file", str(ideal_file)]
+        if quotient_by is not None:
+            den = tmp_path / "den.txt"
+            den.write_text(quotient_by)
+            args += ["--quotient-by", str(den)]
+        proc = run_cli(*args)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == stdout
+
     def test_depth_with_betti(self, tmp_path):
         ideal_file = tmp_path / "i42.txt"
         ideal_file.write_text(format_ideal(line_path_ideal(4, 2)))

@@ -5,7 +5,8 @@ import sys
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from helpers import brute_force_sdepth, enumerate_small_ideals
+import sdepthlab.solver as solver
+from helpers import bisect_sdepth, brute_force_sdepth, enumerate_small_ideals
 from sdepthlab import (
     InputError,
     InvalidPresentationError,
@@ -305,11 +306,76 @@ class TestSdepth:
         text = format_certificate(result.certificate)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @settings(max_examples=300, deadline=None)
+    @given(small_presentations())
+    def test_scan_matches_binary_search(self, poset):
+        if len(poset) > 12:
+            reject()
+        assert_same_as_binary_search(poset)
+
+    @pytest.mark.parametrize("pair", [
+        ring_quotient(cycle_path_ideal(9, 3)),
+        ring_quotient(square(cycle_path_ideal(7, 3))),
+        QuotientPresentation(cycle_path_ideal(7, 3), line_path_ideal(7, 3)),
+    ], ids=["cycle-9-3", "cycle-7-3-squared", "prop16-7-3"])
+    def test_scan_matches_binary_search_on_pinned_pairs(self, pair):
+        assert_same_as_binary_search(build_poset(pair))
+
     def test_principal_characterization_small(self):
         # Among small ideals the top value n-1 happens exactly for one generator.
         for ideal in enumerate_small_ideals(2):
             value = sdepth_of_pair(ring_quotient(ideal)).value
             assert (value == 1) == (len(ideal.gens) == 1), ideal
+
+
+def assert_same_as_binary_search(poset):
+    # The level order must not change the value, the refuted level or the
+    # certificate's bytes.
+    value, infeasible_at, certificate = bisect_sdepth(poset)
+    result = sdepth_of_poset(poset)
+    assert (result.value, result.infeasible_at) == (value, infeasible_at)
+    assert format_certificate(result.certificate) == format_certificate(certificate)
+
+
+class TestLevelOrder:
+    """The levels sdepth_of_poset searches, in order, with each outcome."""
+
+    @staticmethod
+    def searched_levels(monkeypatch, pair):
+        calls = []
+        search = solver.exists_partition
+
+        def recording(poset, k, **kwargs):
+            found = search(poset, k, **kwargs)
+            calls.append((k, found))
+            return found
+
+        monkeypatch.setattr(solver, "exists_partition", recording)
+        result = sdepth_of_pair(pair)
+        # Every level above the value is refuted by its own search, and the
+        # scan stops at the value, whose partition is the certificate.
+        assert all(found is None for _, found in calls[:-1])
+        assert calls[-1] == (result.value, result.certificate)
+        assert result.infeasible_at == (result.value + 1 if result.value < result.poset.n else None)
+        return result, [(k, found is not None) for k, found in calls]
+
+    def test_cycle_nine_three(self, monkeypatch):
+        result, levels = self.searched_levels(monkeypatch, cycle_quotient(9, 3))
+        assert levels == [(6, False), (5, True)]
+        assert result.infeasible_at == 6
+
+    def test_square_of_cycle_seven_four_ends_at_singletons(self, monkeypatch):
+        pair = ring_quotient(square(cycle_path_ideal(7, 4)))
+        result, levels = self.searched_levels(monkeypatch, pair)
+        assert levels == [(5, False), (4, False), (3, False), (2, False), (1, False), (0, True)]
+        assert len(result.certificate) == len(result.poset)
+        assert result.infeasible_at == 1
+
+    def test_free_module_searches_only_the_ambient_level(self, monkeypatch):
+        pair = QuotientPresentation(parse_ideal("n=3: x1*x2"), zero_ideal(3))
+        result, levels = self.searched_levels(monkeypatch, pair)
+        assert levels == [(3, True)]
+        assert result.infeasible_at is None
 
 
 class TestPrincipalDecomposition:
