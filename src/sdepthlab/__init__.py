@@ -63,6 +63,7 @@ from .ideals import (
 from .solver import (
     CharacteristicPoset,
     SdepthResult,
+    SearchStats,
     StanleyDecomposition,
     VerificationReport,
     build_poset,

@@ -22,6 +22,7 @@ from .ideals import QuotientPresentation, format_ideal, parse_ideal, ring_quotie
 from .solver import (
     DEFAULT_POSET_CAP,
     DEFAULT_TIME_LIMIT_S,
+    SearchStats,
     build_poset,
     format_certificate,
     parse_certificate,
@@ -93,9 +94,15 @@ def _cmd_family(args) -> int:
 
 def _cmd_sdepth(args) -> int:
     pair = _load_pair(args)
-    result = sdepth_of_pair(
-        pair, time_limit_s=args.time_limit_s, max_poset=args.max_poset
-    )
+    stats = SearchStats() if args.stats else None
+    try:
+        result = sdepth_of_pair(
+            pair, time_limit_s=args.time_limit_s, max_poset=args.max_poset, stats=stats
+        )
+    finally:
+        # Also when the search hits the time limit: the counts show how far it got.
+        if stats is not None:
+            print(f"search: {stats.format()}", file=sys.stderr)
     print(f"sdepth = {result.value}")
     print(f"poset elements = {len(result.poset)}")
     if result.infeasible_at is not None:
@@ -175,6 +182,8 @@ def build_parser() -> _Parser:
     p_sdepth.add_argument("--time-limit-s", type=float, default=DEFAULT_TIME_LIMIT_S)
     p_sdepth.add_argument("--max-poset", type=int, default=DEFAULT_POSET_CAP)
     p_sdepth.add_argument("--certificate", default=None, help="write the certificate here")
+    p_sdepth.add_argument("--stats", action="store_true",
+                          help="print the partition search's counts on stderr")
     p_sdepth.set_defaults(func=_cmd_sdepth)
 
     p_depth = sub.add_parser("depth", help="depth of a squarefree quotient ring")

@@ -20,8 +20,9 @@ rho values, so the restriction loses no partitions worth finding.
 from __future__ import annotations
 
 import re
+import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from math import prod
 
 from .errors import (
@@ -34,6 +35,13 @@ from .ideals import Monomial, QuotientPresentation, parse_monomial
 
 DEFAULT_POSET_CAP = 2_000_000
 DEFAULT_TIME_LIMIT_S = 300.0
+
+# Byte budget of the failed-state table that one level's search keeps.  An
+# entry costs its key, an int with one bit per poset element, plus the set's
+# slots: a set grows its table to at most eight 16-byte slots per entry.  The
+# table is emptied when the next entry would exceed the budget.
+FAILED_STATES_BYTES = 32 * 2**20
+_SET_SLOT_BYTES = 128
 
 
 @dataclass(frozen=True)
@@ -210,25 +218,60 @@ def singleton_decomposition(poset: CharacteristicPoset) -> StanleyDecomposition:
     return StanleyDecomposition(poset.n, tuple(_interval(poset, i, i) for i in range(len(poset))))
 
 
+@dataclass
+class SearchStats:
+    """Counters of the partition search, filled in when a caller passes one.
+
+    ``levels`` lists the levels searched, in order.  A placement covers the
+    cells of one interval; a prune rejects the covered set a placement made,
+    or the root, because some uncovered element has no top left (stranded) or
+    the degree counts cannot be split into intervals (moments).  A table hit
+    is a placement skipped because its covered set is stored as one whose
+    subtree holds no partition; ``stored_states`` counts those stores,
+    ``table_clears`` the times the table reached its byte budget, and
+    ``table_peak_bytes`` the most it held, in the budget's units.  Each search
+    adds its counts once, when it returns or hits the time limit, so a record
+    passed to ``sdepth_of_poset`` sums over the levels it tried.
+    """
+
+    levels: list[int] = field(default_factory=list)
+    placements: int = 0
+    stranded_prunes: int = 0
+    moment_prunes: int = 0
+    table_hits: int = 0
+    stored_states: int = 0
+    table_clears: int = 0
+    table_peak_bytes: int = 0
+
+    def format(self) -> str:
+        """One line: ``levels=6,5 placements=... table_peak_bytes=...``."""
+        counts = " ".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self)[1:])
+        return f"levels={','.join(map(str, self.levels))} {counts}"
+
+
 def exists_partition(
     poset: CharacteristicPoset,
     k: int,
     *,
     time_limit_s: float | None = None,
+    stats: SearchStats | None = None,
 ) -> StanleyDecomposition | None:
     """Complete search for an interval partition with min rho(top) >= k.
 
     Returns a partition when one exists and None when none exists; raises
     TimeLimitExceededError when the budget runs out, which is a distinct
-    outcome from infeasibility.
+    outcome from infeasibility.  A ``stats`` record, when given, gets this
+    search's counts added.
     """
     _check_level(poset, k)
+    if stats is not None:
+        stats.levels.append(k)
     if k == 0:
         return singleton_decomposition(poset)
     if k > poset.max_rho:
         return None
     deadline = None if time_limit_s is None else time.monotonic() + time_limit_s
-    intervals = _search(poset, k, deadline)
+    intervals = _search(poset, k, deadline, stats)
     if intervals is None:
         return None
     return StanleyDecomposition(
@@ -236,7 +279,7 @@ def exists_partition(
     )
 
 
-def _search(poset, k, deadline):
+def _search(poset, k, deadline, stats):
     n = poset.n
     g = poset.g
     codes = poset.codes
@@ -305,8 +348,10 @@ def _search(poset, k, deadline):
             return all(a <= b for a, b in zip(eu, et))
 
     # Candidate tops of an element depend only on the element and k, so each
-    # list is built once per level, on first use.
+    # list is built once per level, on first use.  cells_of[ei][pos] holds the
+    # (cell indices, cell bitmask) of candidate pos, found on its first try.
     tables: list[list | None] = [None] * size
+    cells_of: list[list | None] = [None] * size
 
     def candidates(ei):
         cands = tables[ei]
@@ -337,6 +382,7 @@ def _search(poset, k, deadline):
         walk(codes[ei], 1, (), 0)
         # The tops of one element are distinct, so this is the (box, top) order.
         cands.sort()
+        cells_of[ei] = [None] * len(cands)
         return cands
 
     def box_cells(ei, combo):
@@ -370,74 +416,118 @@ def _search(poset, k, deadline):
                     return False
         return True
 
-    # The loop's two refutations also run before the first placement.
-    if (moments_apply and not moments_ok()) or not all(rewitness(u) for u in lows):
-        return None
+    # The covered set as a bitmask, and the covered sets whose subtree was
+    # searched to exhaustion without a partition.  The branch element is the
+    # first uncovered one, and the candidate tables and both refutations
+    # depend only on the covered set and k, so a subtree's outcome does too:
+    # skipping a stored set never skips a partition, and the first partition
+    # found is the same.  Failure depends on k, so the table lives one search.
+    mask = 0
+    failed: set[int] = set()
+    empty_bytes = sys.getsizeof(failed)
+    entry_bytes = sys.getsizeof((1 << size) - 1) + _SET_SLOT_BYTES
+    capacity = max(1, (FAILED_STATES_BYTES - empty_bytes) // entry_bytes)
+    placements = stranded = moment = hits = stored = clears = peak = 0
 
-    # Frame layout: [element index, candidate list, next position, cells placed
-    # by the parent choice that opened this frame (None at the root)].
-    frames = [[0, candidates(0), 0, None]]
-    node = 0
-
-    def place(cell_idx):
-        nonlocal remaining
+    def place(cell_idx, bits):
+        nonlocal remaining, mask
         for ci in cell_idx:
             covered[ci] = 1
             if moments_apply:
                 per_degree[degs[ci]] -= 1
         remaining -= len(cell_idx)
+        mask |= bits
 
-    def unplace(cell_idx):
-        nonlocal remaining
+    def unplace(cell_idx, bits):
+        nonlocal remaining, mask
         for ci in cell_idx:
             covered[ci] = 0
             if moments_apply:
                 per_degree[degs[ci]] += 1
         remaining += len(cell_idx)
+        mask ^= bits
 
-    while frames:
-        node += 1
-        if deadline is not None and node % 512 == 0 and time.monotonic() > deadline:
-            raise TimeLimitExceededError(f"partition search at level {k} hit the time limit")
-        frame = frames[-1]
-        ei, cands, pos, placed = frame
-        if pos >= len(cands):
-            frames.pop()
-            if placed is not None:
-                unplace(placed)
-                intervals.pop()
-            continue
-        frame[2] += 1
-        _, bcode, combo = cands[pos]
+    try:
+        # The loop's two refutations also run before the first placement.
+        if moments_apply and not moments_ok():
+            moment += 1
+            return None
+        if not all(rewitness(u) for u in lows):
+            stranded += 1
+            return None
 
-        cell_idx = []
-        ok = True
-        for c in box_cells(ei, combo):
-            ci = index.get(c)
-            if ci is None or covered[ci]:
-                ok = False
-                break
-            cell_idx.append(ci)
-        if not ok:
-            continue
+        # Frame layout: [element index, candidate list, next position, (cells,
+        # bits) placed by the parent choice that opened this frame (None at
+        # the root)].
+        frames = [[0, candidates(0), 0, None]]
+        node = 0
+        while frames:
+            node += 1
+            if deadline is not None and node % 512 == 0 and time.monotonic() > deadline:
+                raise TimeLimitExceededError(f"partition search at level {k} hit the time limit")
+            frame = frames[-1]
+            ei, cands, pos, placed = frame
+            if pos >= len(cands):
+                frames.pop()
+                if placed is not None:
+                    # Nothing below was skipped except known failures, so the
+                    # covered set this frame was opened with has none.
+                    if len(failed) == capacity:
+                        peak = max(peak, capacity)
+                        failed.clear()
+                        clears += 1
+                    failed.add(mask)
+                    stored += 1
+                    unplace(*placed)
+                    intervals.pop()
+                continue
+            frame[2] += 1
+            info = cells_of[ei][pos]
+            if info is None:
+                # Box-convexity puts every cell between ei and the top in the poset.
+                cell_idx = [index[c] for c in box_cells(ei, cands[pos][2])]
+                bits = 0
+                for ci in cell_idx:
+                    bits |= 1 << ci
+                info = cells_of[ei][pos] = (cell_idx, bits)
+            cell_idx, bits = info
+            if bits & mask:
+                continue
+            if mask | bits in failed:
+                hits += 1
+                continue
 
-        place(cell_idx)
-        intervals.append((ei, bcode))
+            place(cell_idx, bits)
+            placements += 1
+            intervals.append((ei, cands[pos][1]))
 
-        if remaining == 0:
-            return list(intervals)
+            if remaining == 0:
+                return list(intervals)
 
-        if (moments_apply and not moments_ok()) or not none_stranded(cell_idx):
-            unplace(cell_idx)
+            if moments_apply and not moments_ok():
+                moment += 1
+            elif not none_stranded(cell_idx):
+                stranded += 1
+            else:
+                nxt = ei + 1
+                while covered[nxt]:
+                    nxt += 1
+                frames.append([nxt, candidates(nxt), 0, info])
+                continue
+            unplace(cell_idx, bits)
             intervals.pop()
-            continue
 
-        nxt = ei + 1
-        while covered[nxt]:
-            nxt += 1
-        frames.append([nxt, candidates(nxt), 0, cell_idx])
-
-    return None
+        return None
+    finally:
+        if stats is not None:
+            stats.placements += placements
+            stats.stranded_prunes += stranded
+            stats.moment_prunes += moment
+            stats.table_hits += hits
+            stats.stored_states += stored
+            stats.table_clears += clears
+            peak = empty_bytes + max(peak, len(failed)) * entry_bytes
+            stats.table_peak_bytes = max(stats.table_peak_bytes, peak)
 
 
 @dataclass(frozen=True)
@@ -458,6 +548,7 @@ def sdepth_of_poset(
     poset: CharacteristicPoset,
     *,
     time_limit_s: float | None = DEFAULT_TIME_LIMIT_S,
+    stats: SearchStats | None = None,
 ) -> SdepthResult:
     """Largest k admitting a partition, by scanning the levels downwards.
 
@@ -468,10 +559,14 @@ def sdepth_of_poset(
     search at value + 1 and a certificate at the value.  Low levels are the
     costly ones to search, and the scan never visits a level below the value.
     The certificate is verified with a check that raises AssertionError under
-    ``python -O`` too.
+    ``python -O`` too.  ``time_limit_s`` bounds the whole scan: each level
+    gets the time the levels before it left.  A ``stats`` record, when given,
+    sums the counts of every level searched.
     """
+    deadline = None if time_limit_s is None else time.monotonic() + time_limit_s
     for value in range(poset.max_rho, -1, -1):
-        certificate = exists_partition(poset, value, time_limit_s=time_limit_s)
+        left = None if deadline is None else max(0.0, deadline - time.monotonic())
+        certificate = exists_partition(poset, value, time_limit_s=left, stats=stats)
         if certificate is not None:
             break
     infeasible_at = value + 1 if value < poset.n else None
@@ -487,10 +582,11 @@ def sdepth_of_pair(
     *,
     time_limit_s: float | None = DEFAULT_TIME_LIMIT_S,
     max_poset: int = DEFAULT_POSET_CAP,
+    stats: SearchStats | None = None,
 ) -> SdepthResult:
     """Build the poset of the presentation and compute its invariant."""
     poset = build_poset(pair, cap=max_poset)
-    return sdepth_of_poset(poset, time_limit_s=time_limit_s)
+    return sdepth_of_poset(poset, time_limit_s=time_limit_s, stats=stats)
 
 
 @dataclass(frozen=True)

@@ -505,6 +505,21 @@ class TestCli:
         proc = run_cli(*args)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == stdout
+        # --stats writes only to stderr.
+        proc = run_cli(*args, "--stats")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == stdout
+        assert proc.stderr.startswith("search: levels=")
+
+    def test_sdepth_stats_when_the_limit_is_hit(self, tmp_path):
+        ideal_file = tmp_path / "c13-3.txt"
+        ideal_file.write_text(format_ideal(cycle_path_ideal(13, 3)))
+        proc = run_cli("sdepth", "--ideal-file", str(ideal_file), "--time-limit-s", "0.2", "--stats")
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        search, limit = proc.stderr.splitlines()
+        assert search.startswith("search: levels=8,7 ")
+        assert limit.startswith("resource limit:")
 
     def test_depth_with_betti(self, tmp_path):
         ideal_file = tmp_path / "i42.txt"

@@ -1,6 +1,7 @@
 import hashlib
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -12,6 +13,7 @@ from sdepthlab import (
     InvalidPresentationError,
     Monomial,
     QuotientPresentation,
+    SearchStats,
     StanleyDecomposition,
     TimeLimitExceededError,
     build_poset,
@@ -317,7 +319,8 @@ class TestSdepth:
         ring_quotient(cycle_path_ideal(9, 3)),
         ring_quotient(square(cycle_path_ideal(7, 3))),
         QuotientPresentation(cycle_path_ideal(7, 3), line_path_ideal(7, 3)),
-    ], ids=["cycle-9-3", "cycle-7-3-squared", "prop16-7-3"])
+        ring_quotient(square(line_path_ideal(6, 3))),
+    ], ids=["cycle-9-3", "cycle-7-3-squared", "prop16-7-3", "line-6-3-squared"])
     def test_scan_matches_binary_search_on_pinned_pairs(self, pair):
         assert_same_as_binary_search(build_poset(pair))
 
@@ -376,6 +379,130 @@ class TestLevelOrder:
         result, levels = self.searched_levels(monkeypatch, pair)
         assert levels == [(3, True)]
         assert result.infeasible_at is None
+
+
+class TestTimeLimit:
+    def test_levels_share_one_limit(self, monkeypatch):
+        # Each level gets what the levels before it left of the one limit.
+        limits = []
+        search = solver.exists_partition
+
+        def recording(poset, k, *, time_limit_s=None, stats=None):
+            limits.append(time_limit_s)
+            time.sleep(0.02)
+            return search(poset, k, time_limit_s=time_limit_s, stats=stats)
+
+        monkeypatch.setattr(solver, "exists_partition", recording)
+        result = sdepth_of_pair(ring_quotient(square(cycle_path_ideal(7, 4))), time_limit_s=60.0)
+        assert result.value == 0
+        assert len(limits) == 6
+        assert 60.0 - 1 < limits[0] <= 60.0
+        for before, after in zip(limits, limits[1:]):
+            assert 0 <= after <= before - 0.02
+
+    def test_no_limit_stays_unlimited(self, monkeypatch):
+        limits = []
+        search = solver.exists_partition
+
+        def recording(poset, k, *, time_limit_s=None, stats=None):
+            limits.append(time_limit_s)
+            return search(poset, k, time_limit_s=time_limit_s, stats=stats)
+
+        monkeypatch.setattr(solver, "exists_partition", recording)
+        sdepth_of_pair(cycle_quotient(9, 3), time_limit_s=None)
+        assert limits == [None, None]
+
+
+class TestSearchStats:
+    """Exact counts of deterministic searches.
+
+    A weaker prune or table leaves the first partition the same and only
+    costs time, so these counts are what shows it.
+    """
+
+    @pytest.mark.parametrize("pair, k, feasible, counts", [
+        (cycle_quotient(9, 3), 5, True, dict(
+            placements=44_316, stranded_prunes=11_094, moment_prunes=0,
+            table_hits=18_905, stored_states=33_183, table_clears=0,
+        )),
+        (ring_quotient(square(line_path_ideal(6, 3))), 4, False, dict(
+            placements=6_615, stranded_prunes=2_136, moment_prunes=0,
+            table_hits=3_559, stored_states=4_479, table_clears=0,
+        )),
+    ], ids=["cycle-9-3-level-5", "line-6-3-squared-level-4"])
+    def test_pinned_counts(self, pair, k, feasible, counts):
+        stats = SearchStats()
+        found = exists_partition(build_poset(pair), k, stats=stats)
+        assert (found is not None) == feasible
+        assert stats.levels == [k]
+        assert {name: getattr(stats, name) for name in counts} == counts
+
+    def test_sdepth_sums_the_levels(self):
+        stats = SearchStats()
+        sdepth_of_pair(cycle_quotient(9, 3), stats=stats)
+        # Level 6 is refuted by the degree moments before any placement.
+        assert stats.levels == [6, 5]
+        assert (stats.placements, stats.moment_prunes) == (44_316, 1)
+
+    def test_no_search_below_level_one_or_above_max_rho(self):
+        poset = build_poset(cycle_quotient(5, 2))
+        stats = SearchStats()
+        exists_partition(poset, 0, stats=stats)
+        exists_partition(poset, poset.max_rho + 1, stats=stats)
+        assert stats == SearchStats(levels=[0, poset.max_rho + 1])
+
+
+class TestFailedStates:
+    """The table of covered sets whose subtree failed must not change results."""
+
+    def test_line_six_three_squared(self):
+        # Recorded with the search before the table, which took about 18 s
+        # on a 2-core host.
+        result = sdepth_of_pair(ring_quotient(square(line_path_ideal(6, 3))))
+        assert (result.value, result.infeasible_at) == (3, 4)
+        digest = hashlib.sha256(format_certificate(result.certificate).encode()).hexdigest()
+        assert digest == "4cdfa007d149c0f876e5958b63e214d9418cf93a5ea69e223a03ce50b20d46f7"
+
+    def test_clears_keep_the_certificate(self, monkeypatch):
+        monkeypatch.setattr(solver, "FAILED_STATES_BYTES", 2**16)
+        stats = SearchStats()
+        result = sdepth_of_pair(cycle_quotient(9, 3), stats=stats)
+        assert stats.table_clears > 0
+        assert stats.table_peak_bytes <= 2**16
+        digest = hashlib.sha256(format_certificate(result.certificate).encode()).hexdigest()
+        assert digest == "0fe5dad6ef4c10f27034e90e8f722e4871283f79865f7c7794f5c032cfc56f8d"
+
+    def test_table_stays_within_budget(self, monkeypatch):
+        # The real size of the table (the set and its keys) after every store,
+        # on a level that runs past the limit.
+        budget = 2**18
+        sizes = []
+
+        class MeasuredSet(set):
+            __slots__ = ("key_bytes",)
+
+            def __init__(self):
+                super().__init__()
+                self.key_bytes = 0
+
+            def add(self, key):
+                super().add(key)
+                self.key_bytes += sys.getsizeof(key)
+                sizes.append(sys.getsizeof(self) + self.key_bytes)
+
+            def clear(self):
+                super().clear()
+                self.key_bytes = 0
+
+        monkeypatch.setattr(solver, "FAILED_STATES_BYTES", budget)
+        monkeypatch.setattr(solver, "set", MeasuredSet, raising=False)
+        stats = SearchStats()
+        with pytest.raises(TimeLimitExceededError):
+            exists_partition(build_poset(cycle_quotient(13, 3)), 7, time_limit_s=1.0, stats=stats)
+        assert stats.table_clears > 0
+        assert len(sizes) == stats.stored_states
+        assert max(sizes) <= budget
+        assert stats.table_peak_bytes <= budget
 
 
 class TestPrincipalDecomposition:
