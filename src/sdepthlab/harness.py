@@ -431,7 +431,15 @@ def sequence_check(
     if not 2 <= m < n:
         raise InputError(f"need 2 <= m < n, got (n, m) = ({n}, {m})")
 
+    # Step k's sub term is step k+1's mid term, so each inner tower ideal
+    # would otherwise have both invariants computed twice.
+    depth_cache: dict[MonomialIdeal, int] = {}
     sdepth_cache: dict[MonomialIdeal, int | None] = {}
+
+    def depth(ideal):
+        if ideal not in depth_cache:
+            depth_cache[ideal] = depth_squarefree(ideal)
+        return depth_cache[ideal]
 
     def sdepth_ring(ideal):
         if ideal not in sdepth_cache:
@@ -460,7 +468,7 @@ def sequence_check(
         final_pair = (tower[m - 1][0], cycle)
 
     for k, sub, mid, quot in triples:
-        d_sub, d_mid, d_quot = (depth_squarefree(i) for i in (sub, mid, quot))
+        d_sub, d_mid, d_quot = (depth(i) for i in (sub, mid, quot))
         s_sub, s_mid, s_quot = (sdepth_ring(i) for i in (sub, mid, quot))
         sdepth_ok = None
         if None not in (s_sub, s_mid, s_quot):

@@ -7,7 +7,6 @@ from sdepthlab import (
     Monomial,
     MonomialIdeal,
     exists_partition,
-    homology_ranks,
     minimalize,
     sr_complex,
 )
@@ -115,13 +114,43 @@ def fraction_rank(matrix: list[list[int]]) -> int:
     return rank
 
 
+def reference_ranks(complex_) -> tuple[int, ...]:
+    """Reduced rational homology ranks from degree -1, by dense Fraction ranks.
+
+    Faces are read off the minimal nonfaces directly; each signed boundary
+    matrix is built densely and ranked with ``fraction_rank``, so no rank or
+    face code of the package is involved.
+    """
+    def is_face(mask):
+        return not any(nf & mask == nf for nf in complex_.nonface_masks)
+
+    by_size = []
+    for size in range(complex_.n + 1):
+        level = [sum(1 << j for j in verts) for verts in combinations(range(complex_.n), size)]
+        if not any(is_face(mask) for mask in level):
+            break
+        by_size.append([mask for mask in level if is_face(mask)])
+    boundary_rank = [0] * (len(by_size) + 1)
+    for s in range(1, len(by_size)):
+        row_of = {mask: i for i, mask in enumerate(by_size[s - 1])}
+        matrix = [[0] * len(by_size[s]) for _ in by_size[s - 1]]
+        for col, mask in enumerate(by_size[s]):
+            vertices = [j for j in range(complex_.n) if mask >> j & 1]
+            for pos, j in enumerate(vertices):
+                matrix[row_of[mask & ~(1 << j)]][col] = (-1) ** pos
+        boundary_rank[s] = fraction_rank(matrix)
+    return tuple(
+        len(by_size[s]) - boundary_rank[s] - boundary_rank[s + 1] for s in range(len(by_size))
+    )
+
+
 def reference_betti(ideal: MonomialIdeal) -> dict[tuple[int, tuple[int, ...]], int]:
     """Hochster's formula on every vertex restriction, with no subset skipped."""
     complex_ = sr_complex(ideal)
     entries = {}
     for fmask in range(1 << ideal.ambient):
         fvars = tuple(j + 1 for j in range(ideal.ambient) if fmask >> j & 1)
-        for degree_plus_one, rank in enumerate(homology_ranks(complex_.restrict(fmask))):
+        for degree_plus_one, rank in enumerate(reference_ranks(complex_.restrict(fmask))):
             if rank:
                 entries[(len(fvars) - degree_plus_one, fvars)] = rank
     return entries

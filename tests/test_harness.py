@@ -17,11 +17,12 @@ from sdepthlab import (
     line_path_ideal,
     member,
     monomial,
+    proof_tower,
     prop16_structure_check,
     run_scan,
     sequence_check,
 )
-from sdepthlab import cli
+from sdepthlab import cli, harness
 
 
 def rows_by_nm(rows):
@@ -378,6 +379,24 @@ class TestSequenceCheck:
         assert report.ok and not report.unknown
         assert len(report.steps) == 2
         assert report.final_ok is True
+
+    def test_each_tower_depth_computed_once(self, monkeypatch):
+        depth_squarefree = harness.depth_squarefree
+        calls = []
+
+        def counted(ideal):
+            calls.append(ideal)
+            return depth_squarefree(ideal)
+
+        monkeypatch.setattr(harness, "depth_squarefree", counted)
+        report = sequence_check(7, 3)
+        tower = proof_tower(7, 3)
+        terms = [(tower[k + 1][0], tower[k][0], tower[k][1]) for k in range(2)]
+        assert len(calls) == len(set(calls)) == len({i for triple in terms for i in triple})
+        assert [(s.depth_sub, s.depth_mid, s.depth_quot) for s in report.steps] == [
+            tuple(depth_squarefree(i) for i in triple) for triple in terms
+        ]
+        assert report.ok and not report.unknown
 
     def test_six_two_depth_inequalities(self):
         report = sequence_check(6, 2)

@@ -1,11 +1,12 @@
 import hashlib
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import fraction_rank, reference_betti
+from helpers import fraction_rank, reference_betti, reference_ranks
 from sdepthlab import (
     InputError,
     Monomial,
@@ -22,7 +23,37 @@ from sdepthlab import (
     sr_complex,
 )
 from sdepthlab import cli
+from sdepthlab import homology
 from sdepthlab.homology import _integer_rank
+
+# Reisner's six-vertex real projective plane: Cohen-Macaulay over Q but not
+# over F_2, so its F_2 homology differs from its rational homology.  Every
+# edge is a face, so its minimal nonfaces are the ten triples not listed.
+RP2_FACETS = {frozenset(map(int, f)) for f in "123 134 145 156 126 235 346 245 356 246".split()}
+RP2_TEXT = "n=6: " + ", ".join(
+    "*".join(f"x{v}" for v in triple)
+    for triple in combinations(range(1, 7), 3)
+    if frozenset(triple) not in RP2_FACETS
+)
+
+
+def counting_integer_rank(monkeypatch):
+    """Wrap the exact fallback so a test can count how often it runs."""
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return _integer_rank(rows)
+
+    monkeypatch.setattr(homology, "_integer_rank", counted)
+    return calls
+
+
+def run_optimized(code: str) -> str:
+    """Run ``code`` under python -O, which strips assert statements."""
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 class TestComplex:
@@ -93,22 +124,52 @@ class TestHomologyRanks:
             assert euler_faces == euler_ranks
 
     def test_wrong_rank_raises_under_optimize(self):
-        # The rank checks must survive python -O, which strips asserts.  A rank
-        # larger than the true one drives a homology rank negative.
-        code = "\n".join([
+        # The rank checks must survive python -O, which strips asserts.  An
+        # F_2 rank larger than the true one drives an F_2 homology rank negative.
+        out = run_optimized("\n".join([
             "import sdepthlab.homology as homology",
             "from sdepthlab import parse_ideal, sr_complex",
-            "homology._integer_rank = lambda rows: len(rows) + 1",
+            "homology._gf2_rank = lambda rows: len(rows) + 1",
             "try:",
             "    homology.homology_ranks(sr_complex(parse_ideal('n=3: x1*x2*x3')))",
             "except AssertionError as exc:",
             "    print('raised:', exc)",
             "else:",
             "    print('returned')",
-        ])
-        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith("raised:"), proc.stdout
+        ]))
+        assert out.startswith("raised:"), out
+
+    def test_exact_rank_below_gf2_rank_raises_under_optimize(self):
+        # RP^2_6 needs the exact fallback on its top boundary; an exact rank
+        # of 0 there passes the Euler and nonnegativity checks, so only the
+        # check that the F_2 rank is at most the rational rank can catch it.
+        out = run_optimized("\n".join([
+            "import sdepthlab.homology as homology",
+            "from sdepthlab import parse_ideal, sr_complex",
+            "homology._integer_rank = lambda rows: 0",
+            "try:",
+            f"    homology.homology_ranks(sr_complex(parse_ideal({RP2_TEXT!r})))",
+            "except AssertionError as exc:",
+            "    print('raised:', exc)",
+            "else:",
+            "    print('returned')",
+        ]))
+        assert out.startswith("raised: rank over F_2 exceeds rank over Q"), out
+
+    def test_rp2_needs_one_exact_fallback(self, monkeypatch):
+        ideal = parse_ideal(RP2_TEXT)
+        calls = counting_integer_rank(monkeypatch)
+        assert homology_ranks(sr_complex(ideal)) == (0, 0, 0, 0)
+        assert len(calls) == 1
+        assert hochster_betti(ideal).entries == reference_betti(ideal)
+        assert depth_squarefree(ideal) == 3
+
+    def test_no_fallback_on_the_n10_families(self, monkeypatch):
+        calls = counting_integer_rank(monkeypatch)
+        for m in range(2, 10):
+            hochster_betti(line_path_ideal(10, m))
+            hochster_betti(cycle_path_ideal(10, m))
+        assert calls == []
 
 
 @st.composite
@@ -136,6 +197,15 @@ def squarefree_ideals(draw):
                           min_size=1, max_size=6))
     gens = [Monomial(tuple(mask >> j & 1 for j in range(n))) for mask in masks]
     return minimalize(gens, n)
+
+
+class TestAgainstReferenceRanks:
+    @settings(max_examples=100, deadline=None)
+    @given(squarefree_ideals())
+    @example(parse_ideal(RP2_TEXT))
+    def test_matches_dense_fraction_ranks(self, ideal):
+        cx = sr_complex(ideal)
+        assert homology_ranks(cx) == reference_ranks(cx)
 
 
 class TestBettiTable:
