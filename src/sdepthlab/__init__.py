@@ -35,6 +35,7 @@ from .harness import (
 )
 from .homology import (
     BettiTable,
+    HomologyStats,
     SimplicialComplex,
     depth_squarefree,
     hochster_betti,

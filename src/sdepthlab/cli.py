@@ -17,7 +17,7 @@ from pathlib import Path
 from .errors import InputError, ResourceCapError
 from .families import FamilyInstance, formula_table
 from .harness import CHECKS, emit_csv, emit_json, emit_md, run_scan
-from .homology import hochster_betti
+from .homology import HomologyStats, hochster_betti
 from .ideals import QuotientPresentation, format_ideal, parse_ideal, ring_quotient
 from .solver import (
     DEFAULT_POSET_CAP,
@@ -119,7 +119,10 @@ def _cmd_sdepth(args) -> int:
 
 def _cmd_depth(args) -> int:
     ideal = _read_ideal(args.ideal_file)
-    table = hochster_betti(ideal)
+    stats = HomologyStats() if args.stats else None
+    table = hochster_betti(ideal, stats=stats)
+    if stats is not None:
+        print(f"homology: {stats.format()}", file=sys.stderr)
     print(f"depth = {table.depth()}")
     print(f"pd = {table.projective_dimension()}")
     if args.betti:
@@ -189,6 +192,8 @@ def build_parser() -> _Parser:
     p_depth = sub.add_parser("depth", help="depth of a squarefree quotient ring")
     p_depth.add_argument("--ideal-file", required=True)
     p_depth.add_argument("--betti", action="store_true", help="also print nonzero table entries")
+    p_depth.add_argument("--stats", action="store_true",
+                         help="print the Betti table computation's counts on stderr")
     p_depth.set_defaults(func=_cmd_depth)
 
     p_scan = sub.add_parser("scan", help="run a verification scan over the family grid")

@@ -4,7 +4,9 @@ The complex attached to a squarefree ideal has as faces exactly the squarefree
 monomials outside the ideal, encoded as bitmasks (bit j = variable x_{j+1}).
 Multigraded Betti numbers of the quotient are read off reduced homology of
 vertex-restricted subcomplexes; depth is the ambient size minus the largest
-nonzero homological index.  Ranks are over the rationals and exact.  Each
+nonzero homological index.  The faces of the complex and their boundary rows
+are listed once per ideal, and each restriction is read as the subset of them
+inside its vertex set.  Ranks are over the rationals and exact.  Each
 boundary map is first ranked over F_2, with rows as int bitmasks; since a
 boundary matrix has entries 0 and +-1, its rank over F_2 is at most its rank
 over Q, and the F_2 rank is exact next to any zero F_2 homology group.  Only a
@@ -14,7 +16,7 @@ elimination, so torsion (Reisner's six-vertex RP^2) is still handled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 from math import gcd
 
@@ -132,6 +134,90 @@ def _integer_rank(rows: list[dict[int, int]]) -> int:
     return rank
 
 
+def _face_table(complex_: SimplicialComplex):
+    """The complex's faces grouped by size, their indices and F_2 boundary rows.
+
+    ``by_size[s]`` lists the size-s faces ascending by value, ``index_of[s]``
+    maps each of them to its position there, and ``rows[s][i]`` is the bitmask
+    of the positions of the facets of ``by_size[s][i]``; the empty face has
+    the row 0.
+    """
+    by_size: list[list[int]] = []
+    for mask in complex_.faces():
+        size = mask.bit_count()
+        while len(by_size) <= size:
+            by_size.append([])
+        by_size[size].append(mask)
+    index_of = [{m: i for i, m in enumerate(level)} for level in by_size]
+    rows = [[0] * len(by_size[0])]
+    for s in range(1, len(by_size)):
+        below = index_of[s - 1]
+        level_rows = []
+        for mask in by_size[s]:
+            row = 0
+            rest = mask
+            while rest:
+                bit = rest & -rest
+                row |= 1 << below[mask ^ bit]
+                rest ^= bit
+            level_rows.append(row)
+        rows.append(level_rows)
+    return by_size, index_of, rows
+
+
+def _ranks_of(by_size, index_of, rows, inside) -> tuple[tuple[int, ...], int]:
+    """Reduced homology ranks of the subcomplex whose size-s faces are the
+    faces ``inside[s]`` (indices into ``by_size[s]``, ascending), and the
+    number of boundaries ranked by exact elimination.
+
+    ``inside`` must be closed under taking facets and have no empty level
+    above a nonempty one.  Indices are global to the face table, so a
+    boundary row of a face in the subcomplex is its row in ``rows``: a
+    relabelling of columns, which changes no rank.  See ``homology_ranks``
+    for the F_2 pass, the fallback rule and the checks.
+    """
+    top = len(inside) - 1
+    sizes = [len(level) for level in inside]
+
+    # boundary_rank[s] = rank of the map from size-s faces to size-(s-1) faces.
+    boundary_rank = [0] * (top + 2)
+    for s in range(1, top + 1):
+        level_rows = rows[s]
+        boundary_rank[s] = _gf2_rank([level_rows[i] for i in inside[s]])
+
+    gf2_ranks = [sizes[s] - boundary_rank[s] - boundary_rank[s + 1] for s in range(top + 1)]
+    if any(r < 0 for r in gf2_ranks):
+        raise AssertionError("negative F_2 homology rank: rank computation is broken")
+
+    fallbacks = 0
+    for s in range(1, top + 1):
+        if not (gf2_ranks[s - 1] and gf2_ranks[s]):
+            continue
+        # Signs come from the vertex positions in ascending order, which a
+        # vertex subset keeps, so they are those of the restricted complex.
+        below = index_of[s - 1]
+        signed: dict[int, dict[int, int]] = {i: {} for i in inside[s - 1]}
+        for col, i in enumerate(inside[s]):
+            mask = by_size[s][i]
+            vertices = [j for j in range(mask.bit_length()) if mask >> j & 1]
+            for pos, j in enumerate(vertices):
+                signed[below[mask & ~(1 << j)]][col] = -1 if pos % 2 else 1
+        exact = _integer_rank(list(signed.values()))
+        fallbacks += 1
+        if exact < boundary_rank[s]:
+            raise AssertionError("rank over F_2 exceeds rank over Q: rank computation is broken")
+        boundary_rank[s] = exact
+
+    ranks = [sizes[s] - boundary_rank[s] - boundary_rank[s + 1] for s in range(top + 1)]
+    euler_faces = sum((-1) ** (s + 1) * sizes[s] for s in range(top + 1))
+    euler_homology = sum((-1) ** (s + 1) * ranks[s] for s in range(top + 1))
+    if euler_faces != euler_homology:
+        raise AssertionError("Euler count mismatch: rank computation is broken")
+    if any(r < 0 for r in ranks):
+        raise AssertionError("negative homology rank: rank computation is broken")
+    return tuple(ranks), fallbacks
+
+
 def homology_ranks(complex_: SimplicialComplex) -> tuple[int, ...]:
     """Reduced homology ranks over the rationals, starting at degree -1.
 
@@ -148,63 +234,9 @@ def homology_ranks(complex_: SimplicialComplex) -> tuple[int, ...]:
     homology rank is negative, no exact rank is below its F_2 rank, the Euler
     count matches the face numbers, and no rational homology rank is negative.
     """
-    faces = complex_.faces()
-    by_size: list[list[int]] = []
-    for mask in faces:
-        size = mask.bit_count()
-        while len(by_size) <= size:
-            by_size.append([])
-        by_size[size].append(mask)
-    index_of = [{m: i for i, m in enumerate(level)} for level in by_size]
-    top = len(by_size) - 1
-
-    # boundary_rank[s] = rank of the map from size-s faces to size-(s-1) faces;
-    # over F_2 a size-s face is the bitmask of the indices of its facets.
-    boundary_rank = [0] * (top + 2)
-    for s in range(1, top + 1):
-        below = index_of[s - 1]
-        rows = []
-        for mask in by_size[s]:
-            row = 0
-            rest = mask
-            while rest:
-                bit = rest & -rest
-                row |= 1 << below[mask ^ bit]
-                rest ^= bit
-            rows.append(row)
-        boundary_rank[s] = _gf2_rank(rows)
-
-    gf2_ranks = [
-        len(by_size[s]) - boundary_rank[s] - boundary_rank[s + 1] for s in range(top + 1)
-    ]
-    if any(r < 0 for r in gf2_ranks):
-        raise AssertionError("negative F_2 homology rank: rank computation is broken")
-
-    for s in range(1, top + 1):
-        if not (gf2_ranks[s - 1] and gf2_ranks[s]):
-            continue
-        signed: list[dict[int, int]] = [dict() for _ in by_size[s - 1]]
-        for col, mask in enumerate(by_size[s]):
-            vertices = [j for j in range(complex_.n) if mask >> j & 1]
-            for pos, j in enumerate(vertices):
-                sub = mask & ~(1 << j)
-                signed[index_of[s - 1][sub]][col] = -1 if pos % 2 else 1
-        exact = _integer_rank(signed)
-        if exact < boundary_rank[s]:
-            raise AssertionError("rank over F_2 exceeds rank over Q: rank computation is broken")
-        boundary_rank[s] = exact
-
-    ranks = []
-    for s in range(0, top + 1):
-        ranks.append(len(by_size[s]) - boundary_rank[s] - boundary_rank[s + 1])
-
-    euler_faces = sum((-1) ** (s + 1) * len(by_size[s]) for s in range(top + 1))
-    euler_homology = sum((-1) ** (s + 1) * ranks[s] for s in range(top + 1))
-    if euler_faces != euler_homology:
-        raise AssertionError("Euler count mismatch: rank computation is broken")
-    if any(r < 0 for r in ranks):
-        raise AssertionError("negative homology rank: rank computation is broken")
-    return tuple(ranks)
+    by_size, index_of, rows = _face_table(complex_)
+    inside = [range(len(level)) for level in by_size]
+    return _ranks_of(by_size, index_of, rows, inside)[0]
 
 
 @dataclass(frozen=True)
@@ -229,14 +261,42 @@ class BettiTable:
 MAX_HOCHSTER_AMBIENT = 14
 
 
-def hochster_betti(ideal: MonomialIdeal) -> BettiTable:
+@dataclass
+class HomologyStats:
+    """Counters of ``hochster_betti``, filled in when a caller passes one.
+
+    ``subsets`` counts the vertex subsets F scanned and ``lcm_skips`` those
+    skipped because F is not a union of generator supports; every other F is
+    ranked.  ``faces`` is the size of the complex's face list, ``boundaries``
+    the boundary maps ranked over F_2 and ``fallbacks`` those ranked again by
+    exact integer elimination.  Each call adds its counts once, when it
+    returns.
+    """
+
+    subsets: int = 0
+    lcm_skips: int = 0
+    faces: int = 0
+    boundaries: int = 0
+    fallbacks: int = 0
+
+    def format(self) -> str:
+        """One line: ``subsets=... lcm_skips=... fallbacks=...``."""
+        return " ".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
+
+
+def hochster_betti(ideal: MonomialIdeal, stats: HomologyStats | None = None) -> BettiTable:
     """Full Betti table of the quotient by a squarefree ideal.
 
     The rank in homological index i and squarefree degree F is the reduced
     homology rank of the restriction to F in degree |F| - i - 1.  Only subsets
     F that are unions of generator supports can carry a nonzero rank; the rest
-    are skipped without building their restriction.  Subsets are scanned
-    ascending by (popcount, value) so the table is deterministic.
+    are skipped.  The complex's faces and their F_2 boundary rows are listed
+    once per ideal; the restriction to F is the full subcomplex on F, so its
+    faces are the listed faces inside F, and every facet of such a face lies
+    inside F too.  Each F is thus ranked on a subset of the listed faces and
+    their stored rows, with no restricted complex built.  Subsets are scanned
+    ascending by (popcount, value) so the table is deterministic.  A ``stats``
+    record, when given, gets this call's counts added.
     """
     if ideal.ambient > MAX_HOCHSTER_AMBIENT:
         raise InputError(
@@ -244,8 +304,11 @@ def hochster_betti(ideal: MonomialIdeal) -> BettiTable:
         )
     complex_ = sr_complex(ideal)
     n = ideal.ambient
+    by_size, index_of, rows = _face_table(complex_)
+    full = (1 << n) - 1
     entries: dict[tuple[int, tuple[int, ...]], int] = {}
     subsets = sorted(range(1 << n), key=lambda m: (m.bit_count(), m))
+    lcm_skips = boundaries = fallbacks = 0
     for fmask in subsets:
         # Betti numbers live on the lcm lattice: if some vertex v of F lies in
         # no nonface inside F, v is a cone apex of the restriction to F, whose
@@ -256,9 +319,19 @@ def hochster_betti(ideal: MonomialIdeal) -> BettiTable:
             if nf & fmask == nf:
                 covered |= nf
         if covered != fmask:
+            lcm_skips += 1
             continue
+        outside = full ^ fmask
+        inside = []
+        for level in by_size:
+            kept = [i for i, m in enumerate(level) if not m & outside]
+            if not kept:
+                break
+            inside.append(kept)
+        ranks, exact = _ranks_of(by_size, index_of, rows, inside)
+        boundaries += len(ranks) - 1
+        fallbacks += exact
         size = fmask.bit_count()
-        ranks = homology_ranks(complex_.restrict(fmask))
         fvars = tuple(j + 1 for j in range(n) if fmask >> j & 1)
         for degree_plus_one, rank in enumerate(ranks):
             if rank:
@@ -271,6 +344,12 @@ def hochster_betti(ideal: MonomialIdeal) -> BettiTable:
         raise AssertionError("index-1 table entries must be the generator supports")
     if entries.get((0, ())) != 1:
         raise AssertionError("the index-0 entry of the empty degree must be 1")
+    if stats is not None:
+        stats.subsets += len(subsets)
+        stats.lcm_skips += lcm_skips
+        stats.faces += sum(len(level) for level in by_size)
+        stats.boundaries += boundaries
+        stats.fallbacks += fallbacks
     return BettiTable(n, entries)
 
 

@@ -8,7 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import fraction_rank, reference_betti, reference_ranks
 from sdepthlab import (
+    HomologyStats,
     InputError,
+    SimplicialComplex,
     Monomial,
     cycle_depth_formula,
     cycle_path_ideal,
@@ -25,6 +27,11 @@ from sdepthlab import (
 from sdepthlab import cli
 from sdepthlab import homology
 from sdepthlab.homology import _integer_rank
+
+# A hollow triangle and an isolated vertex: F_2 homology in two neighbouring
+# degrees, so the edge boundary takes the exact fallback, where the unsigned
+# incidence matrix of the odd cycle would have the wrong rank.
+CIRCLE_AND_POINT_TEXT = "n=4: x1*x2*x3, x1*x4, x2*x4, x3*x4"
 
 # Reisner's six-vertex real projective plane: Cohen-Macaulay over Q but not
 # over F_2, so its F_2 homology differs from its rational homology.  Every
@@ -156,6 +163,35 @@ class TestHomologyRanks:
         ]))
         assert out.startswith("raised: rank over F_2 exceeds rank over Q"), out
 
+    def test_wrong_rank_raises_in_betti_table_under_optimize(self):
+        # hochster_betti ranks its restrictions through the same checks.
+        out = run_optimized("\n".join([
+            "import sdepthlab.homology as homology",
+            "from sdepthlab import parse_ideal",
+            "homology._gf2_rank = lambda rows: len(rows) + 1",
+            "try:",
+            "    homology.hochster_betti(parse_ideal('n=3: x1*x2*x3'))",
+            "except AssertionError as exc:",
+            "    print('raised:', exc)",
+            "else:",
+            "    print('returned')",
+        ]))
+        assert out.startswith("raised:"), out
+
+    def test_exact_rank_below_gf2_rank_raises_in_betti_table_under_optimize(self):
+        out = run_optimized("\n".join([
+            "import sdepthlab.homology as homology",
+            "from sdepthlab import parse_ideal",
+            "homology._integer_rank = lambda rows: 0",
+            "try:",
+            f"    homology.hochster_betti(parse_ideal({RP2_TEXT!r}))",
+            "except AssertionError as exc:",
+            "    print('raised:', exc)",
+            "else:",
+            "    print('returned')",
+        ]))
+        assert out.startswith("raised: rank over F_2 exceeds rank over Q"), out
+
     def test_rp2_needs_one_exact_fallback(self, monkeypatch):
         ideal = parse_ideal(RP2_TEXT)
         calls = counting_integer_rank(monkeypatch)
@@ -170,6 +206,67 @@ class TestHomologyRanks:
             hochster_betti(line_path_ideal(10, m))
             hochster_betti(cycle_path_ideal(10, m))
         assert calls == []
+
+
+class TestFaceTable:
+    def test_faces_listed_once_and_no_restriction_built(self, monkeypatch):
+        calls = {"faces": 0, "restrict": 0}
+        for name in calls:
+            original = getattr(SimplicialComplex, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(SimplicialComplex, name, counted)
+        hochster_betti(cycle_path_ideal(10, 3))
+        assert calls == {"faces": 1, "restrict": 0}
+
+    def test_rp2_betti_table_needs_one_exact_fallback(self, monkeypatch):
+        # Only the whole RP^2 (F = all six vertices) has two nonzero F_2
+        # groups next to one boundary; every proper restriction has none.
+        ideal = parse_ideal(RP2_TEXT)
+        calls = counting_integer_rank(monkeypatch)
+        assert hochster_betti(ideal).entries == reference_betti(ideal)
+        assert len(calls) == 1
+
+
+class TestHomologyStats:
+    def test_cycle_ten_three_counts(self, monkeypatch):
+        gf2_rank = homology._gf2_rank
+        gf2_calls = []
+
+        def counted(rows):
+            gf2_calls.append(len(rows))
+            return gf2_rank(rows)
+
+        monkeypatch.setattr(homology, "_gf2_rank", counted)
+        ideal = cycle_path_ideal(10, 3)
+        stats = HomologyStats()
+        hochster_betti(ideal, stats=stats)
+        assert stats == HomologyStats(
+            subsets=1024, lcm_skips=902, faces=443, boundaries=556, fallbacks=0
+        )
+        assert stats.faces == len(sr_complex(ideal).faces())
+        assert stats.boundaries == len(gf2_calls)
+
+    def test_counts_add_up_over_calls(self):
+        stats = HomologyStats()
+        hochster_betti(parse_ideal("n=3: x1*x2*x3"), stats=stats)
+        hochster_betti(parse_ideal("n=3: x1*x2*x3"), stats=stats)
+        assert stats == HomologyStats(
+            subsets=16, lcm_skips=12, faces=14, boundaries=4, fallbacks=0
+        )
+
+    def test_rp2_reports_one_fallback(self, tmp_path, capsys):
+        ideal_file = tmp_path / "rp2.txt"
+        ideal_file.write_text(RP2_TEXT)
+        assert cli.main(["depth", "--ideal-file", str(ideal_file), "--stats"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "depth = 3\npd = 3\n"
+        assert captured.err == (
+            "homology: subsets=64 lcm_skips=31 faces=32 boundaries=86 fallbacks=1\n"
+        )
 
 
 @st.composite
@@ -203,6 +300,7 @@ class TestAgainstReferenceRanks:
     @settings(max_examples=100, deadline=None)
     @given(squarefree_ideals())
     @example(parse_ideal(RP2_TEXT))
+    @example(parse_ideal(CIRCLE_AND_POINT_TEXT))
     def test_matches_dense_fraction_ranks(self, ideal):
         cx = sr_complex(ideal)
         assert homology_ranks(cx) == reference_ranks(cx)
@@ -211,6 +309,7 @@ class TestAgainstReferenceRanks:
 class TestBettiTable:
     @settings(max_examples=80, deadline=None)
     @given(squarefree_ideals())
+    @example(parse_ideal(CIRCLE_AND_POINT_TEXT))
     def test_matches_every_restriction(self, ideal):
         assert hochster_betti(ideal).entries == reference_betti(ideal)
 
@@ -254,8 +353,9 @@ class TestBettiTable:
 
 
 class TestPinnedTables:
-    # sha256 of the `sdepthlab depth --betti` text, recorded before the
-    # lcm-lattice skip and the shortest-row pivot rule.
+    # sha256 of the `sdepthlab depth --betti` text: the first three recorded
+    # before the lcm-lattice skip and the shortest-row pivot rule, the n > 10
+    # ones before the once-per-ideal face list.
     @pytest.mark.parametrize("ideal, digest", [
         (line_path_ideal(10, 5),
          "ff871ea320c1cc656bf7536a0e29971d2c8b2dc8ed1f7a1850a653b2932aecad"),
@@ -263,12 +363,22 @@ class TestPinnedTables:
          "4807aa6adfc53576b6a907ec226dec2bc122d9a8d98db53ef4af4cc2ec179fc9"),
         (cycle_path_ideal(9, 4),
          "98093bb84e3ab71913867ebae25c476e88ac224b9f21de1773af08515a2c578c"),
-    ], ids=["line-10-5", "cycle-10-3", "cycle-9-4"])
+        (cycle_path_ideal(12, 3),
+         "3f66c9e85383ffbde4d3cd6e0a3c097019f9e5fa4b65dd3f8c8cc25fc9c6658d"),
+        (line_path_ideal(13, 2),
+         "f8428fed82c1b1933c242b241503a4cb3047243e66b48530a0ee90064ce27554"),
+    ], ids=["line-10-5", "cycle-10-3", "cycle-9-4", "cycle-12-3", "line-13-2"])
     def test_depth_betti_text(self, ideal, digest, tmp_path, capsys):
         ideal_file = tmp_path / "ideal.txt"
         ideal_file.write_text(format_ideal(ideal))
-        assert cli.main(["depth", "--ideal-file", str(ideal_file), "--betti"]) == 0
+        args = ["depth", "--ideal-file", str(ideal_file), "--betti"]
+        assert cli.main(args) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+        # --stats writes only to stderr.
+        assert cli.main([*args, "--stats"]) == 0
+        captured = capsys.readouterr()
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+        assert captured.err.startswith("homology: subsets=")
 
 
 class TestDepth:
