@@ -21,7 +21,7 @@ from itertools import combinations
 from math import gcd
 
 from .errors import InputError
-from .ideals import MonomialIdeal
+from .ideals import MonomialIdeal, box_upset, set_bits
 
 
 @dataclass(frozen=True)
@@ -36,12 +36,11 @@ class SimplicialComplex:
     n: int
     nonface_masks: tuple[int, ...]
 
-    def is_face(self, mask: int) -> bool:
-        return not any(nf & mask == nf for nf in self.nonface_masks)
-
     def faces(self) -> list[int]:
-        """All face masks, ascending by (popcount, value)."""
-        out = [m for m in range(1 << self.n) if self.is_face(m)]
+        """All face masks, ascending by (popcount, value): the cells of the box
+        [0, (1, ..., 1)], whose codes are the masks, outside the nonfaces' upset."""
+        nonfaces = box_upset(sum(1 << nf for nf in set(self.nonface_masks)), (1,) * self.n)
+        out = set_bits(((1 << (1 << self.n)) - 1) & ~nonfaces)
         out.sort(key=lambda m: (m.bit_count(), m))
         return out
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import prod
 from typing import Iterable, Mapping
 
 from .errors import IdealSyntaxError, InputError, InvalidPresentationError
@@ -170,6 +171,36 @@ def member(ideal: MonomialIdeal, u: Monomial) -> bool:
     if u.ambient != ideal.ambient:
         raise InputError("ambient mismatch in membership test")
     return any(g.divides(u) for g in ideal.gens)
+
+
+def box_upset(cells: int, bound: tuple[int, ...]) -> int:
+    """Close a set of cells of the box [0, bound] upwards.
+
+    A set of cells is an int with one bit per cell, indexed by mixed-radix
+    code (radix bound_j + 1, x1 least significant).  A cell lies in a monomial
+    ideal exactly when it is a generator's cell or the cell one step below it
+    along some coordinate does, so closing the generators' cells gives the
+    ideal's: bound_j shifts along coordinate j, each masked to the cells below
+    the bound there, reach every cell above.
+    """
+    size = prod(b + 1 for b in bound)
+    weight = 1
+    for b in bound:
+        period = weight * (b + 1)
+        # The cells whose coordinate is below b: one period, then doubling.
+        below, span = (1 << weight * b) - 1, period
+        while span < size:
+            below |= below << span
+            span *= 2
+        for _ in range(b):
+            cells |= (cells & below) << weight
+        weight = period
+    return cells
+
+
+def set_bits(mask: int) -> list[int]:
+    """Positions of the one-bits of ``mask``, ascending, in one pass over its digits."""
+    return [i for i, c in enumerate(reversed(bin(mask))) if c == "1"]
 
 
 def colon(ideal: MonomialIdeal, u: Monomial) -> MonomialIdeal:

@@ -15,6 +15,11 @@ uncovered and earlier in the extension.  Branching over the possible tops of
 that element is therefore exhaustive.  Tops are restricted to the canonical
 form b_j in {e_j, g_j}; any interval splits into canonical ones with no smaller
 rho values, so the restriction loses no partitions worth finding.
+
+The elements come from one pass over the box: the cells of each ideal are the
+upward closure of its generators' cells, as one int bitmask indexed by code
+(``box_upset``).  Each element also carries a unary code, so an element
+dominates another exactly when its unary bits contain the other's.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import sys
 import time
 from dataclasses import dataclass, field, fields
 from math import prod
+from operator import mul
 
 from .errors import (
     InputError,
@@ -31,7 +37,7 @@ from .errors import (
     PosetCapExceededError,
     TimeLimitExceededError,
 )
-from .ideals import Monomial, QuotientPresentation, parse_monomial
+from .ideals import Monomial, QuotientPresentation, box_upset, parse_monomial, set_bits
 
 DEFAULT_POSET_CAP = 2_000_000
 DEFAULT_TIME_LIMIT_S = 300.0
@@ -51,7 +57,9 @@ class CharacteristicPoset:
     Elements are stored as mixed-radix integer codes (radix g_j + 1 per
     coordinate), listed ascending by (total degree, code); that listing is the
     linear extension used everywhere.  ``rho[i]`` counts the coordinates of
-    element i that equal the bound g.
+    element i that equal the bound g.  ``unary[i]`` has e_j one-bits in a
+    g_j-bit field per coordinate j, so a <= b exactly when the bits of unary(a)
+    are a subset of those of unary(b); on a squarefree bound it is the code.
     """
 
     n: int
@@ -61,7 +69,7 @@ class CharacteristicPoset:
     exps: tuple[tuple[int, ...], ...]
     rho: tuple[int, ...]
     index: dict[int, int]
-    squarefree: bool
+    unary: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -99,74 +107,49 @@ def build_poset(
     suite exercises.
     """
     n = pair.ambient
-    g = [0] * n
-    for ideal in (pair.numerator, pair.denominator):
-        for mono in ideal.gens:
-            for j, e in enumerate(mono.exponents):
-                if e > g[j]:
-                    g[j] = e
+    gens = pair.numerator.gens + pair.denominator.gens
+    g = tuple(map(max, zip(*(m.exponents for m in gens))))
     if g_override is not None:
         if len(g_override) != n or any(o < gj for o, gj in zip(g_override, g)):
             raise InputError("g_override must dominate the generator exponents")
-        g = list(g_override)
+        g = tuple(g_override)
 
     box = prod(gj + 1 for gj in g)
     if box > cap:
         raise PosetCapExceededError(f"multidegree box has {box} cells, cap is {cap}")
+    weights = tuple(prod(gj + 1 for gj in g[:j]) for j in range(n))
 
-    weights = []
-    w = 1
-    for gj in g:
-        weights.append(w)
-        w *= gj + 1
-
-    num_gens = [m.exponents for m in pair.numerator.gens]
-    den_gens = [m.exponents for m in pair.denominator.gens]
-    squarefree = all(gj <= 1 for gj in g)
-
-    elements: list[tuple[int, int, tuple[int, ...]]] = []  # (degree, code, exps)
-    if squarefree:
-        ones = [j for j in range(n) if g[j] == 1]
-        bit_of = {j: 1 << i for i, j in enumerate(ones)}
-        num_masks = [sum(bit_of[j] for j in range(n) if e[j]) for e in num_gens]
-        den_masks = [sum(bit_of[j] for j in range(n) if e[j]) for e in den_gens]
-        for mask in range(box):
-            if not any(mask & gm == gm for gm in num_masks):
-                continue
-            if any(mask & dm == dm for dm in den_masks):
-                continue
-            exps = tuple(1 if j in bit_of and mask & bit_of[j] else 0 for j in range(n))
-            elements.append((mask.bit_count(), mask, exps))
-    else:
-        from itertools import product
-
-        for point in product(*(range(gj + 1) for gj in g)):
-            if not any(all(ge <= pe for ge, pe in zip(gen, point)) for gen in num_gens):
-                continue
-            if any(all(ge <= pe for ge, pe in zip(gen, point)) for gen in den_gens):
-                continue
-            code = sum(e * w for e, w in zip(point, weights))
-            elements.append((sum(point), code, point))
-
-    if not elements:
+    # The elements are the box cells of the numerator less those of the denominator.
+    num, den = (sum(1 << sum(map(mul, m.exponents, weights)) for m in ideal.gens)
+                for ideal in (pair.numerator, pair.denominator))
+    cells = box_upset(num, g) & ~box_upset(den, g)
+    if not cells:
         raise InvalidPresentationError("the presentation has an empty poset")
 
-    elements.sort(key=lambda t: (t[0], t[1]))
-    codes = tuple(code for _, code, _ in elements)
-    exps = tuple(e for _, _, e in elements)
-    gt = tuple(g)
-    rho = tuple(sum(1 for ej, gj in zip(e, gt) if ej == gj) for e in exps)
-    index = {code: i for i, code in enumerate(codes)}
+    elements = []  # (degree, code, exps)
+    for code in set_bits(cells):
+        point, rest = [], code
+        for gj in g:
+            rest, e = divmod(rest, gj + 1)
+            point.append(e)
+        elements.append((sum(point), code, tuple(point)))
+    elements.sort()
+    codes = tuple(t[1] for t in elements)
+    exps = tuple(t[2] for t in elements)
+    rho = tuple(sum(1 for ej, gj in zip(e, g) if ej == gj) for e in exps)
+    # Exponent e_j becomes e_j one-bits in the g_j-bit field at offsets[j].
+    offsets = [sum(g[:j]) for j in range(n)]
+    unary = tuple(sum(((1 << ej) - 1) << o for ej, o in zip(e, offsets)) for e in exps)
 
     poset = CharacteristicPoset(
         n=n,
-        g=gt,
-        weights=tuple(weights),
+        g=g,
+        weights=weights,
         codes=codes,
         exps=exps,
         rho=rho,
-        index=index,
-        squarefree=squarefree,
+        index={code: i for i, code in enumerate(codes)},
+        unary=unary,
     )
     _assert_box_convex_sample(poset)
     return poset
@@ -287,12 +270,10 @@ def _search(poset, k, deadline, stats):
     rho = poset.rho
     index = poset.index
     weights = poset.weights
-    squarefree = poset.squarefree
+    unary = poset.unary
     size = len(codes)
 
     covered = bytearray(size)
-    remaining = size
-    intervals: list[tuple[int, int]] = []
 
     # Elements that cannot top their own interval; only these can get stranded.
     # watchers[t] lists the lows whose current witness (an uncovered top above
@@ -313,7 +294,7 @@ def _search(poset, k, deadline, stats):
     max_deg = max(degs)
     z = sum(1 for gj in g if gj == 0)
     kappa = k - z
-    moments_apply = squarefree and max_deg == kappa
+    moments_apply = max(g) <= 1 and max_deg == kappa
     per_degree = [0] * (max_deg + 1)
     for d in degs:
         per_degree[d] += 1
@@ -336,16 +317,6 @@ def _search(poset, k, deadline, stats):
                 return False
             heights[s] = forced
         return True
-
-    if squarefree:
-        def dominates(t, u):
-            cu = codes[u]
-            return codes[t] & cu == cu
-    else:
-        def dominates(t, u):
-            eu = exps[u]
-            et = exps[t]
-            return all(a <= b for a, b in zip(eu, et))
 
     # Candidate tops of an element depend only on the element and k, so each
     # list is built once per level, on first use.  cells_of[ei][pos] holds the
@@ -394,8 +365,9 @@ def _search(poset, k, deadline, stats):
         return cells
 
     def rewitness(u):
+        bits = unary[u]
         for t in tops_desc:
-            if not covered[t] and dominates(t, u):
+            if not covered[t] and unary[t] & bits == bits:
                 watchers[t].append(u)
                 return True
         return False
@@ -423,28 +395,27 @@ def _search(poset, k, deadline, stats):
     # skipping a stored set never skips a partition, and the first partition
     # found is the same.  Failure depends on k, so the table lives one search.
     mask = 0
+    full = (1 << size) - 1
     failed: set[int] = set()
     empty_bytes = sys.getsizeof(failed)
-    entry_bytes = sys.getsizeof((1 << size) - 1) + _SET_SLOT_BYTES
+    entry_bytes = sys.getsizeof(full) + _SET_SLOT_BYTES
     capacity = max(1, (FAILED_STATES_BYTES - empty_bytes) // entry_bytes)
     placements = stranded = moment = hits = stored = clears = peak = 0
 
     def place(cell_idx, bits):
-        nonlocal remaining, mask
+        nonlocal mask
         for ci in cell_idx:
             covered[ci] = 1
             if moments_apply:
                 per_degree[degs[ci]] -= 1
-        remaining -= len(cell_idx)
         mask |= bits
 
     def unplace(cell_idx, bits):
-        nonlocal remaining, mask
+        nonlocal mask
         for ci in cell_idx:
             covered[ci] = 0
             if moments_apply:
                 per_degree[degs[ci]] += 1
-        remaining += len(cell_idx)
         mask ^= bits
 
     try:
@@ -479,7 +450,6 @@ def _search(poset, k, deadline, stats):
                     failed.add(mask)
                     stored += 1
                     unplace(*placed)
-                    intervals.pop()
                 continue
             frame[2] += 1
             info = cells_of[ei][pos]
@@ -499,10 +469,10 @@ def _search(poset, k, deadline, stats):
 
             place(cell_idx, bits)
             placements += 1
-            intervals.append((ei, cands[pos][1]))
 
-            if remaining == 0:
-                return list(intervals)
+            if mask == full:
+                # Each frame's last-tried candidate is the one it placed.
+                return [(f[0], f[1][f[2] - 1][1]) for f in frames]
 
             if moments_apply and not moments_ok():
                 moment += 1
@@ -515,7 +485,6 @@ def _search(poset, k, deadline, stats):
                 frames.append([nxt, candidates(nxt), 0, info])
                 continue
             unplace(cell_idx, bits)
-            intervals.pop()
 
         return None
     finally:

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import prod
 
 from sdepthlab import (
     Monomial,
@@ -57,6 +58,42 @@ def brute_force_sdepth(poset) -> int:
 
     rec(0, poset.n + 1)
     return best
+
+
+def reference_poset(pair, g_override=None):
+    """(g, codes, exps, rho, index) of a presentation's poset, by box enumeration.
+
+    The bound is ``g_override`` or the coordinatewise maximum of the generator
+    exponents.  Every point of the box [0, g] is kept when some numerator
+    generator divides it and no denominator generator does; the kept points
+    are listed by (degree, code), with mixed-radix codes, x1 least significant.
+    """
+    num = [m.exponents for m in pair.numerator.gens]
+    den = [m.exponents for m in pair.denominator.gens]
+    g = g_override or tuple(max(e[j] for e in num + den) for j in range(pair.ambient))
+    weights = [prod(gj + 1 for gj in g[:j]) for j in range(len(g))]
+
+    def divides(u, point):
+        return all(a <= b for a, b in zip(u, point))
+
+    kept = sorted(
+        (sum(point), sum(e * w for e, w in zip(point, weights)), point)
+        for point in product(*(range(gj + 1) for gj in g))
+        if any(divides(u, point) for u in num) and not any(divides(u, point) for u in den)
+    )
+    codes = tuple(code for _, code, _ in kept)
+    exps = tuple(point for _, _, point in kept)
+    rho = tuple(sum(e == gj for e, gj in zip(point, g)) for point in exps)
+    return g, codes, exps, rho, {code: i for i, code in enumerate(codes)}
+
+
+def reference_faces(complex_) -> list[int]:
+    """The masks that contain no nonface, ascending by (popcount, value)."""
+    faces = [
+        mask for mask in range(1 << complex_.n)
+        if not any(nf & mask == nf for nf in complex_.nonface_masks)
+    ]
+    return sorted(faces, key=lambda mask: (mask.bit_count(), mask))
 
 
 def bisect_sdepth(poset):

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import fraction_rank, reference_betti, reference_ranks
+from helpers import fraction_rank, reference_betti, reference_faces, reference_ranks
 from sdepthlab import (
     HomologyStats,
     InputError,
@@ -63,6 +63,15 @@ def run_optimized(code: str) -> str:
     return proc.stdout
 
 
+@st.composite
+def squarefree_ideals(draw, max_n=7):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    masks = draw(st.lists(st.integers(min_value=1, max_value=(1 << n) - 1),
+                          min_size=1, max_size=6))
+    gens = [Monomial(tuple(mask >> j & 1 for j in range(n))) for mask in masks]
+    return minimalize(gens, n)
+
+
 class TestComplex:
     def test_line_three_two_faces(self):
         cx = sr_complex(line_path_ideal(3, 2))
@@ -74,6 +83,23 @@ class TestComplex:
             frozenset({3}),
             frozenset({1, 3}),
         }
+
+    @settings(max_examples=150, deadline=None)
+    @given(squarefree_ideals(max_n=10))
+    def test_faces_match_brute_force(self, ideal):
+        cx = sr_complex(ideal)
+        assert cx.faces() == reference_faces(cx)
+
+    def test_faces_at_the_ambient_cap(self):
+        n = homology.MAX_HOCHSTER_AMBIENT
+        ideal = minimalize([*cycle_path_ideal(n, 3).gens, *line_path_ideal(n, 2).gens[::4]], n)
+        cx = sr_complex(ideal)
+        assert cx.faces() == reference_faces(cx)
+
+    def test_faces_of_restrictions(self):
+        cx = sr_complex(line_path_ideal(4, 2))
+        assert cx.restrict(0b0101).faces() == [0, 1, 2, 3]
+        assert cx.restrict(0).faces() == [0]
 
     def test_principal_three_gives_hollow_triangle(self):
         cx = sr_complex(parse_ideal("n=3: x1*x2*x3"))
@@ -285,15 +311,6 @@ class TestIntegerRank:
     def test_matches_fraction_elimination(self, matrix):
         sparse = [{col: v for col, v in enumerate(row) if v} for row in matrix]
         assert _integer_rank(sparse) == fraction_rank(matrix)
-
-
-@st.composite
-def squarefree_ideals(draw):
-    n = draw(st.integers(min_value=1, max_value=7))
-    masks = draw(st.lists(st.integers(min_value=1, max_value=(1 << n) - 1),
-                          min_size=1, max_size=6))
-    gens = [Monomial(tuple(mask >> j & 1 for j in range(n))) for mask in masks]
-    return minimalize(gens, n)
 
 
 class TestAgainstReferenceRanks:

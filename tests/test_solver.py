@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 import sdepthlab.solver as solver
-from helpers import bisect_sdepth, brute_force_sdepth, enumerate_small_ideals
+from helpers import bisect_sdepth, brute_force_sdepth, enumerate_small_ideals, reference_poset
 from sdepthlab import (
     InputError,
     InvalidPresentationError,
@@ -73,7 +73,48 @@ def small_presentations(draw):
         reject()
 
 
+@st.composite
+def box_presentations(draw):
+    """(S/I or J/I, g_override or None) with exponents up to 3.
+
+    Variables past ``used`` occur in no generator, so their bound is 0 unless
+    the override raises it; the override adds 0 or 1 to each coordinate.
+    """
+    max_exp = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=1, max_value=(5, 4, 3)[max_exp - 1]))
+    used = draw(st.integers(min_value=1, max_value=n))
+    monomials = st.builds(
+        lambda e: Monomial(tuple(e) + (0,) * (n - used)),
+        st.lists(st.integers(min_value=0, max_value=max_exp), min_size=used, max_size=used),
+    )
+    relations = monomials.filter(lambda u: not u.is_constant())
+    denominator = minimalize(draw(st.lists(relations, min_size=0, max_size=4)), n)
+    extra = draw(st.lists(monomials, min_size=0, max_size=3))
+    numerator = minimalize([*denominator.gens, *extra], n) if extra else unit_ideal(n)
+    try:
+        pair = QuotientPresentation(numerator, denominator)
+    except InvalidPresentationError:
+        reject()
+    if not draw(st.booleans()):
+        return pair, None
+    g = reference_poset(pair)[0]
+    steps = draw(st.lists(st.integers(min_value=0, max_value=1), min_size=n, max_size=n))
+    return pair, tuple(gj + step for gj, step in zip(g, steps))
+
+
 class TestBuildPoset:
+    @settings(max_examples=200, deadline=None)
+    @given(box_presentations())
+    def test_matches_box_enumeration(self, case):
+        pair, g_override = case
+        poset = build_poset(pair, g_override=g_override)
+        expected = reference_poset(pair, g_override)
+        assert (poset.g, poset.codes, poset.exps, poset.rho, poset.index) == expected
+        # The unary code's bit-subset test is the coordinatewise order.
+        for a, ua in zip(poset.exps, poset.unary):
+            for b, ub in zip(poset.exps, poset.unary):
+                assert (ua & ub == ua) == all(x <= y for x, y in zip(a, b)), (a, b)
+
     def test_principal_two_vars(self):
         poset = build_poset(ring_quotient(parse_ideal("n=2: x1*x2")))
         assert len(poset) == 3
@@ -286,8 +327,8 @@ class TestSdepth:
 
     # sha256 of format_certificate.  The search visits its nodes in a fixed
     # order, so a speed-up that keeps that order keeps these bytes: the heaviest
-    # sdepth-sqfree instance, a non-squarefree S/I^2 and a box-convex module
-    # that is not down-closed.
+    # sdepth-sqfree instance, a non-squarefree S/I^2, and two box-convex
+    # modules that are not down-closed, one squarefree and one J^2/I^2.
     @pytest.mark.parametrize("pair, value, digest", [
         (
             ring_quotient(cycle_path_ideal(9, 3)), 5,
@@ -301,7 +342,11 @@ class TestSdepth:
             QuotientPresentation(cycle_path_ideal(7, 3), line_path_ideal(7, 3)), 5,
             "492ea47342d067d67c31e9a717f904c0e94cbc0a837ea36b2a1f38663d7bef9d",
         ),
-    ], ids=["cycle-9-3", "cycle-7-3-squared", "prop16-7-3"])
+        (
+            QuotientPresentation(square(cycle_path_ideal(7, 2)), square(line_path_ideal(7, 2))), 3,
+            "c13cb5c55d37ca5eaa3464630a216a597fbd017f6da972134dc9fc18997358cd",
+        ),
+    ], ids=["cycle-9-3", "cycle-7-3-squared", "prop16-7-3", "prop16-7-2-squared"])
     def test_pinned_certificate(self, pair, value, digest):
         result = sdepth_of_pair(pair)
         assert result.value == value
@@ -320,7 +365,10 @@ class TestSdepth:
         ring_quotient(square(cycle_path_ideal(7, 3))),
         QuotientPresentation(cycle_path_ideal(7, 3), line_path_ideal(7, 3)),
         ring_quotient(square(line_path_ideal(6, 3))),
-    ], ids=["cycle-9-3", "cycle-7-3-squared", "prop16-7-3", "line-6-3-squared"])
+        QuotientPresentation(square(cycle_path_ideal(7, 2)), square(line_path_ideal(7, 2))),
+    ], ids=[
+        "cycle-9-3", "cycle-7-3-squared", "prop16-7-3", "line-6-3-squared", "prop16-7-2-squared",
+    ])
     def test_scan_matches_binary_search_on_pinned_pairs(self, pair):
         assert_same_as_binary_search(build_poset(pair))
 
