@@ -19,7 +19,11 @@ rho values, so the restriction loses no partitions worth finding.
 The elements come from one pass over the box: the cells of each ideal are the
 upward closure of its generators' cells, as one int bitmask indexed by code
 (``box_upset``).  Each element also carries a unary code, so an element
-dominates another exactly when its unary bits contain the other's.
+dominates another exactly when its unary bits contain the other's.  An
+element's exponents, degree, rho and unary code are read from two tables, one
+per half of the coordinates, indexed by the low and high digits of its code;
+the halves are chosen so that each table has about sqrt(box) rows, and an
+element costs one divmod and a few lookups instead of a walk over its digits.
 """
 
 from __future__ import annotations
@@ -126,20 +130,25 @@ def build_poset(
     if not cells:
         raise InvalidPresentationError("the presentation has an empty poset")
 
-    elements = []  # (degree, code, exps)
-    for code in set_bits(cells):
-        point, rest = [], code
-        for gj in g:
-            rest, e = divmod(rest, gj + 1)
-            point.append(e)
-        elements.append((sum(point), code, tuple(point)))
-    elements.sort()
-    codes = tuple(t[1] for t in elements)
-    exps = tuple(t[2] for t in elements)
-    rho = tuple(sum(1 for ej, gj in zip(e, g) if ej == gj) for e in exps)
-    # Exponent e_j becomes e_j one-bits in the g_j-bit field at offsets[j].
-    offsets = [sum(g[:j]) for j in range(n)]
-    unary = tuple(sum(((1 << ej) - 1) << o for ej, o in zip(e, offsets)) for e in exps)
+    # A code is hi * radix + lo, with lo the code of the first `split`
+    # coordinates, and each half's table is read at its half-code.  Splitting
+    # where the two radix products are closest keeps both near sqrt(box) rows.
+    low_sizes = weights + (box,)
+    split = min(range(n + 1), key=lambda s: abs(low_sizes[s] - box // low_sizes[s]))
+    radix = low_sizes[split]
+    (lo_e, lo_d, lo_r, lo_u), (hi_e, hi_d, hi_r, hi_u) = (
+        _half_table(g, range(split)), _half_table(g, range(split, n))
+    )
+    codes = set_bits(cells)
+    halves = [divmod(code, radix) for code in codes]
+    degree = [hi_d[a] + lo_d[b] for a, b in halves]
+    # The codes are ascending and the sort is stable: (degree, code) order.
+    order = sorted(range(len(codes)), key=degree.__getitem__)
+    codes = tuple(codes[i] for i in order)
+    halves = [halves[i] for i in order]
+    exps = tuple(lo_e[b] + hi_e[a] for a, b in halves)
+    rho = tuple(lo_r[b] + hi_r[a] for a, b in halves)
+    unary = tuple(lo_u[b] | hi_u[a] for a, b in halves)
 
     poset = CharacteristicPoset(
         n=n,
@@ -153,6 +162,24 @@ def build_poset(
     )
     _assert_box_convex_sample(poset)
     return poset
+
+
+def _half_table(g: tuple[int, ...], coords: range) -> tuple[tuple, ...]:
+    """(exps, degree, rho, unary) per mixed-radix code of the coordinates ``coords``.
+
+    The first coordinate is the least significant digit.  Exponent e_j
+    becomes e_j one-bits from bit sum(g[:j]) on, where coordinate j's field
+    sits in the unary code of a whole element.
+    """
+    rows = [((), 0, 0, 0)]
+    for j in coords:
+        gj, offset = g[j], sum(g[:j])
+        rows = [
+            (e + (x,), d + x, r + (x == gj), u | ((1 << x) - 1) << offset)
+            for x in range(gj + 1)
+            for e, d, r, u in rows
+        ]
+    return tuple(zip(*rows))
 
 
 def _assert_box_convex_sample(poset: CharacteristicPoset, limit: int = 12) -> None:
@@ -276,12 +303,13 @@ def _search(poset, k, deadline, stats):
     covered = bytearray(size)
 
     # Elements that cannot top their own interval; only these can get stranded.
-    # watchers[t] lists the lows whose current witness (an uncovered top above
-    # them) is t.  Each low sits on exactly one list; a covered low stays on
-    # its list, so that backtracking leaves every witness valid again.
+    # watchers[t] is the bitset of the lows whose current witness (an
+    # uncovered top above them) is t.  Each low is in exactly one set; a
+    # covered low stays in its set, so that backtracking leaves every witness
+    # valid again.
     lows = [i for i in range(size) if rho[i] < k]
     tops_desc = [i for i in range(size - 1, -1, -1) if rho[i] >= k]
-    watchers: list[list[int]] = [[] for _ in range(size)]
+    watchers = [0] * size
 
     # Degree-moment account.  For squarefree bounds rho is degree plus the
     # count z of coordinates pinned at zero.  When the poset's maximal degree
@@ -368,24 +396,23 @@ def _search(poset, k, deadline, stats):
         bits = unary[u]
         for t in tops_desc:
             if not covered[t] and unary[t] & bits == bits:
-                watchers[t].append(u)
+                watchers[t] |= 1 << u
                 return True
         return False
 
     def none_stranded(cell_idx):
         # Only the uncovered lows watching a newly covered cell lost their
-        # witness.  On failure the unscanned tail goes back on the list.
+        # witness.  Each low that finds a new one moves to it; on failure the
+        # low that found none and those not yet scanned stay with the cell,
+        # which backtracking uncovers again.
         for c in cell_idx:
-            watching = watchers[c]
-            if not watching:
-                continue
-            kept = watchers[c] = []
-            for pos, u in enumerate(watching):
-                if covered[u]:
-                    kept.append(u)
-                elif not rewitness(u):
-                    kept.extend(watching[pos:])
+            lost = watchers[c] & ~mask
+            while lost:
+                bit = lost & -lost
+                if not rewitness(bit.bit_length() - 1):
                     return False
+                watchers[c] ^= bit
+                lost ^= bit
         return True
 
     # The covered set as a bitmask, and the covered sets whose subtree was
@@ -586,21 +613,21 @@ def verify_decomposition(
         return VerificationReport(False, (f"ambient mismatch: {decomposition.n} vs {poset.n}",), None)
 
     for i, (bottom, zvars) in enumerate(decomposition.intervals):
-        label = f"interval {i + 1} [{bottom} ; {{{', '.join(f'x{v}' for v in sorted(zvars))}}}]"
+        # The interval's label is formatted only when a failure names it.
         if bottom.ambient != poset.n:
-            failures.append(f"{label}: bottom ambient mismatch")
+            failures.append(f"{_label(i, bottom, zvars)}: bottom ambient mismatch")
             continue
         if any(not 1 <= v <= poset.n for v in zvars):
-            failures.append(f"{label}: variable index out of range")
+            failures.append(f"{_label(i, bottom, zvars)}: variable index out of range")
             continue
         if any(e > gj for e, gj in zip(bottom.exponents, poset.g)):
-            failures.append(f"{label}: bottom {bottom} exceeds the bound")
+            failures.append(f"{_label(i, bottom, zvars)}: bottom {bottom} exceeds the bound")
             continue
         top = tuple(poset.g[j] if j + 1 in zvars else e for j, e in enumerate(bottom.exponents))
         r = sum(1 for e, gj in zip(top, poset.g) if e == gj)
         min_rho = r if min_rho is None else min(min_rho, r)
         if r < k:
-            failures.append(f"{label}: top has rho {r} < {k}")
+            failures.append(f"{_label(i, bottom, zvars)}: top has rho {r} < {k}")
         spans = [
             (j, bottom.exponents[j], top[j]) for j in range(poset.n) if top[j] > bottom.exponents[j]
         ]
@@ -610,7 +637,8 @@ def verify_decomposition(
             cells = [c + t * w for t in range(hi_e - lo_e + 1) for c in cells]
         for c in cells:
             if c not in poset.index:
-                failures.append(f"{label}: cell {Monomial(poset.decode(c))} is outside the poset")
+                outside = Monomial(poset.decode(c))
+                failures.append(f"{_label(i, bottom, zvars)}: cell {outside} is outside the poset")
                 continue
             if c in seen:
                 failures.append(
@@ -626,6 +654,11 @@ def verify_decomposition(
             break
 
     return VerificationReport(not failures, tuple(failures), min_rho)
+
+
+def _label(i: int, bottom: Monomial, zvars: frozenset[int]) -> str:
+    """``interval i+1 [bottom ; {x_j, ...}]``: how a failure names the i-th interval."""
+    return f"interval {i + 1} [{bottom} ; {{{', '.join(f'x{v}' for v in sorted(zvars))}}}]"
 
 
 def principal_decomposition(u: Monomial) -> StanleyDecomposition:

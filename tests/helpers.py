@@ -87,6 +87,18 @@ def reference_poset(pair, g_override=None):
     return g, codes, exps, rho, {code: i for i, code in enumerate(codes)}
 
 
+def reference_unary(g, point) -> int:
+    """The unary code of a point of the box [0, g]: coordinate j's exponent as
+    that many one-bits, low bits first, in a g_j-bit field starting at bit
+    g_1 + ... + g_(j-1)."""
+    code, offset = 0, 0
+    for e, gj in zip(point, g):
+        for bit in range(e):
+            code |= 1 << offset + bit
+        offset += gj
+    return code
+
+
 def reference_faces(complex_) -> list[int]:
     """The masks that contain no nonface, ascending by (popcount, value)."""
     faces = [

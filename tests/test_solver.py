@@ -4,10 +4,16 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 import sdepthlab.solver as solver
-from helpers import bisect_sdepth, brute_force_sdepth, enumerate_small_ideals, reference_poset
+from helpers import (
+    bisect_sdepth,
+    brute_force_sdepth,
+    enumerate_small_ideals,
+    reference_poset,
+    reference_unary,
+)
 from sdepthlab import (
     InputError,
     InvalidPresentationError,
@@ -105,11 +111,16 @@ def box_presentations(draw):
 class TestBuildPoset:
     @settings(max_examples=200, deadline=None)
     @given(box_presentations())
+    # One coordinate: one half of the box is empty.
+    @example((ring_quotient(parse_ideal("n=1: x1^3")), None))
+    # A coordinate at the exponent cap beside squarefree ones: unequal halves.
+    @example((ring_quotient(parse_ideal("n=4: x1^30*x2, x2*x3*x4")), None))
     def test_matches_box_enumeration(self, case):
         pair, g_override = case
         poset = build_poset(pair, g_override=g_override)
         expected = reference_poset(pair, g_override)
         assert (poset.g, poset.codes, poset.exps, poset.rho, poset.index) == expected
+        assert poset.unary == tuple(reference_unary(poset.g, point) for point in expected[2])
         # The unary code's bit-subset test is the coordinatewise order.
         for a, ua in zip(poset.exps, poset.unary):
             for b, ub in zip(poset.exps, poset.unary):
@@ -122,8 +133,9 @@ class TestBuildPoset:
         assert poset.g == (1, 1)
 
     def test_cycle_five_two_counts_independent_sets(self):
-        poset = build_poset(cycle_quotient(5, 2))
-        assert len(poset) == 11
+        # The Lucas numbers L5 and L20; the n = 20 box has 2^20 cells.
+        for n, count in [(5, 11), (20, 15_127)]:
+            assert len(build_poset(cycle_quotient(n, 2))) == count
 
     def test_cycle_over_line_single_element(self):
         pair = QuotientPresentation(cycle_path_ideal(4, 2), line_path_ideal(4, 2))
@@ -613,6 +625,25 @@ class TestVerification:
         report = verify_decomposition(poset, bad, 0)
         assert not report.ok
         assert any("outside the poset" in f for f in report.failures)
+
+    def test_failure_wording_pinned(self):
+        # A certificate missing one interval, repeating another, and with one
+        # interval outside the poset and one past the bound.
+        poset = build_poset(cycle_quotient(4, 2))
+        intervals = exists_partition(poset, 1).intervals
+        tampered = StanleyDecomposition(4, intervals[:-1] + intervals[:1] + (
+            (parse_monomial("x1*x2", 4), frozenset({3})),
+            (parse_monomial("x1^2", 4), frozenset()),
+        ))
+        report = verify_decomposition(poset, tampered, 1)
+        assert report == solver.VerificationReport(False, (
+            "double cover of 1 by intervals 1 and 6",
+            "double cover of x1 by intervals 1 and 6",
+            "interval 7 [x1*x2 ; {x3}]: cell x1*x2 is outside the poset",
+            "interval 7 [x1*x2 ; {x3}]: cell x1*x2*x3 is outside the poset",
+            "interval 8 [x1^2 ; {}]: bottom x1^2 exceeds the bound",
+            "uncovered element x2*x4",
+        ), 1)
 
     def test_low_rho_reported(self):
         poset = build_poset(cycle_quotient(4, 2))
