@@ -198,9 +198,16 @@ def box_upset(cells: int, bound: tuple[int, ...]) -> int:
     return cells
 
 
+_ONE = re.compile("1")
+
+
 def set_bits(mask: int) -> list[int]:
-    """Positions of the one-bits of ``mask``, ascending, in one pass over its digits."""
-    return [i for i, c in enumerate(reversed(bin(mask))) if c == "1"]
+    """Positions of the one-bits of ``mask``, ascending.
+
+    The binary digits are reversed, lowest first, and searched for ones in C,
+    so the Python work is per one-bit, not per digit.
+    """
+    return [m.start() for m in _ONE.finditer(bin(mask)[:1:-1])]
 
 
 def colon(ideal: MonomialIdeal, u: Monomial) -> MonomialIdeal:

@@ -18,12 +18,18 @@ rho values, so the restriction loses no partitions worth finding.
 
 The elements come from one pass over the box: the cells of each ideal are the
 upward closure of its generators' cells, as one int bitmask indexed by code
-(``box_upset``).  Each element also carries a unary code, so an element
-dominates another exactly when its unary bits contain the other's.  An
-element's exponents, degree, rho and unary code are read from two tables, one
-per half of the coordinates, indexed by the low and high digits of its code;
-the halves are chosen so that each table has about sqrt(box) rows, and an
-element costs one divmod and a few lookups instead of a walk over its digits.
+(``box_upset``).  An element's exponents, degree and rho are read from two
+tables, one per half of the coordinates, indexed by the low and high digits
+of its code; the halves are chosen so that each table has about sqrt(box)
+rows, and an element costs one divmod and a few lookups instead of a walk
+over its digits.
+
+The search asks the order its questions as int bitsets indexed by element
+(``order_bitsets``): the up-set of an element is the AND of one column bitset
+per coordinate, and so is the down-set of a top.  An element's candidate tops
+are read off its up-set, an interval's cells are the up-set of its bottom
+ANDed with the down-set of its top, and a low element's witness is the
+highest uncovered top in its up-set.
 """
 
 from __future__ import annotations
@@ -32,8 +38,10 @@ import re
 import sys
 import time
 from dataclasses import dataclass, field, fields
+from functools import reduce
+from typing import Sequence
 from math import prod
-from operator import mul
+from operator import and_, getitem, mul
 
 from .errors import (
     InputError,
@@ -61,9 +69,7 @@ class CharacteristicPoset:
     Elements are stored as mixed-radix integer codes (radix g_j + 1 per
     coordinate), listed ascending by (total degree, code); that listing is the
     linear extension used everywhere.  ``rho[i]`` counts the coordinates of
-    element i that equal the bound g.  ``unary[i]`` has e_j one-bits in a
-    g_j-bit field per coordinate j, so a <= b exactly when the bits of unary(a)
-    are a subset of those of unary(b); on a squarefree bound it is the code.
+    element i that equal the bound g.
     """
 
     n: int
@@ -73,7 +79,6 @@ class CharacteristicPoset:
     exps: tuple[tuple[int, ...], ...]
     rho: tuple[int, ...]
     index: dict[int, int]
-    unary: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -136,7 +141,7 @@ def build_poset(
     low_sizes = weights + (box,)
     split = min(range(n + 1), key=lambda s: abs(low_sizes[s] - box // low_sizes[s]))
     radix = low_sizes[split]
-    (lo_e, lo_d, lo_r, lo_u), (hi_e, hi_d, hi_r, hi_u) = (
+    (lo_e, lo_d, lo_r), (hi_e, hi_d, hi_r) = (
         _half_table(g, range(split)), _half_table(g, range(split, n))
     )
     codes = set_bits(cells)
@@ -148,7 +153,6 @@ def build_poset(
     halves = [halves[i] for i in order]
     exps = tuple(lo_e[b] + hi_e[a] for a, b in halves)
     rho = tuple(lo_r[b] + hi_r[a] for a, b in halves)
-    unary = tuple(lo_u[b] | hi_u[a] for a, b in halves)
 
     poset = CharacteristicPoset(
         n=n,
@@ -158,27 +162,20 @@ def build_poset(
         exps=exps,
         rho=rho,
         index={code: i for i, code in enumerate(codes)},
-        unary=unary,
     )
     _assert_box_convex_sample(poset)
     return poset
 
 
 def _half_table(g: tuple[int, ...], coords: range) -> tuple[tuple, ...]:
-    """(exps, degree, rho, unary) per mixed-radix code of the coordinates ``coords``.
+    """(exps, degree, rho) per mixed-radix code of the coordinates ``coords``.
 
-    The first coordinate is the least significant digit.  Exponent e_j
-    becomes e_j one-bits from bit sum(g[:j]) on, where coordinate j's field
-    sits in the unary code of a whole element.
+    The first coordinate is the least significant digit.
     """
-    rows = [((), 0, 0, 0)]
+    rows = [((), 0, 0)]
     for j in coords:
-        gj, offset = g[j], sum(g[:j])
-        rows = [
-            (e + (x,), d + x, r + (x == gj), u | ((1 << x) - 1) << offset)
-            for x in range(gj + 1)
-            for e, d, r, u in rows
-        ]
+        gj = g[j]
+        rows = [(e + (x,), d + x, r + (x == gj)) for x in range(gj + 1) for e, d, r in rows]
     return tuple(zip(*rows))
 
 
@@ -239,7 +236,9 @@ class SearchStats:
     is a placement skipped because its covered set is stored as one whose
     subtree holds no partition; ``stored_states`` counts those stores,
     ``table_clears`` the times the table reached its byte budget, and
-    ``table_peak_bytes`` the most it held, in the budget's units.  Each search
+    ``table_peak_bytes`` the most it held, in the budget's units.
+    ``candidate_tops`` counts the tops listed in the candidate tables the
+    search built, one table per element it branched on.  Each search
     adds its counts once, when it returns or hits the time limit, so a record
     passed to ``sdepth_of_poset`` sums over the levels it tried.
     """
@@ -252,6 +251,7 @@ class SearchStats:
     stored_states: int = 0
     table_clears: int = 0
     table_peak_bytes: int = 0
+    candidate_tops: int = 0
 
     def format(self) -> str:
         """One line: ``levels=6,5 placements=... table_peak_bytes=...``."""
@@ -284,32 +284,81 @@ def exists_partition(
     intervals = _search(poset, k, deadline, stats)
     if intervals is None:
         return None
-    return StanleyDecomposition(
-        poset.n, tuple(_interval(poset, ei, poset.index[bcode]) for ei, bcode in intervals)
+    return StanleyDecomposition(poset.n, tuple(_interval(poset, ei, t) for ei, t in intervals))
+
+
+def order_bitsets(
+    exps: Sequence[tuple[int, ...]], g: tuple[int, ...]
+) -> tuple[list[list[int]], list[list[int]]]:
+    """The coordinate columns of a list of points of [0, g] as int bitsets.
+
+    Bit i stands for ``exps[i]``.  ``ge[j][x]`` is the set of points with
+    e_j >= x and ``le[j][x]`` the set with e_j <= x, for x in 0..g_j.  Each is
+    read off one string per column (``_column_text``), so no Python code runs
+    per point.
+    """
+    full = (1 << len(exps)) - 1
+    ge, le = [], []
+    for gj, column in zip(g, zip(*exps)):
+        text = _column_text(column, gj)
+        at_least = [_at_least(text, x, gj) for x in range(gj + 1)]
+        ge.append(at_least)
+        le.append([full ^ above for above in at_least[1:]] + [full])
+    return ge, le
+
+
+def _column_text(values: tuple[int, ...], largest: int) -> str:
+    """Values in 0..largest as one character each, chr(value), last value first."""
+    if largest < 256:
+        return bytes(values).decode("latin-1")[::-1]
+    return "".join(map(chr, reversed(values)))
+
+
+def _at_least(text: str, x: int, largest: int) -> int:
+    """The bitset of the positions whose value in ``_column_text`` is x or more."""
+    return int(text.translate("0" * x + "1" * (largest + 1 - x)), 2)
+
+
+def up_set(ge: list[list[int]], e: tuple[int, ...]) -> int:
+    """The points at or above exponents e, from the ``ge`` columns."""
+    return reduce(and_, map(getitem, ge, e))
+
+
+def down_set(le: list[list[int]], t: tuple[int, ...]) -> int:
+    """The points at or below exponents t, from the ``le`` columns."""
+    return reduce(and_, map(getitem, le, t))
+
+
+def candidate_tops(
+    poset: CharacteristicPoset, ge: list[list[int]], ei: int, up: int, tops: int
+) -> list[int]:
+    """The canonical tops of element ei among ``tops``, in (box, top code) order.
+
+    ``ge`` holds the poset's columns (``order_bitsets``), ``up`` is the up-set
+    of ei and ``tops`` the set of elements with rho >= k.  A top t is canonical
+    when t_j is e_j or g_j in every coordinate, that is, when no coordinate
+    lies strictly between.  On a squarefree bound every top above ei is
+    canonical and the box of [ei, t] has 2^(deg t - deg ei) cells, so element
+    order, (degree, code), is already (box, code) order.
+    """
+    if max(poset.g) <= 1:
+        return set_bits(up & tops)
+    e, exps, codes = poset.exps[ei], poset.exps, poset.codes
+    between = 0
+    for j, (x, gj) in enumerate(zip(e, poset.g)):
+        if x + 1 < gj:
+            between |= ge[j][x + 1] ^ ge[j][gj]
+    return sorted(
+        set_bits(up & tops & ~between),
+        key=lambda t: (prod(b - a + 1 for a, b in zip(e, exps[t])), codes[t]),
     )
 
 
 def _search(poset, k, deadline, stats):
-    n = poset.n
     g = poset.g
-    codes = poset.codes
     exps = poset.exps
-    rho = poset.rho
-    index = poset.index
-    weights = poset.weights
-    unary = poset.unary
-    size = len(codes)
-
-    covered = bytearray(size)
-
-    # Elements that cannot top their own interval; only these can get stranded.
-    # watchers[t] is the bitset of the lows whose current witness (an
-    # uncovered top above them) is t.  Each low is in exactly one set; a
-    # covered low stays in its set, so that backtracking leaves every witness
-    # valid again.
-    lows = [i for i in range(size) if rho[i] < k]
-    tops_desc = [i for i in range(size - 1, -1, -1) if rho[i] >= k]
-    watchers = [0] * size
+    size = len(exps)
+    full = (1 << size) - 1
 
     # Degree-moment account.  For squarefree bounds rho is degree plus the
     # count z of coordinates pinned at zero.  When the poset's maximal degree
@@ -346,74 +395,11 @@ def _search(poset, k, deadline, stats):
             heights[s] = forced
         return True
 
-    # Candidate tops of an element depend only on the element and k, so each
-    # list is built once per level, on first use.  cells_of[ei][pos] holds the
-    # (cell indices, cell bitmask) of candidate pos, found on its first try.
-    tables: list[list | None] = [None] * size
-    cells_of: list[list | None] = [None] * size
-
-    def candidates(ei):
-        cands = tables[ei]
-        if cands is not None:
-            return cands
-        e = exps[ei]
-        free = [j for j in range(n) if e[j] < g[j]]
-        nfree = len(free)
-        need = k - (n - nfree)
-        cands = tables[ei] = []
-
-        # Raise one free coordinate to g_j at a time, in increasing order.  A
-        # top outside the poset ends its branch: the poset is box-convex and ei
-        # lies below the whole branch.  So does a branch that cannot reach
-        # need raised coordinates.
-        def walk(bcode, box, combo, start):
-            if len(combo) >= need:
-                cands.append((box, bcode, combo))
-            for i in range(start, nfree):
-                if len(combo) + nfree - i < need:
-                    break
-                j = free[i]
-                span = g[j] - e[j]
-                top = bcode + span * weights[j]
-                if top in index:
-                    walk(top, box * (span + 1), combo + (j,), i + 1)
-
-        walk(codes[ei], 1, (), 0)
-        # The tops of one element are distinct, so this is the (box, top) order.
-        cands.sort()
-        cells_of[ei] = [None] * len(cands)
-        return cands
-
-    def box_cells(ei, combo):
-        e = exps[ei]
-        cells = [codes[ei]]
-        for j in combo:
-            w = weights[j]
-            cells = [c + t * w for t in range(g[j] - e[j] + 1) for c in cells]
-        return cells
-
-    def rewitness(u):
-        bits = unary[u]
-        for t in tops_desc:
-            if not covered[t] and unary[t] & bits == bits:
-                watchers[t] |= 1 << u
-                return True
-        return False
-
-    def none_stranded(cell_idx):
-        # Only the uncovered lows watching a newly covered cell lost their
-        # witness.  Each low that finds a new one moves to it; on failure the
-        # low that found none and those not yet scanned stay with the cell,
-        # which backtracking uncovers again.
-        for c in cell_idx:
-            lost = watchers[c] & ~mask
-            while lost:
-                bit = lost & -lost
-                if not rewitness(bit.bit_length() - 1):
-                    return False
-                watchers[c] ^= bit
-                lost ^= bit
-        return True
+    def count_cells(bottom, top, sign):
+        # The interval covers C(s, j) cells at degree deg(bottom) + j.
+        low, height = degs[bottom], degs[top] - degs[bottom]
+        for j in range(height + 1):
+            per_degree[low + j] += sign * binom[height][j]
 
     # The covered set as a bitmask, and the covered sets whose subtree was
     # searched to exhaustion without a partition.  The branch element is the
@@ -421,51 +407,142 @@ def _search(poset, k, deadline, stats):
     # depend only on the covered set and k, so a subtree's outcome does too:
     # skipping a stored set never skips a partition, and the first partition
     # found is the same.  Failure depends on k, so the table lives one search.
-    mask = 0
-    full = (1 << size) - 1
+    # ``taken`` is the covered set's tops, by rank.
+    mask = taken = 0
     failed: set[int] = set()
     empty_bytes = sys.getsizeof(failed)
     entry_bytes = sys.getsizeof(full) + _SET_SLOT_BYTES
     capacity = max(1, (FAILED_STATES_BYTES - empty_bytes) // entry_bytes)
-    placements = stranded = moment = hits = stored = clears = peak = 0
-
-    def place(cell_idx, bits):
-        nonlocal mask
-        for ci in cell_idx:
-            covered[ci] = 1
-            if moments_apply:
-                per_degree[degs[ci]] -= 1
-        mask |= bits
-
-    def unplace(cell_idx, bits):
-        nonlocal mask
-        for ci in cell_idx:
-            covered[ci] = 0
-            if moments_apply:
-                per_degree[degs[ci]] += 1
-        mask ^= bits
+    placements = stranded = moment = hits = stored = clears = peak = listed = 0
 
     try:
-        # The loop's two refutations also run before the first placement.
+        # The loop's two refutations also run before the first placement, the
+        # degree moments before the order bitsets are built.
         if moments_apply and not moments_ok():
             moment += 1
             return None
-        if not all(rewitness(u) for u in lows):
+
+        # The elements that can top an interval at level k; only the others,
+        # the lows, can get stranded.  The order is kept as bitsets twice: over
+        # all elements, for the cells of intervals, and over the tops alone,
+        # bit r standing for top_of[r], for witnesses.  A low's set of the
+        # tops above it is built when it first needs a witness and kept for
+        # the rest of this level; by rank it takes one bit per top, not one
+        # per element.
+        tops = _at_least(_column_text(poset.rho, poset.n), k, poset.n)
+        top_of = set_bits(tops)
+        ge, le = order_bitsets(exps, g)
+        top_ge, top_le = order_bitsets([exps[t] for t in top_of], g)
+        ranks_above: list[int | None] = [None] * size
+
+        # watchers[r] is the bitset of the lows whose current witness (an
+        # uncovered top above them) is the top of rank r.  Each low is in
+        # exactly one set; a covered low stays in its set, so that
+        # backtracking leaves every witness valid again.
+        watchers = [0] * len(top_of)
+
+        # Candidate tops of an element depend only on the element and k, so
+        # each table is built once per level, on first use.  A table is (tops,
+        # cells of each, the element's up-set, the tops above it by rank); the
+        # cells of a candidate, as (bitset, tops among them by rank), are found
+        # on its first try, since most candidates are never tried.
+        tables: list[tuple | None] = [None] * size
+
+        def opened(ei, placed):
+            # A frame is (element index, its table, its untried candidates,
+            # (bottom, top, cells) of the placement that opened it or None).
+            nonlocal listed
+            found = tables[ei]
+            if found is None:
+                up = up_set(ge, exps[ei])
+                cands = candidate_tops(poset, ge, ei, up, tops)
+                found = tables[ei] = (cands, [None] * len(cands), up, up_set(top_ge, exps[ei]))
+                listed += len(cands)
+            return ei, found, enumerate(found[0]), placed
+
+        def none_stranded(covered, uncovered, free):
+            # Only the uncovered lows watching a newly covered top lost their
+            # witness; each moves to the highest free top above it.  On failure
+            # the low that found none and those not yet scanned stay with the
+            # top, which backtracking uncovers again.
+            while covered:
+                low = covered & -covered
+                covered ^= low
+                r = low.bit_length() - 1
+                lost = watchers[r] & uncovered
+                while lost:
+                    bit = lost & -lost
+                    u = bit.bit_length() - 1
+                    above = ranks_above[u]
+                    if above is None:
+                        above = ranks_above[u] = up_set(top_ge, exps[u])
+                    above &= free
+                    if not above:
+                        return False
+                    watchers[above.bit_length() - 1] |= bit
+                    watchers[r] ^= bit
+                    lost ^= bit
+            return True
+
+        # Each low's first witness is the highest top above it: the tops,
+        # highest first, take the lows below them that no higher top took.
+        unwatched = full ^ tops
+        for r in range(len(top_of) - 1, -1, -1):
+            if not unwatched:
+                break
+            watchers[r] = down_set(le, exps[top_of[r]]) & unwatched
+            unwatched ^= watchers[r]
+        if unwatched:
             stranded += 1
             return None
 
-        # Frame layout: [element index, candidate list, next position, (cells,
-        # bits) placed by the parent choice that opened this frame (None at
-        # the root)].
-        frames = [[0, candidates(0), 0, None]]
-        node = 0
+        # The innermost frame's loop runs until a placement opens a child
+        # frame or its candidates run out.
+        frames = [opened(0, None)]
         while frames:
-            node += 1
-            if deadline is not None and node % 512 == 0 and time.monotonic() > deadline:
-                raise TimeLimitExceededError(f"partition search at level {k} hit the time limit")
-            frame = frames[-1]
-            ei, cands, pos, placed = frame
-            if pos >= len(cands):
+            ei, (_, cells_of, up, ranks), untried, placed = frames[-1]
+            for pos, top in untried:
+                cells = cells_of[pos]
+                if cells is None:
+                    t = exps[top]
+                    cells = cells_of[pos] = (up & down_set(le, t), ranks & down_set(top_le, t))
+                bits, covered = cells
+                if bits & mask:
+                    continue
+                if mask | bits in failed:
+                    hits += 1
+                    continue
+
+                mask |= bits
+                taken |= covered
+                placements += 1
+                if mask == full:
+                    # Every frame but the root was opened by one placement.
+                    return [f[3][:2] for f in frames[1:]] + [(ei, top)]
+                if deadline is not None and placements % 512 == 0 and time.monotonic() > deadline:
+                    raise TimeLimitExceededError(
+                        f"partition search at level {k} hit the time limit"
+                    )
+
+                if moments_apply:
+                    count_cells(ei, top, -1)
+                    if not moments_ok():
+                        moment += 1
+                        count_cells(ei, top, 1)
+                        mask ^= bits
+                        taken ^= covered
+                        continue
+                if none_stranded(covered, ~mask, ~taken):
+                    # The next branch element is the lowest uncovered one.
+                    nxt = (mask ^ (mask + 1)).bit_length() - 1
+                    frames.append(opened(nxt, (ei, top, cells)))
+                    break
+                stranded += 1
+                if moments_apply:
+                    count_cells(ei, top, 1)
+                mask ^= bits
+                taken ^= covered
+            else:
                 frames.pop()
                 if placed is not None:
                     # Nothing below was skipped except known failures, so the
@@ -476,42 +553,11 @@ def _search(poset, k, deadline, stats):
                         clears += 1
                     failed.add(mask)
                     stored += 1
-                    unplace(*placed)
-                continue
-            frame[2] += 1
-            info = cells_of[ei][pos]
-            if info is None:
-                # Box-convexity puts every cell between ei and the top in the poset.
-                cell_idx = [index[c] for c in box_cells(ei, cands[pos][2])]
-                bits = 0
-                for ci in cell_idx:
-                    bits |= 1 << ci
-                info = cells_of[ei][pos] = (cell_idx, bits)
-            cell_idx, bits = info
-            if bits & mask:
-                continue
-            if mask | bits in failed:
-                hits += 1
-                continue
-
-            place(cell_idx, bits)
-            placements += 1
-
-            if mask == full:
-                # Each frame's last-tried candidate is the one it placed.
-                return [(f[0], f[1][f[2] - 1][1]) for f in frames]
-
-            if moments_apply and not moments_ok():
-                moment += 1
-            elif not none_stranded(cell_idx):
-                stranded += 1
-            else:
-                nxt = ei + 1
-                while covered[nxt]:
-                    nxt += 1
-                frames.append([nxt, candidates(nxt), 0, info])
-                continue
-            unplace(cell_idx, bits)
+                    bottom, top, (bits, covered) = placed
+                    mask ^= bits
+                    taken ^= covered
+                    if moments_apply:
+                        count_cells(bottom, top, 1)
 
         return None
     finally:
@@ -524,6 +570,7 @@ def _search(poset, k, deadline, stats):
             stats.table_clears += clears
             peak = empty_bytes + max(peak, len(failed)) * entry_bytes
             stats.table_peak_bytes = max(stats.table_peak_bytes, peak)
+            stats.candidate_tops += listed
 
 
 @dataclass(frozen=True)

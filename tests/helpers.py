@@ -87,16 +87,26 @@ def reference_poset(pair, g_override=None):
     return g, codes, exps, rho, {code: i for i, code in enumerate(codes)}
 
 
-def reference_unary(g, point) -> int:
-    """The unary code of a point of the box [0, g]: coordinate j's exponent as
-    that many one-bits, low bits first, in a g_j-bit field starting at bit
-    g_1 + ... + g_(j-1)."""
-    code, offset = 0, 0
-    for e, gj in zip(point, g):
-        for bit in range(e):
-            code |= 1 << offset + bit
-        offset += gj
-    return code
+def reference_up_down(poset, i) -> tuple[int, int]:
+    """(up-set, down-set) of element i as bitsets over element indices, by
+    comparing exponent vectors coordinate by coordinate."""
+    e = poset.exps[i]
+    up = sum(1 << j for j, f in enumerate(poset.exps) if all(a <= b for a, b in zip(e, f)))
+    down = sum(1 << j for j, f in enumerate(poset.exps) if all(b <= a for a, b in zip(e, f)))
+    return up, down
+
+
+def reference_candidate_tops(poset, k, i) -> list[int]:
+    """The elements t >= element i with rho(t) >= k and t_j in {e_j, g_j} for
+    every j, ascending by (cells of the box [e, t], code of t)."""
+    e = poset.exps[i]
+    tops = [
+        t for t, f in enumerate(poset.exps)
+        if poset.rho[t] >= k and all(b in (a, gj) for a, b, gj in zip(e, f, poset.g))
+    ]
+    return sorted(
+        tops, key=lambda t: (prod(b - a + 1 for a, b in zip(e, poset.exps[t])), poset.codes[t])
+    )
 
 
 def reference_faces(complex_) -> list[int]:

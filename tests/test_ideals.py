@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sdepthlab import (
     IdealSyntaxError,
@@ -24,6 +24,7 @@ from sdepthlab import (
     variable,
     zero_ideal,
 )
+from sdepthlab.ideals import set_bits
 
 
 def mono(n, *factors):
@@ -261,3 +262,12 @@ def test_monomial_guards():
         Monomial(tuple([0] * 21))
     with pytest.raises(InputError):
         parse_monomial("x1*x2", 1)
+
+
+@given(st.integers(min_value=0, max_value=2**300) | st.sets(st.integers(0, 2**20 - 1)).map(
+    lambda positions: sum(1 << i for i in positions)
+))
+@example(0)
+@example(1 << 2**20 - 1 | 1 << 2**19 | 1)  # three bits over 2^20 digits
+def test_set_bits_matches_a_scan_of_every_digit(mask):
+    assert set_bits(mask) == [i for i, c in enumerate(reversed(bin(mask))) if c == "1"]

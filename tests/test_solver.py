@@ -11,8 +11,9 @@ from helpers import (
     bisect_sdepth,
     brute_force_sdepth,
     enumerate_small_ideals,
+    reference_candidate_tops,
     reference_poset,
-    reference_unary,
+    reference_up_down,
 )
 from sdepthlab import (
     InputError,
@@ -120,11 +121,6 @@ class TestBuildPoset:
         poset = build_poset(pair, g_override=g_override)
         expected = reference_poset(pair, g_override)
         assert (poset.g, poset.codes, poset.exps, poset.rho, poset.index) == expected
-        assert poset.unary == tuple(reference_unary(poset.g, point) for point in expected[2])
-        # The unary code's bit-subset test is the coordinatewise order.
-        for a, ua in zip(poset.exps, poset.unary):
-            for b, ub in zip(poset.exps, poset.unary):
-                assert (ua & ub == ua) == all(x <= y for x, y in zip(a, b)), (a, b)
 
     def test_principal_two_vars(self):
         poset = build_poset(ring_quotient(parse_ideal("n=2: x1*x2")))
@@ -480,16 +476,39 @@ class TestSearchStats:
     costs time, so these counts are what shows it.
     """
 
+    # Recorded with the search before the order bitsets, whose depth-first
+    # walk listed the same candidate tops.  The last four levels are on posets
+    # of 2,025 and 6,516 elements (squarefree and not), where a changed
+    # candidate or witness order would show only in these counts.
     @pytest.mark.parametrize("pair, k, feasible, counts", [
         (cycle_quotient(9, 3), 5, True, dict(
             placements=44_316, stranded_prunes=11_094, moment_prunes=0,
-            table_hits=18_905, stored_states=33_183, table_clears=0,
+            table_hits=18_905, stored_states=33_183, table_clears=0, candidate_tops=365,
         )),
         (ring_quotient(square(line_path_ideal(6, 3))), 4, False, dict(
             placements=6_615, stranded_prunes=2_136, moment_prunes=0,
-            table_hits=3_559, stored_states=4_479, table_clears=0,
+            table_hits=3_559, stored_states=4_479, table_clears=0, candidate_tops=320,
         )),
-    ], ids=["cycle-9-3-level-5", "line-6-3-squared-level-4"])
+        (cycle_quotient(11, 9), 9, False, dict(
+            placements=0, stranded_prunes=0, moment_prunes=1,
+            table_hits=0, stored_states=0, table_clears=0, candidate_tops=0,
+        )),
+        (cycle_quotient(11, 9), 8, True, dict(
+            placements=209, stranded_prunes=0, moment_prunes=0,
+            table_hits=0, stored_states=0, table_clears=0, candidate_tops=4_529,
+        )),
+        (ring_quotient(square(cycle_path_ideal(8, 7))), 6, False, dict(
+            placements=0, stranded_prunes=1, moment_prunes=0,
+            table_hits=0, stored_states=0, table_clears=0, candidate_tops=0,
+        )),
+        (ring_quotient(square(cycle_path_ideal(8, 7))), 5, True, dict(
+            placements=532, stranded_prunes=0, moment_prunes=0,
+            table_hits=0, stored_states=0, table_clears=0, candidate_tops=12_418,
+        )),
+    ], ids=[
+        "cycle-9-3-level-5", "line-6-3-squared-level-4", "cycle-11-9-level-9",
+        "cycle-11-9-level-8", "cycle-8-7-squared-level-6", "cycle-8-7-squared-level-5",
+    ])
     def test_pinned_counts(self, pair, k, feasible, counts):
         stats = SearchStats()
         found = exists_partition(build_poset(pair), k, stats=stats)
@@ -502,7 +521,7 @@ class TestSearchStats:
         sdepth_of_pair(cycle_quotient(9, 3), stats=stats)
         # Level 6 is refuted by the degree moments before any placement.
         assert stats.levels == [6, 5]
-        assert (stats.placements, stats.moment_prunes) == (44_316, 1)
+        assert (stats.placements, stats.moment_prunes, stats.candidate_tops) == (44_316, 1, 365)
 
     def test_no_search_below_level_one_or_above_max_rho(self):
         poset = build_poset(cycle_quotient(5, 2))
@@ -510,6 +529,28 @@ class TestSearchStats:
         exists_partition(poset, 0, stats=stats)
         exists_partition(poset, poset.max_rho + 1, stats=stats)
         assert stats == SearchStats(levels=[0, poset.max_rho + 1])
+
+
+class TestOrderBitsets:
+    """The search's order bitsets against componentwise comparison of exponents."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_presentations())
+    # A raised bound, so that tops must be canonical for a non-squarefree g.
+    @example(build_poset(ring_quotient(parse_ideal("n=3: x1^2*x2, x2*x3")), g_override=(3, 2, 2)))
+    # An exponent past one byte: 303 elements on the box [0, (300, 1)].
+    @example(build_poset(ring_quotient(parse_ideal("n=2: x1^2*x2")), g_override=(300, 1)))
+    def test_matches_brute_force(self, poset):
+        ge, le = solver.order_bitsets(poset.exps, poset.g)
+        ups = [solver.up_set(ge, e) for e in poset.exps]
+        for i, e in enumerate(poset.exps):
+            up, down = reference_up_down(poset, i)
+            assert (ups[i], solver.down_set(le, e)) == (up, down), e
+        for k in range(poset.n + 1):
+            tops = sum(1 << t for t, r in enumerate(poset.rho) if r >= k)
+            for i in range(len(poset)):
+                found = solver.candidate_tops(poset, ge, i, ups[i], tops)
+                assert found == reference_candidate_tops(poset, k, i), (poset.exps[i], k)
 
 
 class TestFailedStates:
