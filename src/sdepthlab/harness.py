@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
 
 from .errors import InputError, PosetCapExceededError, TimeLimitExceededError
@@ -193,8 +192,12 @@ def run_scan(
         (check, n, m, time_limit_s, max_poset, cert_dir)
         for n, m in _instances(check, n_max, m_min, m_max)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # A pool of one worker would only add a fork to the same sequential work.
+    workers = min(jobs, len(work))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_compute_rows, work))
     else:
         chunks = [_compute_rows(w) for w in work]

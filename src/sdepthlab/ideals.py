@@ -173,17 +173,16 @@ def member(ideal: MonomialIdeal, u: Monomial) -> bool:
     return any(g.divides(u) for g in ideal.gens)
 
 
-def box_upset(cells: int, bound: tuple[int, ...]) -> int:
-    """Close a set of cells of the box [0, bound] upwards.
+def box_steps(bound: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(weight, below) for each coordinate j of the box [0, bound].
 
     A set of cells is an int with one bit per cell, indexed by mixed-radix
-    code (radix bound_j + 1, x1 least significant).  A cell lies in a monomial
-    ideal exactly when it is a generator's cell or the cell one step below it
-    along some coordinate does, so closing the generators' cells gives the
-    ideal's: bound_j shifts along coordinate j, each masked to the cells below
-    the bound there, reach every cell above.
+    code (radix bound_j + 1, x1 least significant).  ``weight`` is the code
+    step of coordinate j and ``below`` the set of cells whose coordinate j is
+    below bound_j, the cells from which one step along j stays in the box.
     """
     size = prod(b + 1 for b in bound)
+    steps = []
     weight = 1
     for b in bound:
         period = weight * (b + 1)
@@ -192,9 +191,23 @@ def box_upset(cells: int, bound: tuple[int, ...]) -> int:
         while span < size:
             below |= below << span
             span *= 2
+        steps.append((weight, below))
+        weight = period
+    return steps
+
+
+def box_upset(cells: int, bound: tuple[int, ...]) -> int:
+    """Close a set of cells of the box [0, bound] upwards.
+
+    Cells are indexed as in ``box_steps``.  A cell lies in a monomial ideal
+    exactly when it is a generator's cell or the cell one step below it along
+    some coordinate does, so closing the generators' cells gives the ideal's:
+    bound_j shifts along coordinate j, each masked to the cells below the
+    bound there, reach every cell above.
+    """
+    for b, (weight, below) in zip(bound, box_steps(bound)):
         for _ in range(b):
             cells |= (cells & below) << weight
-        weight = period
     return cells
 
 

@@ -39,9 +39,10 @@ import sys
 import time
 from dataclasses import dataclass, field, fields
 from functools import reduce
+from itertools import compress, filterfalse, repeat
 from typing import Sequence
 from math import prod
-from operator import and_, getitem, mul
+from operator import and_, eq, getitem, le, lt, mul, or_, sub
 
 from .errors import (
     InputError,
@@ -49,7 +50,14 @@ from .errors import (
     PosetCapExceededError,
     TimeLimitExceededError,
 )
-from .ideals import Monomial, QuotientPresentation, box_upset, parse_monomial, set_bits
+from .ideals import (
+    Monomial,
+    QuotientPresentation,
+    box_steps,
+    box_upset,
+    parse_monomial,
+    set_bits,
+)
 
 DEFAULT_POSET_CAP = 2_000_000
 DEFAULT_TIME_LIMIT_S = 300.0
@@ -69,7 +77,10 @@ class CharacteristicPoset:
     Elements are stored as mixed-radix integer codes (radix g_j + 1 per
     coordinate), listed ascending by (total degree, code); that listing is the
     linear extension used everywhere.  ``rho[i]`` counts the coordinates of
-    element i that equal the bound g.
+    element i that equal the bound g.  ``maximal_rho`` is the least rho of a
+    maximal element: every element lies below a maximal one and rho is
+    monotone, so some element has no top of rho >= k above it exactly when
+    k > maximal_rho.
     """
 
     n: int
@@ -79,6 +90,7 @@ class CharacteristicPoset:
     exps: tuple[tuple[int, ...], ...]
     rho: tuple[int, ...]
     index: dict[int, int]
+    maximal_rho: int
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -153,6 +165,14 @@ def build_poset(
     halves = [halves[i] for i in order]
     exps = tuple(lo_e[b] + hi_e[a] for a, b in halves)
     rho = tuple(lo_r[b] + hi_r[a] for a, b in halves)
+    index = {code: i for i, code in enumerate(codes)}
+
+    # The set is box-convex, so a cell is maximal when no cell one step above
+    # it along any coordinate is in the set.
+    above = 0
+    for weight, below in box_steps(g):
+        above |= (cells >> weight) & below
+    maximal = set_bits(cells & ~above)
 
     poset = CharacteristicPoset(
         n=n,
@@ -161,7 +181,8 @@ def build_poset(
         codes=codes,
         exps=exps,
         rho=rho,
-        index={code: i for i, code in enumerate(codes)},
+        index=index,
+        maximal_rho=min(map(rho.__getitem__, map(index.__getitem__, maximal))),
     )
     _assert_box_convex_sample(poset)
     return poset
@@ -211,7 +232,7 @@ def _interval(
     poset: CharacteristicPoset, bottom: int, top: int
 ) -> tuple[Monomial, frozenset[int]]:
     """The (bottom, variable set) pair of the interval between two element indices."""
-    zvars = frozenset(j + 1 for j, (e, gj) in enumerate(zip(poset.exps[top], poset.g)) if e == gj)
+    zvars = frozenset(compress(range(1, poset.n + 1), map(eq, poset.exps[top], poset.g)))
     return Monomial(poset.exps[bottom]), zvars
 
 
@@ -348,9 +369,11 @@ def candidate_tops(
     for j, (x, gj) in enumerate(zip(e, poset.g)):
         if x + 1 < gj:
             between |= ge[j][x + 1] ^ ge[j][gj]
+    # The box of [e, t] has prod(t_j - e_j + 1) cells.
+    e_less = tuple(x - 1 for x in e)
     return sorted(
         set_bits(up & tops & ~between),
-        key=lambda t: (prod(b - a + 1 for a, b in zip(e, exps[t])), codes[t]),
+        key=lambda t: (prod(map(sub, exps[t], e_less)), codes[t]),
     )
 
 
@@ -367,16 +390,17 @@ def _search(poset, k, deadline, stats):
     # C(s, j) cells at degree kappa - j.  The number of intervals of each
     # height s is then forced level by level from the uncovered degree counts;
     # a negative forced count refutes the whole uncovered state at once.
-    degs = [sum(e) for e in exps]
-    max_deg = max(degs)
+    # Elements ascend by degree, so the last one has the largest; the degree
+    # counts are kept only when the account applies.
     z = sum(1 for gj in g if gj == 0)
     kappa = k - z
-    moments_apply = max(g) <= 1 and max_deg == kappa
-    per_degree = [0] * (max_deg + 1)
-    for d in degs:
-        per_degree[d] += 1
-    binom = [[0] * (kappa + 1) for _ in range(kappa + 1)] if moments_apply else None
+    moments_apply = max(g) <= 1 and sum(exps[-1]) == kappa
     if moments_apply:
+        degs = [sum(e) for e in exps]
+        per_degree = [0] * (kappa + 1)
+        for d in degs:
+            per_degree[d] += 1
+        binom = [[0] * (kappa + 1) for _ in range(kappa + 1)]
         for s in range(kappa + 1):
             binom[s][0] = 1
             for j in range(1, s + 1):
@@ -416,10 +440,14 @@ def _search(poset, k, deadline, stats):
     placements = stranded = moment = hits = stored = clears = peak = listed = 0
 
     try:
-        # The loop's two refutations also run before the first placement, the
-        # degree moments before the order bitsets are built.
+        # The loop's two refutations also run before the first placement and
+        # before the order bitsets are built.  At the root a low is stranded
+        # exactly when some maximal element is a low.
         if moments_apply and not moments_ok():
             moment += 1
+            return None
+        if k > poset.maximal_rho:
+            stranded += 1
             return None
 
         # The elements that can top an interval at level k; only the others,
@@ -486,6 +514,8 @@ def _search(poset, k, deadline, stats):
 
         # Each low's first witness is the highest top above it: the tops,
         # highest first, take the lows below them that no higher top took.
+        # Since k <= maximal_rho every low has one; a low left over is
+        # refuted here too, as a guard on maximal_rho.
         unwatched = full ^ tops
         for r in range(len(top_of) - 1, -1, -1):
             if not unwatched:
@@ -652,38 +682,47 @@ def verify_decomposition(
     outside 0..n is an input error.
     """
     _check_level(poset, k)
-    failures: list[str] = []
-    seen: dict[int, int] = {}
-    min_rho: int | None = None
-
     if decomposition.n != poset.n:
         return VerificationReport(False, (f"ambient mismatch: {decomposition.n} vs {poset.n}",), None)
 
+    n, g, weights, index = poset.n, poset.g, poset.weights, poset.index
+    variables = range(1, n + 1)
+    in_range = frozenset(variables)
+    failures: list[str] = []
+    seen: dict[int, int] = {}
+    rhos: list[int] = []
+
     for i, (bottom, zvars) in enumerate(decomposition.intervals):
         # The interval's label is formatted only when a failure names it.
-        if bottom.ambient != poset.n:
+        e = bottom.exponents
+        if len(e) != n:
             failures.append(f"{_label(i, bottom, zvars)}: bottom ambient mismatch")
             continue
-        if any(not 1 <= v <= poset.n for v in zvars):
+        if not in_range.issuperset(zvars):
             failures.append(f"{_label(i, bottom, zvars)}: variable index out of range")
             continue
-        if any(e > gj for e, gj in zip(bottom.exponents, poset.g)):
+        if not all(map(le, e, g)):
             failures.append(f"{_label(i, bottom, zvars)}: bottom {bottom} exceeds the bound")
             continue
-        top = tuple(poset.g[j] if j + 1 in zvars else e for j, e in enumerate(bottom.exponents))
-        r = sum(1 for e, gj in zip(top, poset.g) if e == gj)
-        min_rho = r if min_rho is None else min(min_rho, r)
+        # The top meets the bound on the raised coordinates, those in zvars,
+        # and wherever the bottom does.
+        raised = list(map(zvars.__contains__, variables))
+        at_bound = list(map(eq, e, g))
+        r = sum(map(or_, raised, at_bound))
+        rhos.append(r)
         if r < k:
             failures.append(f"{_label(i, bottom, zvars)}: top has rho {r} < {k}")
-        spans = [
-            (j, bottom.exponents[j], top[j]) for j in range(poset.n) if top[j] > bottom.exponents[j]
-        ]
-        cells = [poset.encode(bottom.exponents)]
-        for j, lo_e, hi_e in spans:
-            w = poset.weights[j]
-            cells = [c + t * w for t in range(hi_e - lo_e + 1) for c in cells]
+        # The box spans the raised coordinates where the bottom is below the
+        # bound (at_bound < raised), ascending, so its cells ascend by code.
+        cells = [sum(map(mul, e, weights))]
+        for j in compress(range(n), map(lt, at_bound, raised)):
+            w = weights[j]
+            cells = [c + step for step in range(0, (g[j] - e[j] + 1) * w, w) for c in cells]
+        if all(map(index.__contains__, cells)) and seen.keys().isdisjoint(cells):
+            seen.update(zip(cells, repeat(i)))
+            continue
         for c in cells:
-            if c not in poset.index:
+            if c not in index:
                 outside = Monomial(poset.decode(c))
                 failures.append(f"{_label(i, bottom, zvars)}: cell {outside} is outside the poset")
                 continue
@@ -695,12 +734,11 @@ def verify_decomposition(
             else:
                 seen[c] = i
 
-    for code in poset.codes:
-        if code not in seen:
-            failures.append(f"uncovered element {Monomial(poset.decode(code))}")
-            break
+    missing = next(filterfalse(seen.__contains__, poset.codes), None)
+    if missing is not None:
+        failures.append(f"uncovered element {Monomial(poset.decode(missing))}")
 
-    return VerificationReport(not failures, tuple(failures), min_rho)
+    return VerificationReport(not failures, tuple(failures), min(rhos, default=None))
 
 
 def _label(i: int, bottom: Monomial, zvars: frozenset[int]) -> str:

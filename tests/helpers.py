@@ -87,6 +87,15 @@ def reference_poset(pair, g_override=None):
     return g, codes, exps, rho, {code: i for i, code in enumerate(codes)}
 
 
+def reference_maximal_rho(exps, rho) -> int:
+    """The least rho among the points of ``exps`` with no other point above
+    them, by comparing exponent vectors coordinate by coordinate."""
+    return min(
+        r for e, r in zip(exps, rho)
+        if not any(f != e and all(a <= b for a, b in zip(e, f)) for f in exps)
+    )
+
+
 def reference_up_down(poset, i) -> tuple[int, int]:
     """(up-set, down-set) of element i as bitsets over element indices, by
     comparing exponent vectors coordinate by coordinate."""

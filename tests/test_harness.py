@@ -50,6 +50,33 @@ class TestThm14Scan:
         parallel = emit_csv(run_scan("thm14", n_max=6, jobs=2))
         assert sequential == parallel
 
+    def test_pool_only_for_two_rows_or_more(self, monkeypatch):
+        # A pool starts at most one worker per row; a single row runs in
+        # process, with the same bytes.
+        import concurrent.futures
+
+        sequential = emit_csv(run_scan("thm14", n_max=6, m_min=5, m_max=5))
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        assert emit_csv(run_scan("thm14", n_max=6, m_min=5, m_max=5, jobs=2)) == sequential
+        assert started == []
+        run_scan("thm14", n_max=6, m_min=4, m_max=4, jobs=4)
+        assert started == [2]
+
     def test_each_certificate_verified_once(self, monkeypatch, capsys, tmp_path):
         # Wrap the checker in every loaded module that holds it, so a second
         # check made through any import path is counted as well.

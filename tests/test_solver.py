@@ -12,6 +12,7 @@ from helpers import (
     brute_force_sdepth,
     enumerate_small_ideals,
     reference_candidate_tops,
+    reference_maximal_rho,
     reference_poset,
     reference_up_down,
 )
@@ -116,11 +117,20 @@ class TestBuildPoset:
     @example((ring_quotient(parse_ideal("n=1: x1^3")), None))
     # A coordinate at the exponent cap beside squarefree ones: unequal halves.
     @example((ring_quotient(parse_ideal("n=4: x1^30*x2, x2*x3*x4")), None))
+    # A quotient module J/I.
+    @example((QuotientPresentation(
+        parse_ideal("n=3: x1, x3"), parse_ideal("n=3: x1^2*x2, x2*x3")
+    ), None))
+    # A raised bound, as in TestOrderBitsets.
+    @example((ring_quotient(parse_ideal("n=3: x1^2*x2, x2*x3")), (3, 2, 2)))
     def test_matches_box_enumeration(self, case):
         pair, g_override = case
         poset = build_poset(pair, g_override=g_override)
         expected = reference_poset(pair, g_override)
         assert (poset.g, poset.codes, poset.exps, poset.rho, poset.index) == expected
+        # A maximal_rho too low would lower sdepth with every certificate valid.
+        _, _, exps, rho, _ = expected
+        assert poset.maximal_rho == reference_maximal_rho(exps, rho)
 
     def test_principal_two_vars(self):
         poset = build_poset(ring_quotient(parse_ideal("n=2: x1*x2")))
@@ -684,6 +694,33 @@ class TestVerification:
             "interval 7 [x1*x2 ; {x3}]: cell x1*x2*x3 is outside the poset",
             "interval 8 [x1^2 ; {}]: bottom x1^2 exceeds the bound",
             "uncovered element x2*x4",
+        ), 1)
+
+    def test_ambient_range_and_rho_wording_pinned(self):
+        # Recorded at the parent of the map-based per-interval check: a
+        # decomposition in the wrong ambient, then a bottom in the wrong
+        # ambient, variables out of range on both sides and tops below k.
+        poset = build_poset(cycle_quotient(4, 2))
+        intervals = exists_partition(poset, 1).intervals
+        report = verify_decomposition(poset, StanleyDecomposition(5, intervals), 1)
+        assert report == solver.VerificationReport(False, ("ambient mismatch: 5 vs 4",), None)
+        x2 = parse_monomial("x2", 4)
+        tampered = StanleyDecomposition(4, intervals[:2] + (
+            (Monomial((0, 1, 0)), frozenset({1})),
+            (x2, frozenset({2, 5})),
+            (x2, frozenset({0})),
+        ) + intervals[2:])
+        report = verify_decomposition(poset, tampered, 3)
+        assert report == solver.VerificationReport(False, (
+            "interval 1 [1 ; {x1}]: top has rho 1 < 3",
+            "interval 2 [x2 ; {x2}]: top has rho 1 < 3",
+            "interval 3 [x2 ; {x1}]: bottom ambient mismatch",
+            "interval 4 [x2 ; {x2, x5}]: variable index out of range",
+            "interval 5 [x2 ; {x0}]: variable index out of range",
+            "interval 6 [x3 ; {x3}]: top has rho 1 < 3",
+            "interval 7 [x4 ; {x4}]: top has rho 1 < 3",
+            "interval 8 [x1*x3 ; {x1, x3}]: top has rho 2 < 3",
+            "interval 9 [x2*x4 ; {x2, x4}]: top has rho 2 < 3",
         ), 1)
 
     def test_low_rho_reported(self):
