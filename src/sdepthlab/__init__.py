@@ -25,13 +25,11 @@ from .families import (
 from .harness import (
     Prop16Report,
     ScanRow,
-    SequenceReport,
     emit_csv,
     emit_json,
     emit_md,
     prop16_structure_check,
     run_scan,
-    sequence_check,
 )
 from .homology import (
     BettiTable,

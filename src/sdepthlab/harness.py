@@ -20,21 +20,10 @@ from .families import (
     formula_table,
     is_equality_case,
     line_path_ideal,
-    proof_tower,
     quotient_module_bound,
 )
 from .homology import depth_squarefree
-from .ideals import (
-    MonomialIdeal,
-    QuotientPresentation,
-    add_generators,
-    colon,
-    minimalize,
-    monomial,
-    relabel,
-    ring_quotient,
-    variable,
-)
+from .ideals import QuotientPresentation, minimalize, monomial, ring_quotient
 from .solver import (
     DEFAULT_POSET_CAP,
     DEFAULT_TIME_LIMIT_S,
@@ -80,22 +69,6 @@ def _instances(check: str, n_max: int, m_min: int, m_max: int | None) -> list[tu
     return out
 
 
-def _certified_sdepth(pair, time_limit_s, max_poset, cert_path=None):
-    """Solve, optionally store the certificate the solver has verified.
-
-    Returns None when the search hits the time limit or the poset cap: the
-    value is then unknown, which is never evidence against a claim.
-    """
-    try:
-        result = sdepth_of_pair(pair, time_limit_s=time_limit_s, max_poset=max_poset)
-    except (TimeLimitExceededError, PosetCapExceededError):
-        return None
-    if cert_path is not None:
-        with open(cert_path, "w", encoding="utf-8") as handle:
-            handle.write(format_certificate(result.certificate))
-    return result.value
-
-
 def _compute_rows(args: tuple) -> list[ScanRow]:
     """Rows of one (n, m) instance.
 
@@ -110,7 +83,17 @@ def _compute_rows(args: tuple) -> list[ScanRow]:
     cert_path = None if cert_dir is None else os.path.join(cert_dir, f"{check}-n{n}-m{m}.cert")
 
     def sdepth_of(pair):
-        return _certified_sdepth(pair, time_limit_s, max_poset, cert_path)
+        # None when the search hits the time limit or the poset cap: the value
+        # is then unknown, which is never evidence against a claim.  The
+        # solver has verified the certificate that is stored.
+        try:
+            result = sdepth_of_pair(pair, time_limit_s=time_limit_s, max_poset=max_poset)
+        except (TimeLimitExceededError, PosetCapExceededError):
+            return None
+        if cert_path is not None:
+            with open(cert_path, "w", encoding="utf-8") as handle:
+                handle.write(format_certificate(result.certificate))
+        return result.value
 
     def row(label, holds, bound_lo, bound_hi, *, depth=None, sdepth=_NOT_REQUESTED):
         # A requested sdepth that is missing makes the row unknown; only a
@@ -387,131 +370,4 @@ def prop16_structure_check(n: int, m: int) -> Prop16Report:
         derived_depth=derived,
         claimed_depth=claimed,
         derived_equals_claimed=None if derived is None else derived == claimed,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Exact-sequence checks along the colon/extension tower.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SequenceStep:
-    k: int
-    sdepth_sub: int | None
-    sdepth_mid: int | None
-    sdepth_quot: int | None
-    depth_sub: int
-    depth_mid: int
-    depth_quot: int
-    sdepth_ok: bool | None
-    depth_ok: bool
-
-
-@dataclass(frozen=True)
-class SequenceReport:
-    n: int
-    m: int
-    steps: tuple[SequenceStep, ...]
-    final_ok: bool | None
-    relabel_ok: bool | None
-    ok: bool
-    unknown: bool
-
-
-def sequence_check(
-    n: int,
-    m: int,
-    *,
-    time_limit_s: float = DEFAULT_TIME_LIMIT_S,
-) -> SequenceReport:
-    """Instance checks of the short exact sequences 0 -> S/(L:x) -> S/L -> S/(L,x) -> 0.
-
-    Along the tower, both computed invariants of the middle term must dominate
-    the minimum of the outer terms' values.  For n = m + 1 the single colon
-    step must also reproduce the one-smaller cycle family after renaming.
-    """
-    if not 2 <= m < n:
-        raise InputError(f"need 2 <= m < n, got (n, m) = ({n}, {m})")
-
-    # Step k's sub term is step k+1's mid term, so each inner tower ideal
-    # would otherwise have both invariants computed twice.
-    depth_cache: dict[MonomialIdeal, int] = {}
-    sdepth_cache: dict[MonomialIdeal, int | None] = {}
-
-    def depth(ideal):
-        if ideal not in depth_cache:
-            depth_cache[ideal] = depth_squarefree(ideal)
-        return depth_cache[ideal]
-
-    def sdepth_ring(ideal):
-        if ideal not in sdepth_cache:
-            sdepth_cache[ideal] = _certified_sdepth(
-                ring_quotient(ideal), time_limit_s, DEFAULT_POSET_CAP
-            )
-        return sdepth_cache[ideal]
-
-    steps = []
-    relabel_ok = None
-    cycle = cycle_path_ideal(n, m)
-
-    if n == m + 1:
-        xn = variable(n, n)
-        sub = colon(cycle, xn)
-        quot = add_generators(cycle, [xn])
-        identity = {j: j for j in range(1, n)}
-        relabel_ok = relabel(sub, identity, n - 1) == cycle_path_ideal(n - 1, n - 2)
-        triples = [(0, sub, cycle, quot)]
-        final_pair = None
-    else:
-        tower = proof_tower(n, m)
-        triples = [
-            (k, tower[k + 1][0], tower[k][0], tower[k][1]) for k in range(m - 1)
-        ]
-        final_pair = (tower[m - 1][0], cycle)
-
-    for k, sub, mid, quot in triples:
-        d_sub, d_mid, d_quot = (depth(i) for i in (sub, mid, quot))
-        s_sub, s_mid, s_quot = (sdepth_ring(i) for i in (sub, mid, quot))
-        sdepth_ok = None
-        if None not in (s_sub, s_mid, s_quot):
-            sdepth_ok = s_mid >= min(s_sub, s_quot)
-        steps.append(
-            SequenceStep(
-                k=k,
-                sdepth_sub=s_sub,
-                sdepth_mid=s_mid,
-                sdepth_quot=s_quot,
-                depth_sub=d_sub,
-                depth_mid=d_mid,
-                depth_quot=d_quot,
-                sdepth_ok=sdepth_ok,
-                depth_ok=d_mid >= min(d_sub, d_quot),
-            )
-        )
-
-    final_ok = None
-    if final_pair is not None:
-        s_top = sdepth_ring(final_pair[0])
-        s_cycle = sdepth_ring(final_pair[1])
-        if None not in (s_top, s_cycle):
-            final_ok = s_top >= s_cycle
-
-    unknown = any(step.sdepth_ok is None for step in steps) or (
-        final_pair is not None and final_ok is None
-    )
-    ok = (
-        all(step.depth_ok for step in steps)
-        and all(step.sdepth_ok is not False for step in steps)
-        and final_ok is not False
-        and relabel_ok is not False
-    )
-    return SequenceReport(
-        n=n,
-        m=m,
-        steps=tuple(steps),
-        final_ok=final_ok,
-        relabel_ok=relabel_ok,
-        ok=ok,
-        unknown=unknown,
     )

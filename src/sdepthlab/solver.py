@@ -37,11 +37,12 @@ from __future__ import annotations
 import re
 import sys
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from functools import reduce
 from itertools import compress, filterfalse, repeat
 from typing import Sequence
-from math import prod
+from math import comb, prod
 from operator import and_, eq, getitem, le, lt, mul, or_, sub
 
 from .errors import (
@@ -94,10 +95,6 @@ class CharacteristicPoset:
 
     def __len__(self) -> int:
         return len(self.codes)
-
-    @property
-    def max_rho(self) -> int:
-        return max(self.rho)
 
     def encode(self, exps: tuple[int, ...]) -> int:
         return sum(e * w for e, w in zip(exps, self.weights))
@@ -250,7 +247,9 @@ def singleton_decomposition(poset: CharacteristicPoset) -> StanleyDecomposition:
 class SearchStats:
     """Counters of the partition search, filled in when a caller passes one.
 
-    ``levels`` lists the levels searched, in order.  A placement covers the
+    ``levels`` lists the levels searched, in order.  ``sdepth_of_poset``
+    starts at ``maximal_rho``, so value + 1 is listed when its own search
+    refuted it and not when it exceeds ``maximal_rho``.  A placement covers the
     cells of one interval; a prune rejects the covered set a placement made,
     or the root, because some uncovered element has no top left (stranded) or
     the degree counts cannot be split into intervals (moments).  A table hit
@@ -291,15 +290,17 @@ def exists_partition(
 
     Returns a partition when one exists and None when none exists; raises
     TimeLimitExceededError when the budget runs out, which is a distinct
-    outcome from infeasibility.  A ``stats`` record, when given, gets this
-    search's counts added.
+    outcome from infeasibility.  A level above ``maximal_rho`` is refuted
+    before any search, and adds only itself to ``stats.levels``: a maximal
+    element of smaller rho tops every interval that contains it.  A ``stats``
+    record, when given, gets this search's counts added.
     """
     _check_level(poset, k)
     if stats is not None:
         stats.levels.append(k)
     if k == 0:
         return singleton_decomposition(poset)
-    if k > poset.max_rho:
+    if k > poset.maximal_rho:
         return None
     deadline = None if time_limit_s is None else time.monotonic() + time_limit_s
     intervals = _search(poset, k, deadline, stats)
@@ -377,6 +378,29 @@ def candidate_tops(
     )
 
 
+def beta_profile(alpha: Sequence[int], kappa: int) -> list[int] | None:
+    """The interval counts by height that degree counts force, or None if one is negative.
+
+    ``alpha[d]`` counts the elements of degree d, for d in 0..kappa, of a
+    squarefree set to be split into Boolean intervals whose tops all sit at
+    degree kappa.  An interval of height s covers C(s, j) cells at degree
+    kappa - s + j, so the count of height-s intervals is the degree-(kappa - s)
+    count less the cells that the taller intervals cover there, tallest first.
+    This is the N-graded Hilbert-depth recursion (Bruns, Krattenthaler and
+    Uliczka, J. Commut. Algebra 2, 2010); in closed form the count of height
+    kappa - d is the sum over j of (-1)^(d - j) C(kappa - j, d - j) alpha_j.
+    """
+    heights = [0] * (kappa + 1)
+    for s in range(kappa, -1, -1):
+        forced = alpha[kappa - s]
+        for t in range(s + 1, kappa + 1):
+            forced -= heights[t] * comb(t, s)
+        if forced < 0:
+            return None
+        heights[s] = forced
+    return heights
+
+
 def _search(poset, k, deadline, stats):
     g = poset.g
     exps = poset.exps
@@ -386,44 +410,22 @@ def _search(poset, k, deadline, stats):
     # Degree-moment account.  For squarefree bounds rho is degree plus the
     # count z of coordinates pinned at zero.  When the poset's maximal degree
     # equals kappa = k - z, every interval top must sit at degree kappa
-    # exactly, and an interval whose bottom lies s levels below the top covers
-    # C(s, j) cells at degree kappa - j.  The number of intervals of each
-    # height s is then forced level by level from the uncovered degree counts;
-    # a negative forced count refutes the whole uncovered state at once.
-    # Elements ascend by degree, so the last one has the largest; the degree
-    # counts are kept only when the account applies.
-    z = sum(1 for gj in g if gj == 0)
-    kappa = k - z
+    # exactly, so the uncovered degree counts must have a ``beta_profile``.
+    # Elements ascend by degree, so the last one has the largest and each
+    # degree's count is the gap between where it and the next degree start;
+    # the counts are kept only when the account applies.
+    kappa = k - g.count(0)
     moments_apply = max(g) <= 1 and sum(exps[-1]) == kappa
     if moments_apply:
-        degs = [sum(e) for e in exps]
-        per_degree = [0] * (kappa + 1)
-        for d in degs:
-            per_degree[d] += 1
-        binom = [[0] * (kappa + 1) for _ in range(kappa + 1)]
-        for s in range(kappa + 1):
-            binom[s][0] = 1
-            for j in range(1, s + 1):
-                binom[s][j] = binom[s - 1][j - 1] + binom[s - 1][j]
-
-    def moments_ok():
-        # Height-s intervals are forced by the degree-(kappa - s) count once
-        # all taller heights are known; the profile must stay nonnegative.
-        heights = [0] * (kappa + 1)
-        for s in range(kappa, -1, -1):
-            forced = per_degree[kappa - s]
-            for t in range(s + 1, kappa + 1):
-                forced -= heights[t] * binom[t][s]
-            if forced < 0:
-                return False
-            heights[s] = forced
-        return True
+        starts = [bisect_left(exps, d, key=sum) for d in range(kappa + 2)]
+        per_degree = list(map(sub, starts[1:], starts))
 
     def count_cells(bottom, top, sign):
         # The interval covers C(s, j) cells at degree deg(bottom) + j.
-        low, height = degs[bottom], degs[top] - degs[bottom]
+        low = sum(exps[bottom])
+        height = sum(exps[top]) - low
         for j in range(height + 1):
-            per_degree[low + j] += sign * binom[height][j]
+            per_degree[low + j] += sign * comb(height, j)
 
     # The covered set as a bitmask, and the covered sets whose subtree was
     # searched to exhaustion without a partition.  The branch element is the
@@ -440,14 +442,10 @@ def _search(poset, k, deadline, stats):
     placements = stranded = moment = hits = stored = clears = peak = listed = 0
 
     try:
-        # The loop's two refutations also run before the first placement and
-        # before the order bitsets are built.  At the root a low is stranded
-        # exactly when some maximal element is a low.
-        if moments_apply and not moments_ok():
+        # The degree-moment test also runs before the first placement and
+        # before the order bitsets are built.
+        if moments_apply and beta_profile(per_degree, kappa) is None:
             moment += 1
-            return None
-        if k > poset.maximal_rho:
-            stranded += 1
             return None
 
         # The elements that can top an interval at level k; only the others,
@@ -556,7 +554,7 @@ def _search(poset, k, deadline, stats):
 
                 if moments_apply:
                     count_cells(ei, top, -1)
-                    if not moments_ok():
+                    if beta_profile(per_degree, kappa) is None:
                         moment += 1
                         count_cells(ei, top, 1)
                         mask ^= bits
@@ -609,6 +607,8 @@ class SdepthResult:
 
     ``infeasible_at`` is value + 1, the level at which no partition exists,
     or None when the value is the ambient size and no higher level exists.
+    That level was refuted either by its own search or because it exceeds
+    the poset's ``maximal_rho``.
     """
 
     value: int
@@ -625,11 +625,12 @@ def sdepth_of_poset(
 ) -> SdepthResult:
     """Largest k admitting a partition, by scanning the levels downwards.
 
-    The scan starts at the largest rho in the poset, which no interval top can
-    exceed, and stops at the first level where the search finds a partition;
-    level 0 always has one.  Every level above the value was refuted by its
-    own search (or lies above the largest rho), so the result ships a failed
-    search at value + 1 and a certificate at the value.  Low levels are the
+    The scan starts at ``maximal_rho`` and stops at the first level where the
+    search finds a partition; level 0 always has one.  A level above
+    ``maximal_rho`` is refuted by a maximal element of smaller rho, which
+    tops every interval that contains it.  So value + 1 is refuted either by
+    its own search or because it exceeds ``maximal_rho``, and the result ships
+    that refutation and a certificate at the value.  Low levels are the
     costly ones to search, and the scan never visits a level below the value.
     The certificate is verified with a check that raises AssertionError under
     ``python -O`` too.  ``time_limit_s`` bounds the whole scan: each level
@@ -637,7 +638,7 @@ def sdepth_of_poset(
     sums the counts of every level searched.
     """
     deadline = None if time_limit_s is None else time.monotonic() + time_limit_s
-    for value in range(poset.max_rho, -1, -1):
+    for value in range(poset.maximal_rho, -1, -1):
         left = None if deadline is None else max(0.0, deadline - time.monotonic())
         certificate = exists_partition(poset, value, time_limit_s=left, stats=stats)
         if certificate is not None:

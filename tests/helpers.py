@@ -130,11 +130,11 @@ def reference_faces(complex_) -> list[int]:
 def bisect_sdepth(poset):
     """(value, infeasible_at, certificate) by binary search over the levels.
 
-    The level order ``sdepth_of_poset`` used before it scanned down from the
-    largest rho: binary search over 0..max_rho, then a direct search at
-    value + 1 when the bisection did not refute that level itself.
+    The level order ``sdepth_of_poset`` used before it scanned down: binary
+    search over 0..max(rho), then a direct search at value + 1 when the
+    bisection did not refute that level itself.
     """
-    lo, hi = 0, poset.max_rho
+    lo, hi = 0, max(poset.rho)
     certificate = exists_partition(poset, 0)
     while lo < hi:
         mid = (lo + hi + 1) // 2

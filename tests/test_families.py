@@ -6,6 +6,7 @@ from sdepthlab import (
     add_generators,
     colon,
     cycle_depth_formula,
+    depth_squarefree,
     cycle_path_ideal,
     formula_table,
     is_equality_case,
@@ -15,6 +16,8 @@ from sdepthlab import (
     monomial,
     proof_tower,
     relabel,
+    ring_quotient,
+    sdepth_of_pair,
     v_ideal,
     variable,
 )
@@ -151,6 +154,30 @@ class TestTower:
                 x = variable(n, n - k)
                 expected = {x} | {g for g in lk.gens if not x.divides(g)}
                 assert set(uk.gens) == expected
+
+    def test_exact_sequence_inequalities(self):
+        # Each triple (L_(k+1), L_k, U_k) is 0 -> S/(L_k : x) -> S/L_k ->
+        # S/(L_k, x) -> 0 with x = x_(n-k); the middle term's depth and sdepth
+        # (Rauf, Comm. Algebra 38, 2010) are at least the smaller outer value.
+        for n, m in [(6, 2), (7, 3), (8, 3)]:
+            tower = proof_tower(n, m)
+            sdepth = {}
+            for lk, _ in tower:
+                sdepth[lk] = sdepth_of_pair(ring_quotient(lk)).value
+            for k in range(m - 1):
+                sub, (mid, quot) = tower[k + 1][0], tower[k]
+                assert depth_squarefree(mid) >= min(depth_squarefree(sub), depth_squarefree(quot))
+                s_quot = sdepth_of_pair(ring_quotient(quot)).value
+                assert sdepth[mid] >= min(sdepth[sub], s_quot), (n, m, k)
+            assert sdepth[tower[m - 1][0]] >= sdepth[cycle_path_ideal(n, m)], (n, m)
+
+    def test_colon_of_the_largest_window_is_the_smaller_cycle(self):
+        # For n = m + 1 the tower has no room; one colon by x_n gives the
+        # cycle of n - 1 variables with windows of size n - 2.
+        for n in range(4, 7):
+            colon_ideal = colon(cycle_path_ideal(n, n - 1), variable(n, n))
+            identity = {j: j for j in range(1, n)}
+            assert relabel(colon_ideal, identity, n - 1) == cycle_path_ideal(n - 1, n - 2)
 
     def test_tower_bounds(self):
         with pytest.raises(InputError):

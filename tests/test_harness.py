@@ -17,12 +17,10 @@ from sdepthlab import (
     line_path_ideal,
     member,
     monomial,
-    proof_tower,
     prop16_structure_check,
     run_scan,
-    sequence_check,
 )
-from sdepthlab import cli, harness
+from sdepthlab import cli
 
 
 def rows_by_nm(rows):
@@ -400,47 +398,6 @@ class TestStructureCheck:
             prop16_structure_check(4, 4)
 
 
-class TestSequenceCheck:
-    def test_seven_three(self):
-        report = sequence_check(7, 3)
-        assert report.ok and not report.unknown
-        assert len(report.steps) == 2
-        assert report.final_ok is True
-
-    def test_each_tower_depth_computed_once(self, monkeypatch):
-        depth_squarefree = harness.depth_squarefree
-        calls = []
-
-        def counted(ideal):
-            calls.append(ideal)
-            return depth_squarefree(ideal)
-
-        monkeypatch.setattr(harness, "depth_squarefree", counted)
-        report = sequence_check(7, 3)
-        tower = proof_tower(7, 3)
-        terms = [(tower[k + 1][0], tower[k][0], tower[k][1]) for k in range(2)]
-        assert len(calls) == len(set(calls)) == len({i for triple in terms for i in triple})
-        assert [(s.depth_sub, s.depth_mid, s.depth_quot) for s in report.steps] == [
-            tuple(depth_squarefree(i) for i in triple) for triple in terms
-        ]
-        assert report.ok and not report.unknown
-
-    def test_six_two_depth_inequalities(self):
-        report = sequence_check(6, 2)
-        assert report.ok
-        assert all(step.depth_ok for step in report.steps)
-
-    def test_five_four_routes_to_relabel_branch(self):
-        report = sequence_check(5, 4)
-        assert report.relabel_ok is True
-        assert report.ok
-        assert len(report.steps) == 1
-
-    def test_bad_bounds(self):
-        with pytest.raises(InputError):
-            sequence_check(4, 4)
-
-
 CLI = [sys.executable, "-m", "sdepthlab.cli"]
 
 
@@ -564,7 +521,7 @@ class TestCli:
         assert proc.returncode == 4
         assert proc.stdout == ""
         search, limit = proc.stderr.splitlines()
-        assert search.startswith("search: levels=8,7 ")
+        assert search.startswith("search: levels=7 ")
         assert limit.startswith("resource limit:")
 
     def test_depth_with_betti(self, tmp_path):

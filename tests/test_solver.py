@@ -2,6 +2,7 @@ import hashlib
 import subprocess
 import sys
 import time
+from math import comb
 
 import pytest
 from hypothesis import example, given, reject, settings, strategies as st
@@ -342,6 +343,9 @@ class TestSdepth:
         best = brute_force_sdepth(poset)
         for k in range(poset.n + 1):
             assert (exists_partition(poset, k) is not None) == (best >= k), (poset.exps, k)
+        # The level scan starts at maximal_rho.
+        assert best <= poset.maximal_rho
+        assert sdepth_of_poset(poset).value == best
 
     # sha256 of format_certificate.  The search visits its nodes in a fixed
     # order, so a speed-up that keeps that order keeps these bytes: the heaviest
@@ -421,22 +425,35 @@ class TestLevelOrder:
 
         monkeypatch.setattr(solver, "exists_partition", recording)
         result = sdepth_of_pair(pair)
-        # Every level above the value is refuted by its own search, and the
-        # scan stops at the value, whose partition is the certificate.
+        # The scan starts at maximal_rho, every level it searches above the
+        # value is refuted, and it stops at the value, whose partition is the
+        # certificate.
+        assert calls[0][0] == result.poset.maximal_rho
         assert all(found is None for _, found in calls[:-1])
         assert calls[-1] == (result.value, result.certificate)
         assert result.infeasible_at == (result.value + 1 if result.value < result.poset.n else None)
         return result, [(k, found is not None) for k, found in calls]
 
     def test_cycle_nine_three(self, monkeypatch):
+        # Level 6 exceeds maximal_rho and is never searched.
         result, levels = self.searched_levels(monkeypatch, cycle_quotient(9, 3))
-        assert levels == [(6, False), (5, True)]
+        assert levels == [(5, True)]
         assert result.infeasible_at == 6
 
+    def test_cycle_nine_six_refutes_maximal_rho_by_degrees(self, monkeypatch):
+        # Level 7 = maximal_rho is refuted by the degree counts' beta profile.
+        stats = SearchStats()
+        exists_partition(build_poset(cycle_quotient(9, 6)), 7, stats=stats)
+        assert (stats.moment_prunes, stats.placements) == (1, 0)
+        result, levels = self.searched_levels(monkeypatch, cycle_quotient(9, 6))
+        assert levels == [(7, False), (6, True)]
+        assert result.infeasible_at == 7
+
     def test_square_of_cycle_seven_four_ends_at_singletons(self, monkeypatch):
+        # A maximal element of rho 0 leaves only level 0 to search.
         pair = ring_quotient(square(cycle_path_ideal(7, 4)))
         result, levels = self.searched_levels(monkeypatch, pair)
-        assert levels == [(5, False), (4, False), (3, False), (2, False), (1, False), (0, True)]
+        assert levels == [(0, True)]
         assert len(result.certificate) == len(result.poset)
         assert result.infeasible_at == 1
 
@@ -459,9 +476,9 @@ class TestTimeLimit:
             return search(poset, k, time_limit_s=time_limit_s, stats=stats)
 
         monkeypatch.setattr(solver, "exists_partition", recording)
-        result = sdepth_of_pair(ring_quotient(square(cycle_path_ideal(7, 4))), time_limit_s=60.0)
-        assert result.value == 0
-        assert len(limits) == 6
+        result = sdepth_of_pair(cycle_quotient(9, 6), time_limit_s=60.0)
+        assert result.value == 6
+        assert len(limits) == 2
         assert 60.0 - 1 < limits[0] <= 60.0
         for before, after in zip(limits, limits[1:]):
             assert 0 <= after <= before - 0.02
@@ -475,7 +492,7 @@ class TestTimeLimit:
             return search(poset, k, time_limit_s=time_limit_s, stats=stats)
 
         monkeypatch.setattr(solver, "exists_partition", recording)
-        sdepth_of_pair(cycle_quotient(9, 3), time_limit_s=None)
+        sdepth_of_pair(cycle_quotient(9, 6), time_limit_s=None)
         assert limits == [None, None]
 
 
@@ -507,8 +524,9 @@ class TestSearchStats:
             placements=209, stranded_prunes=0, moment_prunes=0,
             table_hits=0, stored_states=0, table_clears=0, candidate_tops=4_529,
         )),
+        # Level 6 exceeds maximal_rho, so it is refuted before any search.
         (ring_quotient(square(cycle_path_ideal(8, 7))), 6, False, dict(
-            placements=0, stranded_prunes=1, moment_prunes=0,
+            placements=0, stranded_prunes=0, moment_prunes=0,
             table_hits=0, stored_states=0, table_clears=0, candidate_tops=0,
         )),
         (ring_quotient(square(cycle_path_ideal(8, 7))), 5, True, dict(
@@ -527,18 +545,59 @@ class TestSearchStats:
         assert {name: getattr(stats, name) for name in counts} == counts
 
     def test_sdepth_sums_the_levels(self):
+        # Level 4 = maximal_rho is refuted by its search (6,615 placements,
+        # pinned above) and level 3 is found.  Recorded when the scan started
+        # at the largest rho, which is 4 here too.
         stats = SearchStats()
-        sdepth_of_pair(cycle_quotient(9, 3), stats=stats)
-        # Level 6 is refuted by the degree moments before any placement.
-        assert stats.levels == [6, 5]
-        assert (stats.placements, stats.moment_prunes, stats.candidate_tops) == (44_316, 1, 365)
+        sdepth_of_pair(ring_quotient(square(line_path_ideal(6, 3))), stats=stats)
+        assert stats.levels == [4, 3]
+        counts = (stats.placements, stats.stranded_prunes, stats.candidate_tops)
+        assert counts == (6_737, 2_136, 1_302)
 
     def test_no_search_below_level_one_or_above_max_rho(self):
         poset = build_poset(cycle_quotient(5, 2))
         stats = SearchStats()
         exists_partition(poset, 0, stats=stats)
-        exists_partition(poset, poset.max_rho + 1, stats=stats)
-        assert stats == SearchStats(levels=[0, poset.max_rho + 1])
+        exists_partition(poset, poset.maximal_rho + 1, stats=stats)
+        assert stats == SearchStats(levels=[0, poset.maximal_rho + 1])
+
+
+def counts_of_heights(heights):
+    """Degree counts of intervals with tops at degree kappa, heights[s] of height s."""
+    kappa = len(heights) - 1
+    alpha = [0] * (kappa + 1)
+    for s, count in enumerate(heights):
+        for j in range(s + 1):
+            alpha[kappa - s + j] += count * comb(s, j)
+    return alpha
+
+
+class TestBetaProfile:
+    """``beta_profile`` against the closed form of the Hilbert-depth recursion,
+    beta_d = sum_j (-1)^(d-j) C(kappa-j, d-j) alpha_j for the intervals with
+    bottom at degree d."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=0, max_value=12).flatmap(lambda kappa: st.one_of(
+        st.lists(st.integers(min_value=0, max_value=200), min_size=kappa + 1, max_size=kappa + 1),
+        st.lists(st.integers(min_value=0, max_value=5), min_size=kappa + 1, max_size=kappa + 1)
+        .map(counts_of_heights),
+    )))
+    # Only the last count goes negative: height 0, the singletons at degree kappa.
+    @example([1, 2, 0])
+    # Counts of an actual split, whose profile is its interval counts.
+    @example(counts_of_heights([3, 0, 2, 1, 4]))
+    def test_matches_the_closed_form(self, alpha):
+        kappa = len(alpha) - 1
+        beta = [
+            sum((-1) ** (d - j) * comb(kappa - j, d - j) * alpha[j] for j in range(d + 1))
+            for d in range(kappa + 1)
+        ]
+        profile = solver.beta_profile(alpha, kappa)
+        if min(beta) < 0:
+            assert profile is None
+        else:
+            assert profile == beta[::-1]
 
 
 class TestOrderBitsets:
