@@ -9,7 +9,6 @@ time limit was hit at the command level.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -62,6 +61,8 @@ def _cmd_family(args) -> int:
     ideal = instance.ideal()
     rec = formula_table(args.n, args.m)
     if args.out == "json":
+        import json
+
         payload = {
             "kind": args.kind,
             "n": args.n,

@@ -4,12 +4,11 @@ Each scan row records a single (n, m) instance of one configured check.  A row
 may only carry status ``violation`` when every quantity in the violated claim
 was computed exactly; searches that run out of budget become ``unknown``.
 Row outputs are merged in (n, m, check) order, so the emitted tables do not
-depend on how many worker processes computed them.
+depend on how many processes computed them.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, asdict
@@ -23,7 +22,7 @@ from .families import (
     quotient_module_bound,
 )
 from .homology import depth_squarefree
-from .ideals import QuotientPresentation, minimalize, monomial, ring_quotient
+from .ideals import MAX_AMBIENT, QuotientPresentation, minimalize, monomial, ring_quotient
 from .solver import (
     DEFAULT_POSET_CAP,
     DEFAULT_TIME_LIMIT_S,
@@ -37,6 +36,9 @@ STRUCTURE_N_MAX = 12
 
 # Default for a row's sdepth cell when the check does not ask for the value.
 _NOT_REQUESTED = object()
+
+# A work index travels to the scan's processes as one record of this size.
+_CLAIM_BYTES = 4
 
 
 @dataclass(frozen=True)
@@ -153,6 +155,94 @@ def _compute_rows(args: tuple) -> list[ScanRow]:
     raise InputError(f"unknown check {check!r}")
 
 
+def _claim_rows(work: list[tuple], claims: int) -> tuple[list, tuple | None]:
+    """Compute the rows of every work index this process reads from ``claims``.
+
+    Returns the (index, rows) pairs computed and, when a row raised, its
+    (index, exception), after which this process claims no more.  A read of
+    one record from a pipe is atomic, so each index goes to one process.
+    """
+    done = []
+    while record := os.read(claims, _CLAIM_BYTES):
+        index = int.from_bytes(record, "little")
+        try:
+            done.append((index, _compute_rows(work[index])))
+        except Exception as exc:
+            return done, (index, exc)
+    return done, None
+
+
+def _send_rows(work: list[tuple], claims: int, sink: int) -> None:
+    """A forked child's whole job: claim rows, then pickle the outcome into ``sink``."""
+    import pickle
+
+    payload = pickle.dumps(_claim_rows(work, claims))
+    with open(sink, "wb") as out:
+        out.write(payload)
+
+
+def _fork_rows(work: list[tuple], workers: int) -> list[list[ScanRow]]:
+    """``_compute_rows`` of each work item, in work order, computed by this
+    process and ``workers - 1`` forked children.
+
+    Every process claims the next unclaimed index from one shared pipe, so a
+    slow row holds back no other.  A row that raises is re-raised here, the
+    lowest index first, as ``jobs=1`` would raise it; a child that exits
+    without sending its rows raises RuntimeError.  No child outlives the call.
+    """
+    import multiprocessing
+    import pickle
+
+    # Fork, not spawn: a child starts from this process's memory instead of
+    # importing the package again, which costs more than most rows.  The scan
+    # starts no threads, so nothing is forked mid-operation.
+    try:
+        context = multiprocessing.get_context("fork")
+    except ValueError:
+        raise InputError("jobs > 1 needs the fork start method, "
+                         "which this platform does not have") from None
+    claims, feed = os.pipe()
+    # run_scan caps n at MAX_AMBIENT, so the records fit in the pipe's buffer
+    # and the write returns before any process reads.
+    with open(feed, "wb") as out:
+        out.write(b"".join(i.to_bytes(_CLAIM_BYTES, "little") for i in range(len(work))))
+    children, streams = [], []
+    try:
+        for _ in range(workers - 1):
+            results, sink = os.pipe()
+            streams.append(open(results, "rb"))
+            try:
+                child = context.Process(target=_send_rows, args=(work, claims, sink))
+                child.start()
+            finally:
+                os.close(sink)
+            children.append(child)
+        done, failure = _claim_rows(work, claims)
+        failures = [] if failure is None else [failure]
+        for child, stream in zip(children, streams):
+            payload = stream.read()
+            child.join()
+            if not payload:
+                raise RuntimeError(f"scan worker {child.pid} exited with code "
+                                   f"{child.exitcode} without sending its rows")
+            theirs, failure = pickle.loads(payload)
+            done += theirs
+            if failure is not None:
+                failures.append(failure)
+    finally:
+        os.close(claims)
+        for child in children:
+            if child.is_alive():
+                child.kill()
+            child.join()
+        for stream in streams:
+            stream.close()
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    done.sort(key=lambda pair: pair[0])
+    return [rows for _, rows in done]
+
+
 def run_scan(
     check: str,
     n_max: int | None = None,
@@ -164,24 +254,29 @@ def run_scan(
     jobs: int = 1,
     cert_dir: str | None = None,
 ) -> list[ScanRow]:
-    """Run one check over the (n, m) grid and return rows in canonical order."""
+    """Run one check over the (n, m) grid and return rows in canonical order.
+
+    ``jobs`` is the number of processes that compute rows, this one included;
+    above 1 it needs the fork start method.
+    """
     if check not in CHECKS:
         raise InputError(f"check must be one of {', '.join(CHECKS)}; got {check!r}")
+    if jobs < 1:
+        raise InputError(f"jobs must be at least 1, got {jobs}")
     if n_max is None:
         n_max = default_n_max(check)
+    if n_max > MAX_AMBIENT:
+        raise InputError(f"n_max must be at most {MAX_AMBIENT}, got {n_max}")
     if cert_dir is not None:
         os.makedirs(cert_dir, exist_ok=True)
     work = [
         (check, n, m, time_limit_s, max_poset, cert_dir)
         for n, m in _instances(check, n_max, m_min, m_max)
     ]
-    # A pool of one worker would only add a fork to the same sequential work.
+    # A single row runs in process: a child would only add a fork to it.
     workers = min(jobs, len(work))
     if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_compute_rows, work))
+        chunks = _fork_rows(work, workers)
     else:
         chunks = [_compute_rows(w) for w in work]
     rows = [row for chunk in chunks for row in chunk]
@@ -213,6 +308,8 @@ def emit_csv(rows: list[ScanRow], *, timings: bool = False) -> str:
 
 
 def emit_json(rows: list[ScanRow], *, timings: bool = False) -> str:
+    import json
+
     payload = [dict(zip(_COLUMNS, _row_cells(row, timings))) for row in rows]
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 

@@ -1,8 +1,12 @@
 import itertools
 import json
+import multiprocessing
+import multiprocessing.context
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -20,7 +24,7 @@ from sdepthlab import (
     prop16_structure_check,
     run_scan,
 )
-from sdepthlab import cli
+from sdepthlab import cli, harness
 
 
 def rows_by_nm(rows):
@@ -49,31 +53,30 @@ class TestThm14Scan:
         assert sequential == parallel
 
     def test_pool_only_for_two_rows_or_more(self, monkeypatch):
-        # A pool starts at most one worker per row; a single row runs in
-        # process, with the same bytes.
-        import concurrent.futures
-
+        # The scan process computes rows beside at most min(jobs, rows) - 1
+        # forked children; a single row runs in process, with the same bytes.
         sequential = emit_csv(run_scan("thm14", n_max=6, m_min=5, m_max=5))
         started = []
+        start = multiprocessing.context.ForkProcess.start
 
-        class RecordingPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
+        def recording(process):
+            started.append(process)
+            start(process)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", recording)
         assert emit_csv(run_scan("thm14", n_max=6, m_min=5, m_max=5, jobs=2)) == sequential
         assert started == []
         run_scan("thm14", n_max=6, m_min=4, m_max=4, jobs=4)
-        assert started == [2]
+        assert len(started) == 1
+
+    def test_jobs_below_one_rejected(self):
+        for jobs in (0, -3):
+            with pytest.raises(InputError, match="jobs must be at least 1"):
+                run_scan("thm14", n_max=4, jobs=jobs)
+
+    def test_grid_capped_at_max_ambient(self):
+        with pytest.raises(InputError, match="n_max must be at most 20"):
+            run_scan("thm14", n_max=21, m_min=20, jobs=2)
 
     def test_each_certificate_verified_once(self, monkeypatch, capsys, tmp_path):
         # Wrap the checker in every loaded module that holds it, so a second
@@ -106,6 +109,116 @@ class TestThm14Scan:
         run_scan("thm14", n_max=4, cert_dir=str(tmp_path))
         files = sorted(p.name for p in tmp_path.iterdir())
         assert files == ["thm14-n3-m2.cert", "thm14-n4-m2.cert", "thm14-n4-m3.cert"]
+
+
+def wait_for(path, timeout_s=30.0):
+    deadline = time.monotonic() + timeout_s
+    while not path.exists():
+        if time.monotonic() > deadline:
+            raise AssertionError(f"{path.name} never appeared")
+        time.sleep(0.005)
+
+
+class Abort(BaseException):
+    """Raised past the row handlers, as a KeyboardInterrupt would be."""
+
+
+class TestForkedRows:
+    """Failures in a scan with forked children.
+
+    ``harness._compute_rows`` is replaced and the children inherit the
+    replacement.  A marker file orders the processes: the one that fails
+    touches it, and the other waits for it before computing its rows, so
+    each case runs the same way on every host.  No case may leave a child.
+    """
+
+    GRID = dict(n_max=5)  # six rows
+
+    @pytest.fixture
+    def patch_rows(self, monkeypatch, tmp_path):
+        parent = os.getpid()
+        marker = tmp_path / "failed"
+        real = harness._compute_rows
+
+        def patch(in_child, fail):
+            def rows(args):
+                if (os.getpid() != parent) == in_child:
+                    marker.touch()
+                    fail()
+                wait_for(marker)
+                return real(args)
+
+            monkeypatch.setattr(harness, "_compute_rows", rows)
+
+        return patch
+
+    @staticmethod
+    def assert_no_children():
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def raise_value_error():
+        raise ValueError("row failed")
+
+    @pytest.mark.parametrize("in_child", [True, False], ids=["child", "parent"])
+    def test_row_failure_reraised(self, patch_rows, in_child):
+        patch_rows(in_child, self.raise_value_error)
+        with pytest.raises(ValueError, match="row failed"):
+            run_scan("thm14", jobs=2, **self.GRID)
+        self.assert_no_children()
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_lowest_failed_row_wins(self, monkeypatch, jobs):
+        real = harness._compute_rows
+
+        def rows(args):
+            n, m = args[1:3]
+            if (n, m) == (4, 2):
+                raise KeyError("first failed row")
+            if n == 5:
+                raise ValueError("later failed row")
+            return real(args)
+
+        monkeypatch.setattr(harness, "_compute_rows", rows)
+        with pytest.raises(KeyError):
+            run_scan("thm14", jobs=jobs, **self.GRID)
+        self.assert_no_children()
+
+    def test_killed_child_raises(self, patch_rows):
+        patch_rows(True, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        with pytest.raises(RuntimeError, match=f"exited with code {-signal.SIGKILL} "):
+            run_scan("thm14", jobs=2, **self.GRID)
+        self.assert_no_children()
+
+    def test_parent_abort_kills_children(self, monkeypatch, tmp_path):
+        # The child hangs in its row; the parent's own failure must not wait for it.
+        parent = os.getpid()
+        marker = tmp_path / "child-started"
+
+        def rows(args):
+            if os.getpid() != parent:
+                marker.touch()
+                time.sleep(60)
+            wait_for(marker)
+            raise Abort
+
+        monkeypatch.setattr(harness, "_compute_rows", rows)
+        started = time.monotonic()
+        with pytest.raises(Abort):
+            run_scan("thm14", jobs=2, **self.GRID)
+        assert time.monotonic() - started < 30
+        self.assert_no_children()
+
+    def test_no_fork_start_method(self, monkeypatch):
+        def no_fork(method=None):
+            raise ValueError(f"cannot find context for {method!r}")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        with pytest.raises(InputError, match="fork start method"):
+            run_scan("thm14", jobs=2, **self.GRID)
+        assert run_scan("thm14", **self.GRID)
 
 
 class TestCor15Scan:
@@ -560,6 +673,22 @@ class TestCli:
         proc = run_cli("scan", "--check", "thm14", "--n-max", "5")
         assert proc.returncode == 0
         assert proc.stdout.startswith("n,m,check")
+
+    def test_scan_jobs_below_one_is_input_error(self):
+        proc = run_cli("scan", "--check", "thm14", "--n-max", "5", "--jobs", "-3")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "jobs must be at least 1" in proc.stderr
+
+    def test_import_loads_no_json_or_process_pool(self):
+        # Start-up cost is paid by every scan process: the modules a command
+        # needs only on some paths are imported on those paths.
+        code = "import sys, sdepthlab.cli; print(*sorted(sys.modules))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        loaded = [name for name in proc.stdout.split()
+                  if name.partition(".")[0] in ("json", "multiprocessing", "concurrent")]
+        assert loaded == []
 
     @pytest.mark.parametrize("args", [
         ("family", "--kind", "cycle", "--n", "7", "--m", "3"),

@@ -538,8 +538,10 @@ class TestSearchStats:
         "cycle-11-9-level-8", "cycle-8-7-squared-level-6", "cycle-8-7-squared-level-5",
     ])
     def test_pinned_counts(self, pair, k, feasible, counts):
+        # Each search takes well under a second; the limit turns a weakened
+        # prune into a TimeLimitExceededError instead of a hang.
         stats = SearchStats()
-        found = exists_partition(build_poset(pair), k, stats=stats)
+        found = exists_partition(build_poset(pair), k, time_limit_s=60.0, stats=stats)
         assert (found is not None) == feasible
         assert stats.levels == [k]
         assert {name: getattr(stats, name) for name in counts} == counts
