@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .errors import InputError
 from .ideals import (
     MAX_AMBIENT,
+    FrozenRecord,
     MonomialIdeal,
     add_generators,
     colon,
@@ -22,18 +22,16 @@ def _check_bounds(n: int, m: int) -> None:
         raise InputError(f"need 1 <= m <= n <= {MAX_AMBIENT}, got (n, m) = ({n}, {m})")
 
 
-@dataclass(frozen=True)
-class FamilyInstance:
+class FamilyInstance(FrozenRecord):
     """One member of the line or cycle path-ideal family."""
 
-    n: int
-    m: int
-    kind: Literal["line", "cycle"]
+    __slots__ = _fields = ("n", "m", "kind")
 
-    def __post_init__(self) -> None:
-        _check_bounds(self.n, self.m)
-        if self.kind not in ("line", "cycle"):
-            raise InputError(f"kind must be 'line' or 'cycle', got {self.kind!r}")
+    def __init__(self, n: int, m: int, kind: Literal["line", "cycle"]) -> None:
+        _check_bounds(n, m)
+        if kind not in ("line", "cycle"):
+            raise InputError(f"kind must be 'line' or 'cycle', got {kind!r}")
+        self._init(n, m, kind)
 
     @property
     def collapses_to_principal(self) -> bool:
@@ -97,8 +95,7 @@ def is_equality_case(n: int, m: int) -> bool:
     return n % (m + 1) in (0, m)
 
 
-@dataclass(frozen=True)
-class FormulaRecord:
+class FormulaRecord(NamedTuple):
     """All closed-form invariants of a family instance in one place."""
 
     n: int

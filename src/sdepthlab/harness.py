@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, asdict
+from typing import NamedTuple
 
 from .errors import InputError, PosetCapExceededError, TimeLimitExceededError
 from .families import (
@@ -41,8 +41,7 @@ _NOT_REQUESTED = object()
 _CLAIM_BYTES = 4
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     n: int
     m: int
     check: str
@@ -295,7 +294,7 @@ _COLUMNS = CSV_HEADER.split(",")
 
 
 def _row_cells(row: ScanRow, timings: bool) -> list:
-    data = asdict(row)
+    data = row._asdict()
     data["ms"] = data["ms"] if timings else 0
     return [data[c] for c in _COLUMNS]
 
@@ -329,8 +328,7 @@ def emit_md(rows: list[ScanRow], *, timings: bool = False) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComponentReport:
+class ComponentReport(NamedTuple):
     t: int
     wrap_window: tuple[int, ...]
     forced_var: int
@@ -341,8 +339,7 @@ class ComponentReport:
     component_depth: int
 
 
-@dataclass(frozen=True)
-class Prop16Report:
+class Prop16Report(NamedTuple):
     n: int
     m: int
     ok: bool

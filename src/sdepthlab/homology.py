@@ -16,16 +16,15 @@ elimination, so torsion (Reisner's six-vertex RP^2) is still handled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from itertools import combinations
 from math import gcd
+from typing import NamedTuple
 
 from .errors import InputError
-from .ideals import MonomialIdeal, box_upset, set_bits
+from .ideals import MonomialIdeal, Record, box_upset, set_bits
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(NamedTuple):
     """A simplicial complex stored implicitly by its minimal non-faces.
 
     ``nonface_masks`` is the canonical (sorted, mutually incomparable) tuple of
@@ -238,8 +237,7 @@ def homology_ranks(complex_: SimplicialComplex) -> tuple[int, ...]:
     return _ranks_of(by_size, index_of, rows, inside)[0]
 
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(NamedTuple):
     """Nonzero multigraded Betti numbers of a squarefree quotient ring.
 
     Keys are (homological index, sorted 1-based variable tuple); values are
@@ -260,8 +258,7 @@ class BettiTable:
 MAX_HOCHSTER_AMBIENT = 14
 
 
-@dataclass
-class HomologyStats:
+class HomologyStats(Record):
     """Counters of ``hochster_betti``, filled in when a caller passes one.
 
     ``subsets`` counts the vertex subsets F scanned and ``lcm_skips`` those
@@ -272,15 +269,25 @@ class HomologyStats:
     returns.
     """
 
-    subsets: int = 0
-    lcm_skips: int = 0
-    faces: int = 0
-    boundaries: int = 0
-    fallbacks: int = 0
+    _fields = ("subsets", "lcm_skips", "faces", "boundaries", "fallbacks")
+
+    def __init__(
+        self,
+        subsets: int = 0,
+        lcm_skips: int = 0,
+        faces: int = 0,
+        boundaries: int = 0,
+        fallbacks: int = 0,
+    ) -> None:
+        self.subsets = subsets
+        self.lcm_skips = lcm_skips
+        self.faces = faces
+        self.boundaries = boundaries
+        self.fallbacks = fallbacks
 
     def format(self) -> str:
         """One line: ``subsets=... lcm_skips=... fallbacks=...``."""
-        return " ".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
+        return " ".join(map("{}={}".format, self._fields, self._values()))
 
 
 def hochster_betti(ideal: MonomialIdeal, stats: HomologyStats | None = None) -> BettiTable:

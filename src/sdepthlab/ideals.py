@@ -4,12 +4,17 @@ Monomials are exponent vectors over a fixed ambient variable count n; index i
 of the vector belongs to variable ``x_{i+1}``.  Ideals are stored by their
 minimal generating set in a canonical order, so ideal equality is plain value
 equality and formatted output is byte-stable.
+
+``Record`` and ``FrozenRecord`` give the package's classes value equality, a
+``Name(field=value, ...)`` repr and, when frozen, a hash and no assignment.
+They stand in for ``dataclasses``, whose import and class builds every scan
+process would otherwise pay for at start-up.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from itertools import repeat
 from math import prod
 from typing import Iterable, Mapping
 
@@ -24,19 +29,80 @@ def _check_ambient(n: int) -> None:
         raise InputError(f"ambient variable count must be in 1..{MAX_AMBIENT}, got {n!r}")
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Record:
+    """Value equality and a ``Name(field=value, ...)`` repr over ``_fields``.
+
+    Two records are equal when they are of the same class and their field
+    tuples are equal.  A record whose fields can change is unhashable.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(getattr, repeat(self), self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("{}={!r}".format, self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A record whose fields are its slots, set once by ``_init``.
+
+    Its hash is that of its field tuple.  Assigning or deleting a field
+    raises AttributeError, and pickling rebuilds it through its constructor.
+    """
+
+    __slots__ = ()
+
+    def _init(self, *values: object) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class Monomial(FrozenRecord):
     """A monomial, stored as a tuple of nonnegative exponents of length n."""
 
-    exponents: tuple[int, ...]
+    __slots__ = _fields = ("exponents",)
 
-    def __post_init__(self) -> None:
-        _check_ambient(len(self.exponents))
-        for e in self.exponents:
+    def __init__(self, exponents: tuple[int, ...]) -> None:
+        _check_ambient(len(exponents))
+        for e in exponents:
             if not isinstance(e, int) or e < 0:
                 raise InputError(f"exponents must be nonnegative integers, got {e!r}")
             if e > MAX_EXPONENT:
                 raise InputError(f"exponent {e} exceeds the cap {MAX_EXPONENT}")
+        object.__setattr__(self, "exponents", exponents)
+
+    # Sets and sorts of generators compare and hash monomials, so these two
+    # skip the generic field tuple.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.exponents == other.exponents
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.exponents,))
 
     @property
     def ambient(self) -> int:
@@ -103,8 +169,7 @@ def constant(n: int) -> Monomial:
     return Monomial((0,) * n)
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(FrozenRecord):
     """A monomial ideal stored by its minimal generators in canonical order.
 
     Construct through :func:`minimalize` (or :func:`parse_ideal`); the
@@ -112,20 +177,20 @@ class MonomialIdeal:
     ideal has no generators, the unit ideal exactly one constant generator.
     """
 
-    ambient: int
-    gens: tuple[Monomial, ...]
+    __slots__ = _fields = ("ambient", "gens")
 
-    def __post_init__(self) -> None:
-        _check_ambient(self.ambient)
-        for g in self.gens:
-            if g.ambient != self.ambient:
+    def __init__(self, ambient: int, gens: tuple[Monomial, ...]) -> None:
+        _check_ambient(ambient)
+        for g in gens:
+            if g.ambient != ambient:
                 raise InputError("generator ambient mismatch")
-        for i, g in enumerate(self.gens):
-            for h in self.gens[i + 1 :]:
+        for i, g in enumerate(gens):
+            for h in gens[i + 1 :]:
                 if g.divides(h) or h.divides(g):
                     raise InputError("generators are not minimal")
-        if list(self.gens) != sorted(self.gens, key=Monomial.sort_key):
+        if list(gens) != sorted(gens, key=Monomial.sort_key):
             raise InputError("generators are not in canonical order")
+        self._init(ambient, gens)
 
     def is_zero(self) -> bool:
         return not self.gens
@@ -385,8 +450,7 @@ def format_ideal(ideal: MonomialIdeal) -> str:
     return f"n={ideal.ambient}: " + ", ".join(str(g) for g in ideal.gens)
 
 
-@dataclass(frozen=True)
-class QuotientPresentation:
+class QuotientPresentation(FrozenRecord):
     """Presents the module numerator/denominator with denominator inside numerator.
 
     ``numerator`` may be the unit ideal (the module is then the quotient ring
@@ -394,19 +458,19 @@ class QuotientPresentation:
     must present a nonzero module.
     """
 
-    numerator: MonomialIdeal
-    denominator: MonomialIdeal
+    __slots__ = _fields = ("numerator", "denominator")
 
-    def __post_init__(self) -> None:
-        if self.numerator.ambient != self.denominator.ambient:
+    def __init__(self, numerator: MonomialIdeal, denominator: MonomialIdeal) -> None:
+        if numerator.ambient != denominator.ambient:
             raise InvalidPresentationError("numerator and denominator ambient differ")
-        for g in self.denominator.gens:
-            if not member(self.numerator, g):
+        for g in denominator.gens:
+            if not member(numerator, g):
                 raise InvalidPresentationError(
                     f"denominator generator {g} is not inside the numerator"
                 )
-        if self.numerator == self.denominator:
+        if numerator == denominator:
             raise InvalidPresentationError("numerator equals denominator: module is zero")
+        self._init(numerator, denominator)
 
     @property
     def ambient(self) -> int:

@@ -38,10 +38,9 @@ import re
 import sys
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, field, fields
 from functools import reduce
 from itertools import compress, filterfalse, repeat
-from typing import Sequence
+from typing import NamedTuple, Sequence
 from math import comb, prod
 from operator import and_, eq, getitem, le, lt, mul, or_, sub
 
@@ -52,8 +51,10 @@ from .errors import (
     TimeLimitExceededError,
 )
 from .ideals import (
+    FrozenRecord,
     Monomial,
     QuotientPresentation,
+    Record,
     box_steps,
     box_upset,
     parse_monomial,
@@ -71,8 +72,7 @@ FAILED_STATES_BYTES = 32 * 2**20
 _SET_SLOT_BYTES = 128
 
 
-@dataclass(frozen=True)
-class CharacteristicPoset:
+class CharacteristicPoset(FrozenRecord):
     """The finite multidegree poset of a quotient presentation.
 
     Elements are stored as mixed-radix integer codes (radix g_j + 1 per
@@ -84,14 +84,20 @@ class CharacteristicPoset:
     k > maximal_rho.
     """
 
-    n: int
-    g: tuple[int, ...]
-    weights: tuple[int, ...]
-    codes: tuple[int, ...]
-    exps: tuple[tuple[int, ...], ...]
-    rho: tuple[int, ...]
-    index: dict[int, int]
-    maximal_rho: int
+    __slots__ = _fields = ("n", "g", "weights", "codes", "exps", "rho", "index", "maximal_rho")
+
+    def __init__(
+        self,
+        n: int,
+        g: tuple[int, ...],
+        weights: tuple[int, ...],
+        codes: tuple[int, ...],
+        exps: tuple[tuple[int, ...], ...],
+        rho: tuple[int, ...],
+        index: dict[int, int],
+        maximal_rho: int,
+    ) -> None:
+        self._init(n, g, weights, codes, exps, rho, index, maximal_rho)
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -209,8 +215,7 @@ def _assert_box_convex_sample(poset: CharacteristicPoset, limit: int = 12) -> No
                 raise AssertionError("element set is not box-convex")
 
 
-@dataclass(frozen=True)
-class StanleyDecomposition:
+class StanleyDecomposition(FrozenRecord):
     """A list of (bottom multidegree, variable set) interval descriptions.
 
     The interval of a pair (a, Z) runs from a to the top that has coordinate
@@ -218,8 +223,10 @@ class StanleyDecomposition:
     of the poset the decomposition is verified on.
     """
 
-    n: int
-    intervals: tuple[tuple[Monomial, frozenset[int]], ...]
+    __slots__ = _fields = ("n", "intervals")
+
+    def __init__(self, n: int, intervals: tuple[tuple[Monomial, frozenset[int]], ...]) -> None:
+        self._init(n, intervals)
 
     def __len__(self) -> int:
         return len(self.intervals)
@@ -243,8 +250,7 @@ def singleton_decomposition(poset: CharacteristicPoset) -> StanleyDecomposition:
     return StanleyDecomposition(poset.n, tuple(_interval(poset, i, i) for i in range(len(poset))))
 
 
-@dataclass
-class SearchStats:
+class SearchStats(Record):
     """Counters of the partition search, filled in when a caller passes one.
 
     ``levels`` lists the levels searched, in order.  ``sdepth_of_poset``
@@ -263,19 +269,36 @@ class SearchStats:
     passed to ``sdepth_of_poset`` sums over the levels it tried.
     """
 
-    levels: list[int] = field(default_factory=list)
-    placements: int = 0
-    stranded_prunes: int = 0
-    moment_prunes: int = 0
-    table_hits: int = 0
-    stored_states: int = 0
-    table_clears: int = 0
-    table_peak_bytes: int = 0
-    candidate_tops: int = 0
+    _fields = (
+        "levels", "placements", "stranded_prunes", "moment_prunes", "table_hits",
+        "stored_states", "table_clears", "table_peak_bytes", "candidate_tops",
+    )
+
+    def __init__(
+        self,
+        levels: list[int] | None = None,
+        placements: int = 0,
+        stranded_prunes: int = 0,
+        moment_prunes: int = 0,
+        table_hits: int = 0,
+        stored_states: int = 0,
+        table_clears: int = 0,
+        table_peak_bytes: int = 0,
+        candidate_tops: int = 0,
+    ) -> None:
+        self.levels = [] if levels is None else levels
+        self.placements = placements
+        self.stranded_prunes = stranded_prunes
+        self.moment_prunes = moment_prunes
+        self.table_hits = table_hits
+        self.stored_states = stored_states
+        self.table_clears = table_clears
+        self.table_peak_bytes = table_peak_bytes
+        self.candidate_tops = candidate_tops
 
     def format(self) -> str:
         """One line: ``levels=6,5 placements=... table_peak_bytes=...``."""
-        counts = " ".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self)[1:])
+        counts = " ".join(map("{}={}".format, self._fields[1:], self._values()[1:]))
         return f"levels={','.join(map(str, self.levels))} {counts}"
 
 
@@ -601,8 +624,7 @@ def _search(poset, k, deadline, stats):
             stats.candidate_tops += listed
 
 
-@dataclass(frozen=True)
-class SdepthResult:
+class SdepthResult(NamedTuple):
     """Computed invariant with its certificate and the poset it lives on.
 
     ``infeasible_at`` is value + 1, the level at which no partition exists,
@@ -663,8 +685,7 @@ def sdepth_of_pair(
     return sdepth_of_poset(poset, time_limit_s=time_limit_s, stats=stats)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     ok: bool
     failures: tuple[str, ...]
     min_rho: int | None

@@ -680,14 +680,16 @@ class TestCli:
         assert proc.stdout == ""
         assert "jobs must be at least 1" in proc.stderr
 
-    def test_import_loads_no_json_or_process_pool(self):
+    def test_import_loads_no_json_process_pool_or_dataclasses(self):
         # Start-up cost is paid by every scan process: the modules a command
-        # needs only on some paths are imported on those paths.
+        # needs only on some paths are imported on those paths, and the
+        # records are plain classes, so neither `dataclasses` nor the
+        # `inspect` it pulls in is loaded.
         code = "import sys, sdepthlab.cli; print(*sorted(sys.modules))"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        loaded = [name for name in proc.stdout.split()
-                  if name.partition(".")[0] in ("json", "multiprocessing", "concurrent")]
+        skipped = ("json", "multiprocessing", "concurrent", "dataclasses", "inspect")
+        loaded = [name for name in proc.stdout.split() if name.partition(".")[0] in skipped]
         assert loaded == []
 
     @pytest.mark.parametrize("args", [

@@ -24,7 +24,7 @@ from sdepthlab import (
     variable,
     zero_ideal,
 )
-from sdepthlab.ideals import set_bits
+from sdepthlab.ideals import MAX_EXPONENT, set_bits
 
 
 def mono(n, *factors):
@@ -262,6 +262,16 @@ def test_monomial_guards():
         Monomial(tuple([0] * 21))
     with pytest.raises(InputError):
         parse_monomial("x1*x2", 1)
+    for bad in (1.0, "1"):
+        with pytest.raises(InputError, match="nonnegative integers"):
+            Monomial((0, bad))
+    assert Monomial((MAX_EXPONENT,)).exponents == (MAX_EXPONENT,)
+    assert Monomial((True, False)).exponents == (True, False)
+    # The message names the first bad exponent.
+    with pytest.raises(InputError, match=r"^exponent 31 exceeds the cap 30$"):
+        Monomial((31, -1))
+    with pytest.raises(InputError, match=r"^exponents must be nonnegative integers, got -1$"):
+        Monomial((-1, 31))
 
 
 @given(st.integers(min_value=0, max_value=2**300) | st.sets(st.integers(0, 2**20 - 1)).map(
