@@ -4,19 +4,28 @@ The complex attached to a squarefree ideal has as faces exactly the squarefree
 monomials outside the ideal, encoded as bitmasks (bit j = variable x_{j+1}).
 Multigraded Betti numbers of the quotient are read off reduced homology of
 vertex-restricted subcomplexes; depth is the ambient size minus the largest
-nonzero homological index.  The faces of the complex and their boundary rows
-are listed once per ideal, and each restriction is read as the subset of them
-inside its vertex set.  Ranks are over the rationals and exact.  Each
+nonzero homological index.  Ranks are over the rationals and exact.  Each
 boundary map is first ranked over F_2, with rows as int bitmasks; since a
 boundary matrix has entries 0 and +-1, its rank over F_2 is at most its rank
 over Q, and the F_2 rank is exact next to any zero F_2 homology group.  Only a
 boundary between two nonzero F_2 groups is ranked again by signed integer
 elimination, so torsion (Reisner's six-vertex RP^2) is still handled.
+
+The Betti table visits only the lcm lattice, the unions F of minimal
+nonfaces, and takes the cheapest of three exact routes for each F.  When the
+nonfaces inside F fall into two or more vertex-disjoint groups, the
+restriction to F is the join of the restrictions to the groups, and its ranks
+are the convolution of theirs (Kunneth over Q), so nothing is ranked.
+Otherwise it ranks the smaller of two complexes with the same homology up to
+a shift: the restriction itself, read from the complex's face list (built
+once per ideal, on first use), or its Alexander dual inside F, the upper
+Koszul complex K^F = {F - N : N a nonface inside F} (Miller-Sturmfels,
+Combinatorial Commutative Algebra, Thm 1.34).
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import compress
 from math import gcd
 from typing import NamedTuple
 
@@ -132,16 +141,45 @@ def _integer_rank(rows: list[dict[int, int]]) -> int:
     return rank
 
 
-def _face_table(complex_: SimplicialComplex):
-    """The complex's faces grouped by size, their indices and F_2 boundary rows.
+# A prime for the check that no exact fallback rank is below its rank over F_p.
+_CHECK_PRIME = 2_147_483_647
 
-    ``by_size[s]`` lists the size-s faces ascending by value, ``index_of[s]``
-    maps each of them to its position there, and ``rows[s][i]`` is the bitmask
-    of the positions of the facets of ``by_size[s][i]``; the empty face has
-    the row 0.
+
+def _modp_rank(rows: list[dict[int, int]]) -> int:
+    """Rank over F_p, p = ``_CHECK_PRIME``, of an integer matrix given as
+    sparse rows; at most its rank over Q, since a minor nonzero mod p is
+    nonzero.  Pivot rows are kept monic and keyed by their least column."""
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        row = {col: val % _CHECK_PRIME for col, val in row.items() if val % _CHECK_PRIME}
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inverse = pow(row[lead], -1, _CHECK_PRIME)
+                pivots[lead] = {col: val * inverse % _CHECK_PRIME for col, val in row.items()}
+                break
+            factor = row[lead]
+            for col, val in pivot.items():
+                nv = (row.get(col, 0) - factor * val) % _CHECK_PRIME
+                if nv:
+                    row[col] = nv
+                else:
+                    row.pop(col, None)
+    return len(pivots)
+
+
+def _face_table(faces: list[int]):
+    """Faces grouped by size, their indices and F_2 boundary rows.
+
+    ``faces`` must list each size's faces ascending by value and hold every
+    facet of each face.  ``by_size[s]`` lists the size-s faces in that order,
+    ``index_of[s]`` maps each of them to its position there, and
+    ``rows[s][i]`` is the bitmask of the positions of the facets of
+    ``by_size[s][i]``; the empty face has the row 0.
     """
     by_size: list[list[int]] = []
-    for mask in complex_.faces():
+    for mask in faces:
         size = mask.bit_count()
         while len(by_size) <= size:
             by_size.append([])
@@ -163,10 +201,11 @@ def _face_table(complex_: SimplicialComplex):
     return by_size, index_of, rows
 
 
-def _ranks_of(by_size, index_of, rows, inside) -> tuple[tuple[int, ...], int]:
+def _ranks_of(by_size, index_of, rows, inside) -> tuple[tuple[int, ...], int, int]:
     """Reduced homology ranks of the subcomplex whose size-s faces are the
-    faces ``inside[s]`` (indices into ``by_size[s]``, ascending), and the
-    number of boundaries ranked by exact elimination.
+    faces ``inside[s]`` (indices into ``by_size[s]``, ascending), the number
+    of boundaries ranked over F_2 and the number ranked again by exact
+    elimination.
 
     ``inside`` must be closed under taking facets and have no empty level
     above a nonempty one.  Indices are global to the face table, so a
@@ -180,8 +219,7 @@ def _ranks_of(by_size, index_of, rows, inside) -> tuple[tuple[int, ...], int]:
     # boundary_rank[s] = rank of the map from size-s faces to size-(s-1) faces.
     boundary_rank = [0] * (top + 2)
     for s in range(1, top + 1):
-        level_rows = rows[s]
-        boundary_rank[s] = _gf2_rank([level_rows[i] for i in inside[s]])
+        boundary_rank[s] = _gf2_rank(list(map(rows[s].__getitem__, inside[s])))
 
     gf2_ranks = [sizes[s] - boundary_rank[s] - boundary_rank[s + 1] for s in range(top + 1)]
     if any(r < 0 for r in gf2_ranks):
@@ -200,10 +238,13 @@ def _ranks_of(by_size, index_of, rows, inside) -> tuple[tuple[int, ...], int]:
             vertices = [j for j in range(mask.bit_length()) if mask >> j & 1]
             for pos, j in enumerate(vertices):
                 signed[below[mask & ~(1 << j)]][col] = -1 if pos % 2 else 1
-        exact = _integer_rank(list(signed.values()))
+        matrix = list(signed.values())
+        exact = _integer_rank(matrix)
         fallbacks += 1
         if exact < boundary_rank[s]:
             raise AssertionError("rank over F_2 exceeds rank over Q: rank computation is broken")
+        if exact < _modp_rank(matrix):
+            raise AssertionError("rank over F_p exceeds rank over Q: rank computation is broken")
         boundary_rank[s] = exact
 
     ranks = [sizes[s] - boundary_rank[s] - boundary_rank[s + 1] for s in range(top + 1)]
@@ -213,7 +254,14 @@ def _ranks_of(by_size, index_of, rows, inside) -> tuple[tuple[int, ...], int]:
         raise AssertionError("Euler count mismatch: rank computation is broken")
     if any(r < 0 for r in ranks):
         raise AssertionError("negative homology rank: rank computation is broken")
-    return tuple(ranks), fallbacks
+    return tuple(ranks), top, fallbacks
+
+
+def _table_ranks(faces: list[int]) -> tuple[tuple[int, ...], int, int]:
+    """``_ranks_of`` on every face of the complex whose faces are ``faces``
+    (each size ascending by value, every facet present)."""
+    by_size, index_of, rows = _face_table(faces)
+    return _ranks_of(by_size, index_of, rows, [range(len(level)) for level in by_size])
 
 
 def homology_ranks(complex_: SimplicialComplex) -> tuple[int, ...]:
@@ -229,12 +277,11 @@ def homology_ranks(complex_: SimplicialComplex) -> tuple[int, ...]:
     if it is zero, both boundaries next to it have d = 0.  Only a boundary
     whose two neighbouring F_2 groups are both nonzero is ranked again by
     signed integer elimination.  Four checks raise on every call: no F_2
-    homology rank is negative, no exact rank is below its F_2 rank, the Euler
-    count matches the face numbers, and no rational homology rank is negative.
+    homology rank is negative, no exact rank is below its rank over F_2 or
+    over F_p for a fixed large prime p, the Euler count matches the face
+    numbers, and no rational homology rank is negative.
     """
-    by_size, index_of, rows = _face_table(complex_)
-    inside = [range(len(level)) for level in by_size]
-    return _ranks_of(by_size, index_of, rows, inside)[0]
+    return _table_ranks(complex_.faces())[0]
 
 
 class BettiTable(NamedTuple):
@@ -261,26 +308,32 @@ MAX_HOCHSTER_AMBIENT = 14
 class HomologyStats(Record):
     """Counters of ``hochster_betti``, filled in when a caller passes one.
 
-    ``subsets`` counts the vertex subsets F scanned and ``lcm_skips`` those
-    skipped because F is not a union of generator supports; every other F is
-    ranked.  ``faces`` is the size of the complex's face list, ``boundaries``
-    the boundary maps ranked over F_2 and ``fallbacks`` those ranked again by
-    exact integer elimination.  Each call adds its counts once, when it
-    returns.
+    ``subsets`` counts the vertex subsets F and ``lcm_skips`` those skipped
+    because F is not a union of generator supports.  Of the rest, ``joins``
+    are read off smaller ones as joins and ``duals`` ranked through their
+    upper Koszul complex; every other F is ranked on the complex's faces.
+    ``faces`` is the size of the complex's face list, 0 when no F needed it,
+    ``boundaries`` the boundary maps ranked over F_2 and ``fallbacks`` those
+    ranked again by exact integer elimination.  Each call adds its counts
+    once, when it returns.
     """
 
-    _fields = ("subsets", "lcm_skips", "faces", "boundaries", "fallbacks")
+    _fields = ("subsets", "lcm_skips", "joins", "duals", "faces", "boundaries", "fallbacks")
 
     def __init__(
         self,
         subsets: int = 0,
         lcm_skips: int = 0,
+        joins: int = 0,
+        duals: int = 0,
         faces: int = 0,
         boundaries: int = 0,
         fallbacks: int = 0,
     ) -> None:
         self.subsets = subsets
         self.lcm_skips = lcm_skips
+        self.joins = joins
+        self.duals = duals
         self.faces = faces
         self.boundaries = boundaries
         self.fallbacks = fallbacks
@@ -290,19 +343,79 @@ class HomologyStats(Record):
         return " ".join(map("{}={}".format, self._fields, self._values()))
 
 
+def _join_ranks(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Ranks of the join of two complexes with ranks ``a`` and ``b``.
+
+    With r[t] = dim H~_(t-1), Kunneth over a field gives
+    H~_(t-1)(A * B) = sum over u + v = t of H~_(u-1)(A) (x) H~_(v-1)(B).
+    """
+    out = [0] * (len(a) + len(b) - 1)
+    for u, x in enumerate(a):
+        if x:
+            for v, y in enumerate(b):
+                out[u + v] += x * y
+    return tuple(out)
+
+
+def _submasks(fmask: int) -> int:
+    """The set of submasks of ``fmask``, with bit m set for each submask m."""
+    below = 1
+    for j in range(fmask.bit_length()):
+        if fmask >> j & 1:
+            below |= below << (1 << j)
+    return below
+
+
+def _dual_ranks(fmask: int, inner: int) -> tuple[tuple[int, ...], int, int]:
+    """``_ranks_of`` for the restriction to a nonempty F that is not a face,
+    through its upper Koszul complex.
+
+    ``inner`` has bit N set for each nonface N inside F.  K^F has the faces
+    F - N; it is the Alexander dual of the restriction inside F, so
+    dim H~_(s-1)(restriction) = dim H~_(|F|-s-2)(K^F), and the ranks of K^F
+    are returned reversed and padded to the restriction's sizes 0..|F|-1.
+    """
+    # F - N = F ^ N for N inside F, so descending N lists the faces of K^F
+    # ascending by value.
+    dual, ranked, exact = _table_ranks([fmask - nf for nf in reversed(set_bits(inner))])
+    return (0,) * (fmask.bit_count() - len(dual)) + dual[::-1], ranked, exact
+
+
+def _restriction_ranks(table, fmask: int) -> tuple[tuple[int, ...], int, int]:
+    """``_ranks_of`` for the restriction to F, on the faces inside F of the
+    complex's face table ``table`` (``_face_table`` of all its faces)."""
+    by_size, index_of, rows = table
+    inside = []
+    for level in by_size[: fmask.bit_count() + 1]:
+        kept = list(compress(range(len(level)), map(fmask.__eq__, map(fmask.__or__, level))))
+        if not kept:
+            break
+        inside.append(kept)
+    return _ranks_of(by_size, index_of, rows, inside)
+
+
 def hochster_betti(ideal: MonomialIdeal, stats: HomologyStats | None = None) -> BettiTable:
     """Full Betti table of the quotient by a squarefree ideal.
 
     The rank in homological index i and squarefree degree F is the reduced
-    homology rank of the restriction to F in degree |F| - i - 1.  Only subsets
-    F that are unions of generator supports can carry a nonzero rank; the rest
-    are skipped.  The complex's faces and their F_2 boundary rows are listed
-    once per ideal; the restriction to F is the full subcomplex on F, so its
-    faces are the listed faces inside F, and every facet of such a face lies
-    inside F too.  Each F is thus ranked on a subset of the listed faces and
-    their stored rows, with no restricted complex built.  Subsets are scanned
-    ascending by (popcount, value) so the table is deterministic.  A ``stats``
-    record, when given, gets this call's counts added.
+    homology rank of the restriction Delta_F to F in degree |F| - i - 1.  Only
+    subsets F that are unions of minimal nonfaces (generator supports) can
+    carry a nonzero rank, so only those are visited, ascending by (popcount,
+    value) so the table is deterministic.  Each takes one of three routes:
+
+    - join: when the minimal nonfaces inside F split into vertex-disjoint
+      groups, Delta_F is the join of the restrictions to the groups' unions,
+      smaller lattice elements already visited, and ``_join_ranks`` combines
+      them;
+    - dual: when Delta_F has more faces than nonfaces, the upper Koszul
+      complex K^F = {F - N : N a nonface inside F}, its Alexander dual inside
+      F, is ranked instead: beta_(i,F) = dim H~_(i-2)(K^F);
+    - otherwise Delta_F itself, as the faces inside F of the complex's face
+      list, which is built on first use.
+
+    F = {} is ranked on its one face.  Both ranked routes go through
+    ``_ranks_of`` and all its checks.  A ``stats`` record, when given, gets
+    this call's counts added.
     """
     if ideal.ambient > MAX_HOCHSTER_AMBIENT:
         raise InputError(
@@ -310,34 +423,56 @@ def hochster_betti(ideal: MonomialIdeal, stats: HomologyStats | None = None) -> 
         )
     complex_ = sr_complex(ideal)
     n = ideal.ambient
-    by_size, index_of, rows = _face_table(complex_)
-    full = (1 << n) - 1
+    nonfaces = complex_.nonface_masks
+    # Betti numbers live on the lcm lattice: if some vertex v of F lies in no
+    # nonface inside F, v is a cone apex of the restriction to F, whose
+    # reduced homology is then zero in every degree, -1 included (F is not
+    # empty).  The empty set is its own union of nonfaces and is computed.
+    lattice = {0}
+    for nf in nonfaces:
+        lattice |= {f | nf for f in lattice}
+    lattice = sorted(lattice, key=lambda m: (m.bit_count(), m))
+    # Bit m of ``upset`` is set when the mask m is a nonface.
+    upset = box_upset(sum(1 << nf for nf in set(nonfaces)), (1,) * n)
+    table = None
+    ranks_at: dict[int, tuple[int, ...]] = {}
     entries: dict[tuple[int, tuple[int, ...]], int] = {}
-    subsets = sorted(range(1 << n), key=lambda m: (m.bit_count(), m))
-    lcm_skips = boundaries = fallbacks = 0
-    for fmask in subsets:
-        # Betti numbers live on the lcm lattice: if some vertex v of F lies in
-        # no nonface inside F, v is a cone apex of the restriction to F, whose
-        # reduced homology is then zero in every degree, -1 included (F is not
-        # empty).  The empty set is its own union of nonfaces and is computed.
-        covered = 0
-        for nf in complex_.nonface_masks:
-            if nf & fmask == nf:
-                covered |= nf
-        if covered != fmask:
-            lcm_skips += 1
-            continue
-        outside = full ^ fmask
-        inside = []
-        for level in by_size:
-            kept = [i for i, m in enumerate(level) if not m & outside]
-            if not kept:
-                break
-            inside.append(kept)
-        ranks, exact = _ranks_of(by_size, index_of, rows, inside)
-        boundaries += len(ranks) - 1
-        fallbacks += exact
+    joins = duals = boundaries = fallbacks = 0
+    for fmask in lattice:
         size = fmask.bit_count()
+        # The unions of the nonfaces inside F that share vertices, transitively.
+        groups: list[int] = []
+        for nf in nonfaces:
+            if nf | fmask == fmask:
+                merged, apart = nf, []
+                for group in groups:
+                    if group & merged:
+                        merged |= group
+                    else:
+                        apart.append(group)
+                apart.append(merged)
+                groups = apart
+        if len(groups) > 1:
+            ranks = ranks_at[groups[0]]
+            for group in groups[1:]:
+                ranks = _join_ranks(ranks, ranks_at[group])
+            joins += 1
+            ranked = exact = 0
+        elif not fmask:
+            ranks, ranked, exact = _table_ranks([0])
+        else:
+            inner = upset & _submasks(fmask)
+            count = inner.bit_count()
+            if (1 << size) - count > count:
+                ranks, ranked, exact = _dual_ranks(fmask, inner)
+                duals += 1
+            else:
+                if table is None:
+                    table = _face_table(complex_.faces())
+                ranks, ranked, exact = _restriction_ranks(table, fmask)
+        boundaries += ranked
+        fallbacks += exact
+        ranks_at[fmask] = ranks
         fvars = tuple(j + 1 for j in range(n) if fmask >> j & 1)
         for degree_plus_one, rank in enumerate(ranks):
             if rank:
@@ -351,9 +486,11 @@ def hochster_betti(ideal: MonomialIdeal, stats: HomologyStats | None = None) -> 
     if entries.get((0, ())) != 1:
         raise AssertionError("the index-0 entry of the empty degree must be 1")
     if stats is not None:
-        stats.subsets += len(subsets)
-        stats.lcm_skips += lcm_skips
-        stats.faces += sum(len(level) for level in by_size)
+        stats.subsets += 1 << n
+        stats.lcm_skips += (1 << n) - len(lattice)
+        stats.joins += joins
+        stats.duals += duals
+        stats.faces += sum(len(level) for level in table[0]) if table else 0
         stats.boundaries += boundaries
         stats.fallbacks += fallbacks
     return BettiTable(n, entries)

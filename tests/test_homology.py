@@ -1,7 +1,9 @@
 import hashlib
 import subprocess
 import sys
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -190,19 +192,35 @@ class TestHomologyRanks:
         assert out.startswith("raised: rank over F_2 exceeds rank over Q"), out
 
     def test_wrong_rank_raises_in_betti_table_under_optimize(self):
-        # hochster_betti ranks its restrictions through the same checks.
-        out = run_optimized("\n".join([
-            "import sdepthlab.homology as homology",
-            "from sdepthlab import parse_ideal",
-            "homology._gf2_rank = lambda rows: len(rows) + 1",
-            "try:",
-            "    homology.hochster_betti(parse_ideal('n=3: x1*x2*x3'))",
-            "except AssertionError as exc:",
-            "    print('raised:', exc)",
-            "else:",
-            "    print('returned')",
-        ]))
-        assert out.startswith("raised:"), out
+        # hochster_betti ranks through the same checks on both of its ranked
+        # routes.  In the first ideal only F = {1, 2, 3} has a boundary to
+        # rank, and it ranks the restriction (three points, tied with its
+        # upper Koszul complex); in the second, every F takes the upper
+        # Koszul complex, and the face list is never built.
+        routes = {
+            "n=3: x1*x2, x1*x3, x2*x3": HomologyStats(
+                subsets=8, lcm_skips=3, duals=3, faces=4, boundaries=1
+            ),
+            "n=3: x1*x2, x2*x3": HomologyStats(
+                subsets=8, lcm_skips=4, duals=3, faces=0, boundaries=1
+            ),
+        }
+        for text, expected in routes.items():
+            stats = HomologyStats()
+            hochster_betti(parse_ideal(text), stats=stats)
+            assert stats == expected
+            out = run_optimized("\n".join([
+                "import sdepthlab.homology as homology",
+                "from sdepthlab import parse_ideal",
+                "homology._gf2_rank = lambda rows: len(rows) + 1",
+                "try:",
+                f"    homology.hochster_betti(parse_ideal({text!r}))",
+                "except AssertionError as exc:",
+                "    print('raised:', exc)",
+                "else:",
+                "    print('returned')",
+            ]))
+            assert out.startswith("raised: negative F_2 homology rank"), (text, out)
 
     def test_exact_rank_below_gf2_rank_raises_in_betti_table_under_optimize(self):
         out = run_optimized("\n".join([
@@ -217,6 +235,29 @@ class TestHomologyRanks:
             "    print('returned')",
         ]))
         assert out.startswith("raised: rank over F_2 exceeds rank over Q"), out
+
+    @pytest.mark.parametrize("call", [
+        "homology.homology_ranks(sr_complex(ideal))",
+        "homology.hochster_betti(ideal)",
+    ], ids=["ranks", "betti-table"])
+    def test_exact_rank_below_modp_rank_raises_under_optimize(self, call):
+        # An exact fallback rank equal to the F_2 rank passes the F_2 check,
+        # and on RP^2_6 it leaves every rational rank nonnegative; only the
+        # check against the rank over F_p catches it.
+        out = run_optimized("\n".join([
+            "import sdepthlab.homology as homology",
+            "from sdepthlab import parse_ideal, sr_complex",
+            "homology._integer_rank = lambda rows: homology._gf2_rank(",
+            "    [sum(1 << col for col in row) for row in rows])",
+            f"ideal = parse_ideal({RP2_TEXT!r})",
+            "try:",
+            f"    {call}",
+            "except AssertionError as exc:",
+            "    print('raised:', exc)",
+            "else:",
+            "    print('returned')",
+        ]))
+        assert out.startswith("raised: rank over F_p exceeds rank over Q"), out
 
     def test_rp2_needs_one_exact_fallback(self, monkeypatch):
         ideal = parse_ideal(RP2_TEXT)
@@ -271,7 +312,8 @@ class TestHomologyStats:
         stats = HomologyStats()
         hochster_betti(ideal, stats=stats)
         assert stats == HomologyStats(
-            subsets=1024, lcm_skips=902, faces=443, boundaries=556, fallbacks=0
+            subsets=1024, lcm_skips=902, joins=50, duals=70, faces=443, boundaries=216,
+            fallbacks=0,
         )
         assert stats.faces == len(sr_complex(ideal).faces())
         assert stats.boundaries == len(gf2_calls)
@@ -280,8 +322,10 @@ class TestHomologyStats:
         stats = HomologyStats()
         hochster_betti(parse_ideal("n=3: x1*x2*x3"), stats=stats)
         hochster_betti(parse_ideal("n=3: x1*x2*x3"), stats=stats)
+        # F = {} ranks its one face; F = {1, 2, 3} ranks its upper Koszul
+        # complex, the empty face alone, so the face list is never built.
         assert stats == HomologyStats(
-            subsets=16, lcm_skips=12, faces=14, boundaries=4, fallbacks=0
+            subsets=16, lcm_skips=12, joins=0, duals=2, faces=0, boundaries=0, fallbacks=0
         )
 
     def test_rp2_reports_one_fallback(self, tmp_path, capsys):
@@ -291,7 +335,8 @@ class TestHomologyStats:
         captured = capsys.readouterr()
         assert captured.out == "depth = 3\npd = 3\n"
         assert captured.err == (
-            "homology: subsets=64 lcm_skips=31 faces=32 boundaries=86 fallbacks=1\n"
+            "homology: subsets=64 lcm_skips=31 joins=0 duals=31 faces=32 boundaries=30"
+            " fallbacks=1\n"
         )
 
 
@@ -311,6 +356,15 @@ class TestIntegerRank:
     def test_matches_fraction_elimination(self, matrix):
         sparse = [{col: v for col, v in enumerate(row) if v} for row in matrix]
         assert _integer_rank(sparse) == fraction_rank(matrix)
+
+    @settings(max_examples=300)
+    @given(small_matrices())
+    @example([[2, 0], [0, 3], [-2, 3]])
+    def test_modp_rank_matches_fraction_elimination(self, matrix):
+        # Every minor of these matrices is far below the prime, so the rank
+        # over F_p is the rank over Q.
+        sparse = [{col: v for col, v in enumerate(row) if v} for row in matrix]
+        assert homology._modp_rank(sparse) == fraction_rank(matrix)
 
 
 class TestAgainstReferenceRanks:
@@ -396,6 +450,93 @@ class TestPinnedTables:
         captured = capsys.readouterr()
         assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
         assert captured.err.startswith("homology: subsets=")
+
+
+# sha256 of the `sdepthlab depth --betti` text of every line and cycle ideal
+# with n = 11, recorded before the Betti table visited only the lcm lattice.
+N11_DIGESTS = [
+    ("line", 2, "a9076f48f3b2f3081eb82ac6fe97a936c6f291e3cba380905d284d1f29188913"),
+    ("line", 3, "b94da2a085f15aa1ddca381bbfdeef1aa65601b4039b06482852cf90af0f67c1"),
+    ("line", 4, "48a701121d2d2461cb5155ef2a06254a4e9354c9c0224b462be0fd71959441d8"),
+    ("line", 5, "1e3d9de3ff9679e8f8301cbdbd7d611408577f47e6bbb4895dcd0b0f20d09310"),
+    ("line", 6, "48a4d86edaf1778cf244f6e53f6060e220ae07bdb54bae3f328bf2fbf8600d95"),
+    ("line", 7, "458c65f3d26961bcfb6cffa0b80cd1374a32865f09a1271eb1cb19a1bafa26d8"),
+    ("line", 8, "53d14f4a2a5e81b7ebf25f913874cb786bf07ace9787e1f2107a4cc5f2765a29"),
+    ("line", 9, "44379af041274581c0da97955a5eb281c8619c0808b04d8473e5764d951096a9"),
+    ("line", 10, "0330221955947dde3c3d0080df73d8ea1d8e892405987b7994ecf2938279a8c0"),
+    ("line", 11, "f17b12d98c91430a0ca59b163f859d9305ee494e2f4517e22eebe839b3bc49c0"),
+    ("cycle", 2, "d8c79845ef6d71cd5027ec197693f7fb4ad0e3a98eb471743426cc29931f52a4"),
+    ("cycle", 3, "9179e44470a99e5d49aa07edc79538fc6f95981d2d8b8862a80162f463f6a1ba"),
+    ("cycle", 4, "8349415be14825c0fe603e6cb547d63360b365d930cc5dd35d50092365f09f69"),
+    ("cycle", 5, "0b756a33316efa340f15def10617ee540231347ad0a7140c31cb8b1f3c02b8bd"),
+    ("cycle", 6, "427da051591f00db9cdc8b065b3ba237a30eaeb71d57af748178df294ac70687"),
+    ("cycle", 7, "34c2e75a1edf7dd7adc96a05f7f1761cf2f1d69d9879bdb02fe04f525371b9e1"),
+    ("cycle", 8, "6d91977483237c44a73f45e7b2ca131450a4269bbf625aa47e1ad78c224199c8"),
+    ("cycle", 9, "b895619b8d65115a0edff35985e643bdabda940e0a98442d3a59406fb42bd7af"),
+    ("cycle", 10, "f40b0a345b3c642b6521f0fe356e4e91c8f297ffa2788723413da39a58cfa13f"),
+]
+
+
+class TestPinnedElevenTables:
+    @pytest.mark.parametrize(
+        "kind, m, digest", N11_DIGESTS, ids=[f"{k}-11-{m}" for k, m, _ in N11_DIGESTS]
+    )
+    def test_depth_betti_text(self, kind, m, digest, tmp_path, capsys):
+        family = line_path_ideal if kind == "line" else cycle_path_ideal
+        ideal_file = tmp_path / "ideal.txt"
+        ideal_file.write_text(format_ideal(family(11, m)))
+        assert cli.main(["depth", "--ideal-file", str(ideal_file), "--betti"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def shifted(ideal, before: int, after: int) -> list[Monomial]:
+    """The generators of ``ideal`` with ``before`` unused variables in front
+    and ``after`` behind."""
+    return [Monomial((0,) * before + g.exponents + (0,) * after) for g in ideal.gens]
+
+
+def nonzero(ranks) -> dict[int, int]:
+    return {s: r for s, r in enumerate(ranks) if r}
+
+
+class TestLatticeRoutes:
+    @settings(max_examples=40, deadline=None)
+    @given(squarefree_ideals(max_n=4), squarefree_ideals(max_n=4))
+    @example(parse_ideal("n=2: x1*x2"), parse_ideal("n=3: x1*x2*x3"))
+    # Homology in two degrees on each side, so two products meet in one degree.
+    @example(parse_ideal(CIRCLE_AND_POINT_TEXT), parse_ideal(CIRCLE_AND_POINT_TEXT))
+    def test_disjoint_variables_give_the_kunneth_product(self, first, second):
+        # Every F that meets both variable sets in a lattice element is a
+        # join, read off the two factors' restrictions.
+        n1, n2 = first.ambient, second.ambient
+        ideal = minimalize(shifted(first, 0, n2) + shifted(second, n1, 0), n1 + n2)
+        product: dict[tuple[int, tuple[int, ...]], int] = {}
+        for (i1, f1), b1 in hochster_betti(first).entries.items():
+            for (i2, f2), b2 in hochster_betti(second).entries.items():
+                key = (i1 + i2, f1 + tuple(v + n1 for v in f2))
+                product[key] = product.get(key, 0) + b1 * b2
+        entries = hochster_betti(ideal).entries
+        assert entries == product
+        assert entries == reference_betti(ideal)
+
+    @settings(max_examples=80, deadline=None)
+    @given(squarefree_ideals())
+    @example(parse_ideal(RP2_TEXT))
+    @example(parse_ideal(CIRCLE_AND_POINT_TEXT))
+    def test_restriction_and_upper_koszul_complex_agree(self, ideal):
+        # For every nonempty lattice element F, both ranked routes of
+        # hochster_betti give the reference ranks of the restriction to F.
+        cx = sr_complex(ideal)
+        nonfaces = [m for m in range(1 << cx.n) if any(nf & m == nf for nf in cx.nonface_masks)]
+        table = homology._face_table(cx.faces())
+        for fmask in range(1, 1 << cx.n):
+            inside = [nf for nf in cx.nonface_masks if nf & fmask == nf]
+            if reduce(or_, inside, 0) != fmask:
+                continue
+            inner = sum(1 << m for m in nonfaces if m & fmask == m)
+            expected = nonzero(reference_ranks(cx.restrict(fmask)))
+            assert nonzero(homology._dual_ranks(fmask, inner)[0]) == expected
+            assert nonzero(homology._restriction_ranks(table, fmask)[0]) == expected
 
 
 class TestDepth:
