@@ -121,14 +121,14 @@ def _compute_rows(args: tuple) -> list[ScanRow]:
         return [row(check, holds, rec.psi, rec.phi, depth=depth, sdepth=sdepth)]
 
     if check == "cor15":
-        depth = depth_squarefree(cycle) if n <= STRUCTURE_N_MAX else None
+        depth = depth_squarefree(cycle)
         if not is_equality_case(n, m):
             # Bracket conditions as printed select exactly the non-equality
             # instances, where the formulas force depth = psi < phi; reported
             # as informational rows rather than asserted.
             return [row("cor15-printed-cond", True, rec.psi, rec.phi, depth=depth)]
         sdepth = sdepth_of(ring_quotient(cycle))
-        holds = depth in (None, rec.phi) and sdepth in (None, rec.phi)
+        holds = depth == rec.phi and sdepth in (None, rec.phi)
         return [row(check, holds, rec.phi, rec.phi, depth=depth, sdepth=sdepth)]
 
     if check == "prop16":

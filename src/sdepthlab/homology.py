@@ -12,20 +12,20 @@ boundary between two nonzero F_2 groups is ranked again by signed integer
 elimination, so torsion (Reisner's six-vertex RP^2) is still handled.
 
 The Betti table visits only the lcm lattice, the unions F of minimal
-nonfaces, and takes the cheapest of three exact routes for each F.  When the
+nonfaces, and takes the cheapest of four exact routes for each F.  When the
 nonfaces inside F fall into two or more vertex-disjoint groups, the
 restriction to F is the join of the restrictions to the groups, and its ranks
-are the convolution of theirs (Kunneth over Q), so nothing is ranked.
-Otherwise it ranks the smaller of two complexes with the same homology up to
-a shift: the restriction itself, read from the complex's face list (built
-once per ideal, on first use), or its Alexander dual inside F, the upper
-Koszul complex K^F = {F - N : N a nonface inside F} (Miller-Sturmfels,
-Combinatorial Commutative Algebra, Thm 1.34).
+are the convolution of theirs (Kunneth over Q).  When a vertex v of F is
+dominated by another, deleting it is a strong collapse (Barmak-Minian), and F
+has the ranks of F - v.  Neither ranks anything.  Otherwise the table ranks
+the smaller of two complexes with the same homology up to a shift, each built
+afresh from the nonfaces: the restriction itself, or its Alexander dual inside
+F, the upper Koszul complex K^F = {F - N : N a nonface inside F}
+(Miller-Sturmfels, Combinatorial Commutative Algebra, Thm 1.34).
 """
 
 from __future__ import annotations
 
-from itertools import compress
 from math import gcd
 from typing import NamedTuple
 
@@ -169,14 +169,11 @@ def _modp_rank(rows: list[dict[int, int]]) -> int:
     return len(pivots)
 
 
-def _face_table(faces: list[int]):
-    """Faces grouped by size, their indices and F_2 boundary rows.
-
-    ``faces`` must list each size's faces ascending by value and hold every
-    facet of each face.  ``by_size[s]`` lists the size-s faces in that order,
-    ``index_of[s]`` maps each of them to its position there, and
-    ``rows[s][i]`` is the bitmask of the positions of the facets of
-    ``by_size[s][i]``; the empty face has the row 0.
+def _ranks_of(faces: list[int]) -> tuple[tuple[int, ...], int, int]:
+    """Reduced homology ranks of the complex whose faces are ``faces`` (each
+    size ascending by value, every facet present), the number of boundaries
+    ranked over F_2 and the number ranked again by exact elimination.  See
+    ``homology_ranks`` for the F_2 pass, the fallback rule and the checks.
     """
     by_size: list[list[int]] = []
     for mask in faces:
@@ -185,41 +182,24 @@ def _face_table(faces: list[int]):
             by_size.append([])
         by_size[size].append(mask)
     index_of = [{m: i for i, m in enumerate(level)} for level in by_size]
-    rows = [[0] * len(by_size[0])]
-    for s in range(1, len(by_size)):
+    top = len(by_size) - 1
+    sizes = [len(level) for level in by_size]
+
+    # boundary_rank[s] = rank of the map from size-s faces to size-(s-1) faces.
+    # A face's F_2 row is the bitmask of the indices of its facets, built one
+    # level at a time.
+    boundary_rank = [0] * (top + 2)
+    for s in range(1, top + 1):
         below = index_of[s - 1]
-        level_rows = []
+        rows = []
         for mask in by_size[s]:
-            row = 0
-            rest = mask
+            row, rest = 0, mask
             while rest:
                 bit = rest & -rest
                 row |= 1 << below[mask ^ bit]
                 rest ^= bit
-            level_rows.append(row)
-        rows.append(level_rows)
-    return by_size, index_of, rows
-
-
-def _ranks_of(by_size, index_of, rows, inside) -> tuple[tuple[int, ...], int, int]:
-    """Reduced homology ranks of the subcomplex whose size-s faces are the
-    faces ``inside[s]`` (indices into ``by_size[s]``, ascending), the number
-    of boundaries ranked over F_2 and the number ranked again by exact
-    elimination.
-
-    ``inside`` must be closed under taking facets and have no empty level
-    above a nonempty one.  Indices are global to the face table, so a
-    boundary row of a face in the subcomplex is its row in ``rows``: a
-    relabelling of columns, which changes no rank.  See ``homology_ranks``
-    for the F_2 pass, the fallback rule and the checks.
-    """
-    top = len(inside) - 1
-    sizes = [len(level) for level in inside]
-
-    # boundary_rank[s] = rank of the map from size-s faces to size-(s-1) faces.
-    boundary_rank = [0] * (top + 2)
-    for s in range(1, top + 1):
-        boundary_rank[s] = _gf2_rank(list(map(rows[s].__getitem__, inside[s])))
+            rows.append(row)
+        boundary_rank[s] = _gf2_rank(rows)
 
     gf2_ranks = [sizes[s] - boundary_rank[s] - boundary_rank[s + 1] for s in range(top + 1)]
     if any(r < 0 for r in gf2_ranks):
@@ -229,16 +209,13 @@ def _ranks_of(by_size, index_of, rows, inside) -> tuple[tuple[int, ...], int, in
     for s in range(1, top + 1):
         if not (gf2_ranks[s - 1] and gf2_ranks[s]):
             continue
-        # Signs come from the vertex positions in ascending order, which a
-        # vertex subset keeps, so they are those of the restricted complex.
+        # Signs come from the vertex positions in ascending order.
         below = index_of[s - 1]
-        signed: dict[int, dict[int, int]] = {i: {} for i in inside[s - 1]}
-        for col, i in enumerate(inside[s]):
-            mask = by_size[s][i]
+        matrix: list[dict[int, int]] = [{} for _ in by_size[s - 1]]
+        for col, mask in enumerate(by_size[s]):
             vertices = [j for j in range(mask.bit_length()) if mask >> j & 1]
             for pos, j in enumerate(vertices):
-                signed[below[mask & ~(1 << j)]][col] = -1 if pos % 2 else 1
-        matrix = list(signed.values())
+                matrix[below[mask & ~(1 << j)]][col] = -1 if pos % 2 else 1
         exact = _integer_rank(matrix)
         fallbacks += 1
         if exact < boundary_rank[s]:
@@ -255,13 +232,6 @@ def _ranks_of(by_size, index_of, rows, inside) -> tuple[tuple[int, ...], int, in
     if any(r < 0 for r in ranks):
         raise AssertionError("negative homology rank: rank computation is broken")
     return tuple(ranks), top, fallbacks
-
-
-def _table_ranks(faces: list[int]) -> tuple[tuple[int, ...], int, int]:
-    """``_ranks_of`` on every face of the complex whose faces are ``faces``
-    (each size ascending by value, every facet present)."""
-    by_size, index_of, rows = _face_table(faces)
-    return _ranks_of(by_size, index_of, rows, [range(len(level)) for level in by_size])
 
 
 def homology_ranks(complex_: SimplicialComplex) -> tuple[int, ...]:
@@ -281,7 +251,7 @@ def homology_ranks(complex_: SimplicialComplex) -> tuple[int, ...]:
     over F_p for a fixed large prime p, the Euler count matches the face
     numbers, and no rational homology rank is negative.
     """
-    return _table_ranks(complex_.faces())[0]
+    return _ranks_of(complex_.faces())[0]
 
 
 class BettiTable(NamedTuple):
@@ -302,29 +272,29 @@ class BettiTable(NamedTuple):
         return self.n - self.projective_dimension()
 
 
-MAX_HOCHSTER_AMBIENT = 14
-
-
 class HomologyStats(Record):
     """Counters of ``hochster_betti``, filled in when a caller passes one.
 
     ``subsets`` counts the vertex subsets F and ``lcm_skips`` those skipped
     because F is not a union of generator supports.  Of the rest, ``joins``
-    are read off smaller ones as joins and ``duals`` ranked through their
-    upper Koszul complex; every other F is ranked on the complex's faces.
-    ``faces`` is the size of the complex's face list, 0 when no F needed it,
-    ``boundaries`` the boundary maps ranked over F_2 and ``fallbacks`` those
-    ranked again by exact integer elimination.  Each call adds its counts
-    once, when it returns.
+    are read off smaller ones as joins, ``collapses`` off F minus a dominated
+    vertex, and ``duals`` ranked through their upper Koszul complex; every
+    other F is ranked as the restriction itself.  ``faces`` counts the faces
+    of every complex ranked, ``boundaries`` the boundary maps ranked over F_2
+    and ``fallbacks`` those ranked again by exact integer elimination.  Each
+    call adds its counts once, when it returns.
     """
 
-    _fields = ("subsets", "lcm_skips", "joins", "duals", "faces", "boundaries", "fallbacks")
+    _fields = (
+        "subsets", "lcm_skips", "joins", "collapses", "duals", "faces", "boundaries", "fallbacks"
+    )
 
     def __init__(
         self,
         subsets: int = 0,
         lcm_skips: int = 0,
         joins: int = 0,
+        collapses: int = 0,
         duals: int = 0,
         faces: int = 0,
         boundaries: int = 0,
@@ -333,6 +303,7 @@ class HomologyStats(Record):
         self.subsets = subsets
         self.lcm_skips = lcm_skips
         self.joins = joins
+        self.collapses = collapses
         self.duals = duals
         self.faces = faces
         self.boundaries = boundaries
@@ -366,6 +337,40 @@ def _submasks(fmask: int) -> int:
     return below
 
 
+def _dominated(fmask: int, inside: list[int], upset: int) -> int:
+    """A vertex v of the restriction to F that another vertex w of F
+    dominates, as the bit 1 << v, or 0 when there is none.
+
+    ``inside`` lists the minimal nonfaces inside F, which must cover F, and
+    bit m of ``upset`` is set when the mask m is a nonface.  v is dominated
+    by w (every face holding v stays a face with w added) exactly when
+    (N - w) | v is a nonface for every minimal nonface N inside F that holds
+    w.  A w that shares a minimal nonface N with v fails that test on N, so
+    only the w outside those nonfaces are tried.  A singleton nonface {v}
+    passes it for every w, and then v is no vertex of the restriction at all.
+    A single nonface, the boundary of a simplex, has no dominated vertex.
+    """
+    if len(inside) == 1:
+        return 0
+    vertices = fmask
+    while vertices:
+        vbit = vertices & -vertices
+        vertices ^= vbit
+        shared = 0
+        for nf in inside:
+            if nf & vbit:
+                shared |= nf
+                if shared == fmask:
+                    break
+        rest = fmask ^ shared
+        while rest:
+            wbit = rest & -rest
+            rest ^= wbit
+            if all(upset >> (nf ^ wbit | vbit) & 1 for nf in inside if nf & wbit):
+                return vbit
+    return 0
+
+
 def _dual_ranks(fmask: int, inner: int) -> tuple[tuple[int, ...], int, int]:
     """``_ranks_of`` for the restriction to a nonempty F that is not a face,
     through its upper Koszul complex.
@@ -377,21 +382,8 @@ def _dual_ranks(fmask: int, inner: int) -> tuple[tuple[int, ...], int, int]:
     """
     # F - N = F ^ N for N inside F, so descending N lists the faces of K^F
     # ascending by value.
-    dual, ranked, exact = _table_ranks([fmask - nf for nf in reversed(set_bits(inner))])
+    dual, ranked, exact = _ranks_of([fmask - nf for nf in reversed(set_bits(inner))])
     return (0,) * (fmask.bit_count() - len(dual)) + dual[::-1], ranked, exact
-
-
-def _restriction_ranks(table, fmask: int) -> tuple[tuple[int, ...], int, int]:
-    """``_ranks_of`` for the restriction to F, on the faces inside F of the
-    complex's face table ``table`` (``_face_table`` of all its faces)."""
-    by_size, index_of, rows = table
-    inside = []
-    for level in by_size[: fmask.bit_count() + 1]:
-        kept = list(compress(range(len(level)), map(fmask.__eq__, map(fmask.__or__, level))))
-        if not kept:
-            break
-        inside.append(kept)
-    return _ranks_of(by_size, index_of, rows, inside)
 
 
 def hochster_betti(ideal: MonomialIdeal, stats: HomologyStats | None = None) -> BettiTable:
@@ -401,29 +393,30 @@ def hochster_betti(ideal: MonomialIdeal, stats: HomologyStats | None = None) -> 
     homology rank of the restriction Delta_F to F in degree |F| - i - 1.  Only
     subsets F that are unions of minimal nonfaces (generator supports) can
     carry a nonzero rank, so only those are visited, ascending by (popcount,
-    value) so the table is deterministic.  Each takes one of three routes:
+    value) so the table is deterministic.  Each takes the first of four
+    routes that applies:
 
     - join: when the minimal nonfaces inside F split into vertex-disjoint
       groups, Delta_F is the join of the restrictions to the groups' unions,
       smaller lattice elements already visited, and ``_join_ranks`` combines
       them;
+    - collapse: when a vertex v of F is dominated (``_dominated``), deleting
+      it is a strong collapse of Delta_F onto Delta_(F - v), which keeps the
+      homotopy type (Barmak-Minian, Discrete Comput. Geom. 47, 2012), so F
+      copies the ranks of F - v: a smaller lattice element, or else a cone,
+      whose ranks are all zero;
     - dual: when Delta_F has more faces than nonfaces, the upper Koszul
       complex K^F = {F - N : N a nonface inside F}, its Alexander dual inside
       F, is ranked instead: beta_(i,F) = dim H~_(i-2)(K^F);
-    - otherwise Delta_F itself, as the faces inside F of the complex's face
-      list, which is built on first use.
+    - otherwise Delta_F itself, on its faces, the submasks of F outside the
+      nonfaces.
 
-    F = {} is ranked on its one face.  Both ranked routes go through
-    ``_ranks_of`` and all its checks.  A ``stats`` record, when given, gets
-    this call's counts added.
+    F = {} is ranked on its one face.  Every ranked complex is built afresh
+    and goes through ``_ranks_of`` and all its checks.  A ``stats`` record,
+    when given, gets this call's counts added.
     """
-    if ideal.ambient > MAX_HOCHSTER_AMBIENT:
-        raise InputError(
-            f"ambient {ideal.ambient} exceeds the Betti table cap {MAX_HOCHSTER_AMBIENT}"
-        )
-    complex_ = sr_complex(ideal)
     n = ideal.ambient
-    nonfaces = complex_.nonface_masks
+    nonfaces = sr_complex(ideal).nonface_masks
     # Betti numbers live on the lcm lattice: if some vertex v of F lies in no
     # nonface inside F, v is a cone apex of the restriction to F, whose
     # reduced homology is then zero in every degree, -1 included (F is not
@@ -434,42 +427,46 @@ def hochster_betti(ideal: MonomialIdeal, stats: HomologyStats | None = None) -> 
     lattice = sorted(lattice, key=lambda m: (m.bit_count(), m))
     # Bit m of ``upset`` is set when the mask m is a nonface.
     upset = box_upset(sum(1 << nf for nf in set(nonfaces)), (1,) * n)
-    table = None
     ranks_at: dict[int, tuple[int, ...]] = {}
     entries: dict[tuple[int, tuple[int, ...]], int] = {}
-    joins = duals = boundaries = fallbacks = 0
+    joins = collapses = duals = faces = boundaries = fallbacks = 0
     for fmask in lattice:
         size = fmask.bit_count()
+        inside = [nf for nf in nonfaces if nf | fmask == fmask]
         # The unions of the nonfaces inside F that share vertices, transitively.
         groups: list[int] = []
-        for nf in nonfaces:
-            if nf | fmask == fmask:
-                merged, apart = nf, []
-                for group in groups:
-                    if group & merged:
-                        merged |= group
-                    else:
-                        apart.append(group)
-                apart.append(merged)
-                groups = apart
+        for nf in inside:
+            merged, apart = nf, []
+            for group in groups:
+                if group & merged:
+                    merged |= group
+                else:
+                    apart.append(group)
+            apart.append(merged)
+            groups = apart
+        ranked = exact = 0
         if len(groups) > 1:
             ranks = ranks_at[groups[0]]
             for group in groups[1:]:
                 ranks = _join_ranks(ranks, ranks_at[group])
             joins += 1
-            ranked = exact = 0
         elif not fmask:
-            ranks, ranked, exact = _table_ranks([0])
+            ranks, ranked, exact = _ranks_of([0])
+            faces += 1
+        elif vbit := _dominated(fmask, inside, upset):
+            ranks = ranks_at.get(fmask ^ vbit, ())
+            collapses += 1
         else:
-            inner = upset & _submasks(fmask)
+            below = _submasks(fmask)
+            inner = upset & below
             count = inner.bit_count()
             if (1 << size) - count > count:
                 ranks, ranked, exact = _dual_ranks(fmask, inner)
                 duals += 1
+                faces += count
             else:
-                if table is None:
-                    table = _face_table(complex_.faces())
-                ranks, ranked, exact = _restriction_ranks(table, fmask)
+                ranks, ranked, exact = _ranks_of(set_bits(below & ~upset))
+                faces += (1 << size) - count
         boundaries += ranked
         fallbacks += exact
         ranks_at[fmask] = ranks
@@ -489,8 +486,9 @@ def hochster_betti(ideal: MonomialIdeal, stats: HomologyStats | None = None) -> 
         stats.subsets += 1 << n
         stats.lcm_skips += (1 << n) - len(lattice)
         stats.joins += joins
+        stats.collapses += collapses
         stats.duals += duals
-        stats.faces += sum(len(level) for level in table[0]) if table else 0
+        stats.faces += faces
         stats.boundaries += boundaries
         stats.fallbacks += fallbacks
     return BettiTable(n, entries)

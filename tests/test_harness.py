@@ -243,6 +243,12 @@ class TestCor15Scan:
         }
 
 
+    def test_depth_past_the_structure_cap(self):
+        rows = rows_by_nm(run_scan("cor15", n_max=13, m_min=11, m_max=11))
+        r13 = rows[(13, 11)]
+        assert (r13.check, r13.depth, r13.status) == ("cor15-printed-cond", r13.psi, "ok")
+
+
 class TestProp16Scan:
     def test_anchor_five_two(self):
         rows = run_scan("prop16", n_max=5)
@@ -292,6 +298,12 @@ class TestFormulasScan:
         assert len(line) == len(cycle)
         assert all(r.depth == r.phi for r in line)
         assert all(r.depth == r.psi for r in cycle)
+
+    def test_past_fourteen(self):
+        # The Betti table has no cap of its own below the ambient cap 20.
+        rows = run_scan("formulas", n_max=16, m_min=10)
+        assert max(r.n for r in rows) == 16
+        assert all(r.status == "ok" and r.depth is not None for r in rows)
 
 
 class TestEmitters:

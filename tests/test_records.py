@@ -113,8 +113,8 @@ def test_repr_names_every_field():
         " candidate_tops=0)"
     )
     assert repr(HomologyStats(faces=3)) == (
-        "HomologyStats(subsets=0, lcm_skips=0, joins=0, duals=0, faces=3, boundaries=0,"
-        " fallbacks=0)"
+        "HomologyStats(subsets=0, lcm_skips=0, joins=0, collapses=0, duals=0, faces=3,"
+        " boundaries=0, fallbacks=0)"
     )
 
 
@@ -147,8 +147,8 @@ def test_stats_lines_list_the_counters_in_order():
         " stored_states=0 table_clears=0 table_peak_bytes=0 candidate_tops=2"
     )
     assert HomologyStats().format() == (
-        "subsets=0 lcm_skips=0 joins=0 duals=0 faces=0 boundaries=0 fallbacks=0"
+        "subsets=0 lcm_skips=0 joins=0 collapses=0 duals=0 faces=0 boundaries=0 fallbacks=0"
     )
     assert HomologyStats(fallbacks=1, subsets=4).format() == (
-        "subsets=4 lcm_skips=0 joins=0 duals=0 faces=0 boundaries=0 fallbacks=1"
+        "subsets=4 lcm_skips=0 joins=0 collapses=0 duals=0 faces=0 boundaries=0 fallbacks=1"
     )
