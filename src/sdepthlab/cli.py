@@ -111,9 +111,12 @@ def _cmd_sdepth(args) -> int:
     else:
         print(f"certified: partition at {result.value} (ambient bound)")
     if args.certificate:
-        Path(args.certificate).write_text(
-            format_certificate(result.certificate), encoding="utf-8"
-        )
+        try:
+            Path(args.certificate).write_text(
+                format_certificate(result.certificate), encoding="utf-8"
+            )
+        except OSError as exc:
+            raise InputError(f"cannot write {args.certificate}: {exc}") from exc
         print(f"certificate written to {args.certificate}")
     return EXIT_OK
 

@@ -267,7 +267,10 @@ def run_scan(
     if n_max > MAX_AMBIENT:
         raise InputError(f"n_max must be at most {MAX_AMBIENT}, got {n_max}")
     if cert_dir is not None:
-        os.makedirs(cert_dir, exist_ok=True)
+        try:
+            os.makedirs(cert_dir, exist_ok=True)
+        except OSError as exc:
+            raise InputError(f"cannot use {cert_dir} as the certificate directory: {exc}") from exc
     work = [
         (check, n, m, time_limit_s, max_poset, cert_dir)
         for n, m in _instances(check, n_max, m_min, m_max)

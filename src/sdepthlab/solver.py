@@ -26,10 +26,16 @@ over its digits.
 
 The search asks the order its questions as int bitsets indexed by element
 (``order_bitsets``): the up-set of an element is the AND of one column bitset
-per coordinate, and so is the down-set of a top.  An element's candidate tops
-are read off its up-set, an interval's cells are the up-set of its bottom
-ANDed with the down-set of its top, and a low element's witness is the
-highest uncovered top in its up-set.
+per coordinate, and so is the down-set of a top.  An interval's cells are the
+up-set of its bottom ANDed with the down-set of its top.  The tops of a level
+are kept a second time, as bitsets indexed by rank, ranked once by
+(-|[t, g]|, code of t), where |[t, g]| counts the cells from t up to the
+bound (``ranked_tops``).  A canonical top t of e has
+|[e, t]| = |[e, g]| / |[t, g]|, so rank order is every element's (box, code)
+order on its candidates: an element's candidate tops are read off its
+rank-indexed up-set lowest bit first (``candidate_ranks``), with no sort of
+its own, and a low element's witness is the uncovered top of highest rank in
+that up-set.
 """
 
 from __future__ import annotations
@@ -263,8 +269,10 @@ class SearchStats(Record):
     subtree holds no partition; ``stored_states`` counts those stores,
     ``table_clears`` the times the table reached its byte budget, and
     ``table_peak_bytes`` the most it held, in the budget's units.
-    ``candidate_tops`` counts the tops listed in the candidate tables the
-    search built, one table per element it branched on.  Each search
+    ``candidate_tops`` counts the tops the search took out of the rank
+    bitsets into its candidate tables, one table per element it branched on:
+    a table takes its first candidate when it is built and the rest only once
+    a frame has tried that one.  Each search
     adds its counts once, when it returns or hits the time limit, so a record
     passed to ``sdepth_of_poset`` sums over the levels it tried.
     """
@@ -374,31 +382,34 @@ def down_set(le: list[list[int]], t: tuple[int, ...]) -> int:
     return reduce(and_, map(getitem, le, t))
 
 
-def candidate_tops(
-    poset: CharacteristicPoset, ge: list[list[int]], ei: int, up: int, tops: int
-) -> list[int]:
-    """The canonical tops of element ei among ``tops``, in (box, top code) order.
+def ranked_tops(poset: CharacteristicPoset, tops: int) -> list[int]:
+    """The elements of the bitset ``tops``, by (-|[t, g]|, code): their ranks.
 
-    ``ge`` holds the poset's columns (``order_bitsets``), ``up`` is the up-set
-    of ei and ``tops`` the set of elements with rho >= k.  A top t is canonical
-    when t_j is e_j or g_j in every coordinate, that is, when no coordinate
-    lies strictly between.  On a squarefree bound every top above ei is
-    canonical and the box of [ei, t] has 2^(deg t - deg ei) cells, so element
-    order, (degree, code), is already (box, code) order.
+    |[t, g]| = prod(g_j - t_j + 1) counts the cells from t up to the bound.  A
+    canonical top t of an element e (t_j in {e_j, g_j} for every j) has
+    |[e, t]| * |[t, g]| = |[e, g]|, so on every element's canonical tops this
+    one order is (box of [e, t], code of t) order.  On a squarefree bound
+    |[t, g]| = 2^(n - rho(t)) and the order is element order.
     """
-    if max(poset.g) <= 1:
-        return set_bits(up & tops)
-    e, exps, codes = poset.exps[ei], poset.exps, poset.codes
+    g_up, exps, codes = [gj + 1 for gj in poset.g], poset.exps, poset.codes
+    return sorted(set_bits(tops), key=lambda t: (-prod(map(sub, g_up, exps[t])), codes[t]))
+
+
+def candidate_ranks(
+    top_ge: list[list[int]], g: tuple[int, ...], e: tuple[int, ...], above: int
+) -> int:
+    """The canonical tops of exponents e, as a bitset over the tops' ranks.
+
+    ``top_ge`` holds the columns of the ranked tops (``order_bitsets``) and
+    ``above`` is their up-set of e.  A top t is canonical when t_j is e_j or
+    g_j in every coordinate, that is, when no coordinate lies strictly
+    between; lowest bit first, the set is in (box, top code) order.
+    """
     between = 0
-    for j, (x, gj) in enumerate(zip(e, poset.g)):
+    for j, (x, gj) in enumerate(zip(e, g)):
         if x + 1 < gj:
-            between |= ge[j][x + 1] ^ ge[j][gj]
-    # The box of [e, t] has prod(t_j - e_j + 1) cells.
-    e_less = tuple(x - 1 for x in e)
-    return sorted(
-        set_bits(up & tops & ~between),
-        key=lambda t: (prod(map(sub, exps[t], e_less)), codes[t]),
-    )
+            between |= top_ge[j][x + 1] ^ top_ge[j][gj]
+    return above & ~between
 
 
 def beta_profile(alpha: Sequence[int], kappa: int) -> list[int] | None:
@@ -474,12 +485,12 @@ def _search(poset, k, deadline, stats):
         # The elements that can top an interval at level k; only the others,
         # the lows, can get stranded.  The order is kept as bitsets twice: over
         # all elements, for the cells of intervals, and over the tops alone,
-        # bit r standing for top_of[r], for witnesses.  A low's set of the
-        # tops above it is built when it first needs a witness and kept for
-        # the rest of this level; by rank it takes one bit per top, not one
-        # per element.
+        # bit r standing for top_of[r] (``ranked_tops``), for candidates and
+        # witnesses.  A low's set of the tops above it is built when it first
+        # needs a witness and kept for the rest of this level; by rank it
+        # takes one bit per top, not one per element.
         tops = _at_least(_column_text(poset.rho, poset.n), k, poset.n)
-        top_of = set_bits(tops)
+        top_of = ranked_tops(poset, tops)
         ge, le = order_bitsets(exps, g)
         top_ge, top_le = order_bitsets([exps[t] for t in top_of], g)
         ranks_above: list[int | None] = [None] * size
@@ -492,9 +503,13 @@ def _search(poset, k, deadline, stats):
 
         # Candidate tops of an element depend only on the element and k, so
         # each table is built once per level, on first use.  A table is (tops,
-        # cells of each, the element's up-set, the tops above it by rank); the
-        # cells of a candidate, as (bitset, tops among them by rank), are found
-        # on its first try, since most candidates are never tried.
+        # cells of each, the element's up-set, the tops above it by rank).
+        # Rank order is the tops' (box, code) order, so a table lists only its
+        # lowest bit, followed, when there are more, by ~rest, the negative
+        # complement of the unlisted ones; they are listed when a frame gets
+        # to that entry, since most tables are never read past their first
+        # candidate.  The cells of a candidate, as (bitset, tops among them
+        # by rank), are found on its first try.
         tables: list[tuple | None] = [None] * size
 
         def opened(ei, placed):
@@ -503,17 +518,25 @@ def _search(poset, k, deadline, stats):
             nonlocal listed
             found = tables[ei]
             if found is None:
-                up = up_set(ge, exps[ei])
-                cands = candidate_tops(poset, ge, ei, up, tops)
-                found = tables[ei] = (cands, [None] * len(cands), up, up_set(top_ge, exps[ei]))
-                listed += len(cands)
+                # The set is never empty.  A top is its own candidate, and the
+                # guard below gives every low e a top t above it; the element
+                # equal to t where t meets g and to e elsewhere lies between
+                # them, has t's rho and is canonical.
+                e = exps[ei]
+                above = up_set(top_ge, e)
+                rest = candidate_ranks(top_ge, g, e, above)
+                first = rest & -rest
+                rest ^= first
+                cands = [top_of[first.bit_length() - 1]] + ([~rest] if rest else [])
+                found = tables[ei] = (cands, [None] * len(cands), up_set(ge, e), above)
+                listed += 1
             return ei, found, enumerate(found[0]), placed
 
         def none_stranded(covered, uncovered, free):
             # Only the uncovered lows watching a newly covered top lost their
-            # witness; each moves to the highest free top above it.  On failure
-            # the low that found none and those not yet scanned stay with the
-            # top, which backtracking uncovers again.
+            # witness; each moves to the free top of highest rank above it.
+            # On failure the low that found none and those not yet scanned
+            # stay with the top, which backtracking uncovers again.
             while covered:
                 low = covered & -covered
                 covered ^= low
@@ -533,10 +556,10 @@ def _search(poset, k, deadline, stats):
                     lost ^= bit
             return True
 
-        # Each low's first witness is the highest top above it: the tops,
-        # highest first, take the lows below them that no higher top took.
-        # Since k <= maximal_rho every low has one; a low left over is
-        # refuted here too, as a guard on maximal_rho.
+        # Each low's first witness is the top of highest rank above it: the
+        # tops, highest rank first, take the lows below them that no higher
+        # one took.  Since k <= maximal_rho every low has one; a low left over
+        # is refuted here too, as a guard on maximal_rho.
         unwatched = full ^ tops
         for r in range(len(top_of) - 1, -1, -1):
             if not unwatched:
@@ -551,10 +574,20 @@ def _search(poset, k, deadline, stats):
         # frame or its candidates run out.
         frames = [opened(0, None)]
         while frames:
-            ei, (_, cells_of, up, ranks), untried, placed = frames[-1]
+            ei, (cands, cells_of, up, ranks), untried, placed = frames[-1]
             for pos, top in untried:
                 cells = cells_of[pos]
                 if cells is None:
+                    if top < 0:
+                        # The unlisted candidates: list them in place of this
+                        # entry.  A list's iterator reads what is appended
+                        # to it while the loop runs, so the loop goes on over
+                        # them.
+                        more = list(map(top_of.__getitem__, set_bits(~top)))
+                        listed += len(more)
+                        top = cands[pos] = more[0]
+                        cands += more[1:]
+                        cells_of += repeat(None, len(more) - 1)
                     t = exps[top]
                     cells = cells_of[pos] = (up & down_set(le, t), ranks & down_set(top_le, t))
                 bits, covered = cells

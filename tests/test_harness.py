@@ -665,6 +665,24 @@ class TestCli:
         assert proc.returncode == 3
         assert "error:" in proc.stderr
 
+    def test_unwritable_certificate_is_input_error(self, tmp_path):
+        ideal_file = tmp_path / "j42.txt"
+        ideal_file.write_text(format_ideal(cycle_path_ideal(4, 2)))
+        cert = tmp_path / "no-such-dir" / "out.cert"
+        proc = run_cli("sdepth", "--ideal-file", str(ideal_file), "--certificate", str(cert))
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [proc.stderr.strip()]
+        assert proc.stderr.startswith(f"error: cannot write {cert}")
+
+    def test_cert_dir_naming_a_file_is_input_error(self, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        proc = run_cli("scan", "--check", "thm14", "--n-max", "5", "--cert-dir", str(taken))
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [proc.stderr.strip()]
+        assert proc.stderr.startswith(f"error: cannot use {taken} as the certificate directory")
+
     def test_resource_cap_exit_code(self, tmp_path):
         ideal_file = tmp_path / "big.txt"
         ideal_file.write_text(format_ideal(cycle_path_ideal(10, 2)))

@@ -44,6 +44,7 @@ from sdepthlab import (
     verify_decomposition,
     zero_ideal,
 )
+from sdepthlab.ideals import set_bits
 
 
 def mono(n, *factors):
@@ -368,7 +369,13 @@ class TestSdepth:
             QuotientPresentation(square(cycle_path_ideal(7, 2)), square(line_path_ideal(7, 2))), 3,
             "c13cb5c55d37ca5eaa3464630a216a597fbd017f6da972134dc9fc18997358cd",
         ),
-    ], ids=["cycle-9-3", "cycle-7-3-squared", "prop16-7-3", "prop16-7-2-squared"])
+        # 17,155 elements; recorded when the search listed all 138,661
+        # candidate tops of its 2,878 tables, so a changed order shows here.
+        (
+            ring_quotient(cycle_path_ideal(16, 3)), 8,
+            "dad498bcaba5d0eaef8337dd608190abd447f923a29646bd78f6cd1f79d13b5f",
+        ),
+    ], ids=["cycle-9-3", "cycle-7-3-squared", "prop16-7-3", "prop16-7-2-squared", "cycle-16-3"])
     def test_pinned_certificate(self, pair, value, digest):
         result = sdepth_of_pair(pair)
         assert result.value == value
@@ -504,13 +511,15 @@ class TestSearchStats:
     """
 
     # Recorded with the search before the order bitsets, whose depth-first
-    # walk listed the same candidate tops.  The last four levels are on posets
-    # of 2,025 and 6,516 elements (squarefree and not), where a changed
-    # candidate or witness order would show only in these counts.
+    # walk made the same placements and prunes; ``candidate_tops`` was
+    # recorded when tables began to list their candidates lazily, by rank.
+    # The last four levels are on posets of 2,025 and 6,516 elements
+    # (squarefree and not), where a changed candidate or witness order would
+    # show only in these counts.
     @pytest.mark.parametrize("pair, k, feasible, counts", [
         (cycle_quotient(9, 3), 5, True, dict(
             placements=44_316, stranded_prunes=11_094, moment_prunes=0,
-            table_hits=18_905, stored_states=33_183, table_clears=0, candidate_tops=365,
+            table_hits=18_905, stored_states=33_183, table_clears=0, candidate_tops=168,
         )),
         (ring_quotient(square(line_path_ideal(6, 3))), 4, False, dict(
             placements=6_615, stranded_prunes=2_136, moment_prunes=0,
@@ -522,7 +531,7 @@ class TestSearchStats:
         )),
         (cycle_quotient(11, 9), 8, True, dict(
             placements=209, stranded_prunes=0, moment_prunes=0,
-            table_hits=0, stored_states=0, table_clears=0, candidate_tops=4_529,
+            table_hits=0, stored_states=0, table_clears=0, candidate_tops=209,
         )),
         # Level 6 exceeds maximal_rho, so it is refuted before any search.
         (ring_quotient(square(cycle_path_ideal(8, 7))), 6, False, dict(
@@ -531,7 +540,7 @@ class TestSearchStats:
         )),
         (ring_quotient(square(cycle_path_ideal(8, 7))), 5, True, dict(
             placements=532, stranded_prunes=0, moment_prunes=0,
-            table_hits=0, stored_states=0, table_clears=0, candidate_tops=12_418,
+            table_hits=0, stored_states=0, table_clears=0, candidate_tops=532,
         )),
     ], ids=[
         "cycle-9-3-level-5", "line-6-3-squared-level-4", "cycle-11-9-level-9",
@@ -549,12 +558,13 @@ class TestSearchStats:
     def test_sdepth_sums_the_levels(self):
         # Level 4 = maximal_rho is refuted by its search (6,615 placements,
         # pinned above) and level 3 is found.  Recorded when the scan started
-        # at the largest rho, which is 4 here too.
+        # at the largest rho, which is 4 here too; the candidate tops when
+        # tables began to list them lazily.
         stats = SearchStats()
         sdepth_of_pair(ring_quotient(square(line_path_ideal(6, 3))), stats=stats)
         assert stats.levels == [4, 3]
         counts = (stats.placements, stats.stranded_prunes, stats.candidate_tops)
-        assert counts == (6_737, 2_136, 1_302)
+        assert counts == (6_737, 2_136, 470)
 
     def test_no_search_below_level_one_or_above_max_rho(self):
         poset = build_poset(cycle_quotient(5, 2))
@@ -609,19 +619,27 @@ class TestOrderBitsets:
     @given(small_presentations())
     # A raised bound, so that tops must be canonical for a non-squarefree g.
     @example(build_poset(ring_quotient(parse_ideal("n=3: x1^2*x2, x2*x3")), g_override=(3, 2, 2)))
+    # Equal boxes from different degrees: above (0,0,0), the tops (3,0,0) and
+    # (0,1,1) both span 4 cells, and code 3 comes before code 12 although
+    # element order puts (0,1,1) first.
+    @example(build_poset(ring_quotient(parse_ideal("n=3: x1^3*x2*x3")), g_override=(3, 1, 1)))
     # An exponent past one byte: 303 elements on the box [0, (300, 1)].
     @example(build_poset(ring_quotient(parse_ideal("n=2: x1^2*x2")), g_override=(300, 1)))
     def test_matches_brute_force(self, poset):
         ge, le = solver.order_bitsets(poset.exps, poset.g)
-        ups = [solver.up_set(ge, e) for e in poset.exps]
         for i, e in enumerate(poset.exps):
             up, down = reference_up_down(poset, i)
-            assert (ups[i], solver.down_set(le, e)) == (up, down), e
-        for k in range(poset.n + 1):
+            assert (solver.up_set(ge, e), solver.down_set(le, e)) == (up, down), e
+        # Candidate tops as the search reads them: rank bitsets, lowest bit
+        # first.  A level above the largest rho has no tops at all.
+        for k in range(max(poset.rho) + 1):
             tops = sum(1 << t for t, r in enumerate(poset.rho) if r >= k)
-            for i in range(len(poset)):
-                found = solver.candidate_tops(poset, ge, i, ups[i], tops)
-                assert found == reference_candidate_tops(poset, k, i), (poset.exps[i], k)
+            top_of = solver.ranked_tops(poset, tops)
+            top_ge, _ = solver.order_bitsets([poset.exps[t] for t in top_of], poset.g)
+            for i, e in enumerate(poset.exps):
+                ranks = solver.candidate_ranks(top_ge, poset.g, e, solver.up_set(top_ge, e))
+                found = [top_of[r] for r in set_bits(ranks)]
+                assert found == reference_candidate_tops(poset, k, i), (e, k)
 
 
 class TestFailedStates:
