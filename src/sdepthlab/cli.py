@@ -93,8 +93,31 @@ def _cmd_family(args) -> int:
     return EXIT_OK
 
 
+def _check_writable(path: str) -> None:
+    """Raise InputError unless ``path`` names a file that can be written.
+
+    Checked before a long computation whose result goes there; the write
+    itself still reports any OSError it meets.
+    """
+    target = Path(path)
+    folder = target.parent
+    if target.is_dir():
+        reason = "it is a directory"
+    elif not folder.is_dir():
+        reason = f"no directory {folder}"
+    elif not os.access(folder, os.W_OK | os.X_OK) or (
+        target.exists() and not os.access(target, os.W_OK)
+    ):
+        reason = "permission denied"
+    else:
+        return
+    raise InputError(f"cannot write {path}: {reason}")
+
+
 def _cmd_sdepth(args) -> int:
     pair = _load_pair(args)
+    if args.certificate:
+        _check_writable(args.certificate)
     stats = SearchStats() if args.stats else None
     try:
         result = sdepth_of_pair(

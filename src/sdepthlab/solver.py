@@ -16,6 +16,32 @@ that element is therefore exhaustive.  Tops are restricted to the canonical
 form b_j in {e_j, g_j}; any interval splits into canonical ones with no smaller
 rho values, so the restriction loses no partitions worth finding.
 
+Level k is searched on its rho = k layer: the elements with rho > k are
+covered as singletons before the search starts, a low element (rho < k)
+branches only onto canonical tops with rho exactly k, and an element with
+rho = k takes only [e, e].  This is exact, and the search returns the same
+first partition as one over every top of rho >= k, by the splitting step of
+Herzog, Vladoiu and Zheng (J. Algebra 322, 2009):
+
+- Split.  Take [e, t] with rho(t) > k and a coordinate j where
+  t_j = g_j > e_j, and let t' equal t but for t'_j = e_j.  [e, t] is the union
+  of [e, t'] and [e + u_j, t], u_j the j-th unit vector.  rho(t') =
+  rho(t) - 1 >= k, t' is a canonical top of e, and |[t', g]| > |[t, g]|, so
+  t' ranks before t (below).
+- First success.  If a candidate t of e with rho(t) > k has a completion, so
+  has an earlier candidate of rho exactly k, or [e, e] when rho(e) >= k.  The
+  search keeps the first candidate with a completion, so every skipped
+  candidate fails.
+- Singletons above k.  rho is monotone, so no interval topped at rho k holds
+  an element of rho > k: in the partition found each is its own interval.
+- Order.  Each branch element is the lowest uncovered one, so the placed
+  intervals ascend by bottom index, and merging the singletons in by bottom
+  index gives the unreduced search's list.
+- Prunes.  A low is stranded when no uncovered top of rho exactly k lies above
+  it; that is exact since the partition found has that form.  When
+  k <= maximal_rho every low has such a top, as rho rises by at most 1 per unit
+  step towards a maximal element.
+
 The elements come from one pass over the box: the cells of each ideal are the
 upward closure of its generators' cells, as one int bitmask indexed by code
 (``box_upset``).  An element's exponents, degree and rho are read from two
@@ -272,7 +298,9 @@ class SearchStats(Record):
     ``candidate_tops`` counts the tops the search took out of the rank
     bitsets into its candidate tables, one table per element it branched on:
     a table takes its first candidate when it is built and the rest only once
-    a frame has tried that one.  Each search
+    a frame has tried that one.  The elements of rho above the level are
+    covered as singletons before the search starts, so neither placements nor
+    candidate tops count them.  Each search
     adds its counts once, when it returns or hits the time limit, so a record
     passed to ``sdepth_of_poset`` sums over the levels it tried.
     """
@@ -325,6 +353,11 @@ def exists_partition(
     before any search, and adds only itself to ``stats.levels``: a maximal
     element of smaller rho tops every interval that contains it.  A ``stats``
     record, when given, gets this search's counts added.
+
+    The search runs on the rho = k layer (module docstring): each interval of
+    the partition returned is a singleton of rho >= k or has a top of rho
+    exactly k, and it is the partition that a search over every canonical top
+    of rho >= k would meet first.
     """
     _check_level(poset, k)
     if stats is not None:
@@ -482,14 +515,20 @@ def _search(poset, k, deadline, stats):
             moment += 1
             return None
 
-        # The elements that can top an interval at level k; only the others,
-        # the lows, can get stranded.  The order is kept as bitsets twice: over
-        # all elements, for the cells of intervals, and over the tops alone,
-        # bit r standing for top_of[r] (``ranked_tops``), for candidates and
-        # witnesses.  A low's set of the tops above it is built when it first
-        # needs a witness and kept for the rest of this level; by rank it
-        # takes one bit per top, not one per element.
-        tops = _at_least(_column_text(poset.rho, poset.n), k, poset.n)
+        # The level is searched on its rho = k layer (module docstring): the
+        # elements of rho above k, ``high``, are covered as singletons from
+        # the start, and the tops are the elements of rho exactly k.  Only the
+        # others, the lows, can get stranded.  The order is kept as bitsets
+        # twice: over all elements, for the cells of intervals, and over the
+        # tops alone, bit r standing for top_of[r] (``ranked_tops``), for
+        # candidates and witnesses.  A low's set of the tops above it is built
+        # when it first needs a witness and kept for the rest of this level;
+        # by rank it takes one bit per top, not one per element.
+        rho_text = _column_text(poset.rho, poset.n)
+        high = _at_least(rho_text, k + 1, poset.n)
+        tops = _at_least(rho_text, k, poset.n) ^ high
+        if high == full:
+            return [(i, i) for i in range(size)]
         top_of = ranked_tops(poset, tops)
         ge, le = order_bitsets(exps, g)
         top_ge, top_le = order_bitsets([exps[t] for t in top_of], g)
@@ -518,10 +557,11 @@ def _search(poset, k, deadline, stats):
             nonlocal listed
             found = tables[ei]
             if found is None:
-                # The set is never empty.  A top is its own candidate, and the
-                # guard below gives every low e a top t above it; the element
-                # equal to t where t meets g and to e elsewhere lies between
-                # them, has t's rho and is canonical.
+                # The set is never empty.  A top's only candidate is itself:
+                # any other top above it has the same rho, so it is not
+                # canonical.  The guard below gives every low e a top t above
+                # it; the element equal to t where t meets g and to e
+                # elsewhere lies between them, has t's rho and is canonical.
                 e = exps[ei]
                 above = up_set(top_ge, e)
                 rest = candidate_ranks(top_ge, g, e, above)
@@ -558,9 +598,10 @@ def _search(poset, k, deadline, stats):
 
         # Each low's first witness is the top of highest rank above it: the
         # tops, highest rank first, take the lows below them that no higher
-        # one took.  Since k <= maximal_rho every low has one; a low left over
-        # is refuted here too, as a guard on maximal_rho.
-        unwatched = full ^ tops
+        # one took.  Since k <= maximal_rho every low has one, as rho rises by
+        # at most 1 per step towards a maximal element; a low left over is
+        # refuted here too, as a guard on maximal_rho.
+        unwatched = full ^ tops ^ high
         for r in range(len(top_of) - 1, -1, -1):
             if not unwatched:
                 break
@@ -571,8 +612,10 @@ def _search(poset, k, deadline, stats):
             return None
 
         # The innermost frame's loop runs until a placement opens a child
-        # frame or its candidates run out.
-        frames = [opened(0, None)]
+        # frame or its candidates run out.  The branch element is always the
+        # lowest uncovered one.
+        mask = high
+        frames = [opened((mask ^ (mask + 1)).bit_length() - 1, None)]
         while frames:
             ei, (cands, cells_of, up, ranks), untried, placed = frames[-1]
             for pos, top in untried:
@@ -601,8 +644,11 @@ def _search(poset, k, deadline, stats):
                 taken |= covered
                 placements += 1
                 if mask == full:
-                    # Every frame but the root was opened by one placement.
-                    return [f[3][:2] for f in frames[1:]] + [(ei, top)]
+                    # Every frame but the root was opened by one placement, so
+                    # the placed intervals ascend by bottom; the singletons
+                    # above k go in between.
+                    intervals = [f[3][:2] for f in frames[1:]] + [(ei, top)]
+                    return sorted(intervals + [(i, i) for i in set_bits(high)])
                 if deadline is not None and placements % 512 == 0 and time.monotonic() > deadline:
                     raise TimeLimitExceededError(
                         f"partition search at level {k} hit the time limit"

@@ -118,6 +118,39 @@ def reference_candidate_tops(poset, k, i) -> list[int]:
     )
 
 
+def reference_first_partition(poset, k) -> list[tuple[int, int]] | None:
+    """The first partition with every top of rho >= k that a plain search meets.
+
+    A recursive depth-first search: the lowest uncovered element is the
+    bottom, tried with each of ``reference_candidate_tops`` in turn, and the
+    first complete partition is returned as (bottom, top) element indices in
+    the order placed, or None when there is none.  It has no prune, no table
+    of failed states and no layer reduction.
+    """
+    exps = poset.exps
+
+    def cells(bottom, top):
+        a, b = exps[bottom], exps[top]
+        return {
+            i for i, f in enumerate(exps)
+            if all(x <= y <= z for x, y, z in zip(a, f, b))
+        }
+
+    def rec(covered, placed):
+        bottom = next((i for i in range(len(exps)) if i not in covered), None)
+        if bottom is None:
+            return placed
+        for top in reference_candidate_tops(poset, k, bottom):
+            box = cells(bottom, top)
+            if box.isdisjoint(covered):
+                found = rec(covered | box, placed + [(bottom, top)])
+                if found is not None:
+                    return found
+        return None
+
+    return rec(frozenset(), [])
+
+
 def reference_faces(complex_) -> list[int]:
     """The masks that contain no nonface, ascending by (popcount, value)."""
     faces = [

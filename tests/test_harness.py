@@ -666,13 +666,26 @@ class TestCli:
         assert "error:" in proc.stderr
 
     def test_unwritable_certificate_is_input_error(self, tmp_path):
+        # Reported before the search: nothing reaches stdout.
+        proc, cert = self.sdepth_with_certificate(tmp_path, "no-such-dir/out.cert")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [proc.stderr.strip()]
+        assert proc.stderr.startswith(f"error: cannot write {cert}: no directory")
+
+    def test_certificate_naming_a_directory_is_input_error(self, tmp_path):
+        proc, cert = self.sdepth_with_certificate(tmp_path, ".")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [proc.stderr.strip()]
+        assert proc.stderr.startswith(f"error: cannot write {cert}: it is a directory")
+
+    @staticmethod
+    def sdepth_with_certificate(tmp_path, name):
         ideal_file = tmp_path / "j42.txt"
         ideal_file.write_text(format_ideal(cycle_path_ideal(4, 2)))
-        cert = tmp_path / "no-such-dir" / "out.cert"
-        proc = run_cli("sdepth", "--ideal-file", str(ideal_file), "--certificate", str(cert))
-        assert proc.returncode == 3
-        assert proc.stderr.splitlines() == [proc.stderr.strip()]
-        assert proc.stderr.startswith(f"error: cannot write {cert}")
+        cert = tmp_path / name
+        return run_cli("sdepth", "--ideal-file", str(ideal_file), "--certificate", str(cert)), cert
 
     def test_cert_dir_naming_a_file_is_input_error(self, tmp_path):
         taken = tmp_path / "taken"

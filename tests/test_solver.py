@@ -13,6 +13,7 @@ from helpers import (
     brute_force_sdepth,
     enumerate_small_ideals,
     reference_candidate_tops,
+    reference_first_partition,
     reference_maximal_rho,
     reference_poset,
     reference_up_down,
@@ -57,6 +58,13 @@ def cycle_quotient(n, m):
 
 def principal_poset(text, n):
     return build_poset(ring_quotient(parse_ideal(f"n={n}: {text}")))
+
+
+def interval_indices(poset, bottom, zvars):
+    """(bottom, top) element indices of a certificate interval on ``poset``."""
+    e = bottom.exponents
+    t = tuple(gj if j in zvars else x for j, x, gj in zip(range(1, poset.n + 1), e, poset.g))
+    return poset.index[poset.encode(e)], poset.index[poset.encode(t)]
 
 
 def square(ideal):
@@ -348,6 +356,26 @@ class TestSdepth:
         assert best <= poset.maximal_rho
         assert sdepth_of_poset(poset).value == best
 
+    @settings(max_examples=200, deadline=None)
+    @given(small_presentations())
+    def test_first_partition_matches_plain_search(self, poset):
+        # The search skips the candidates of rho above k and covers the
+        # elements above k as singletons; a plain search over every canonical
+        # top must still meet the same partition first.
+        if len(poset) > 12:
+            reject()
+        for k in range(poset.n + 1):
+            expected = reference_first_partition(poset, k)
+            found = exists_partition(poset, k)
+            if expected is None or found is None:
+                assert found is expected is None, (poset.exps, k)
+                continue
+            pairs = [interval_indices(poset, bottom, zvars) for bottom, zvars in found.intervals]
+            assert pairs == expected, (poset.exps, k)
+            for bottom, top in pairs:
+                rho = poset.rho[top]
+                assert rho == k or (bottom == top and rho > k), (poset.exps, k)
+
     # sha256 of format_certificate.  The search visits its nodes in a fixed
     # order, so a speed-up that keeps that order keeps these bytes: the heaviest
     # sdepth-sqfree instance, a non-squarefree S/I^2, and two box-convex
@@ -375,7 +403,16 @@ class TestSdepth:
             ring_quotient(cycle_path_ideal(16, 3)), 8,
             "dad498bcaba5d0eaef8337dd608190abd447f923a29646bd78f6cd1f79d13b5f",
         ),
-    ], ids=["cycle-9-3", "cycle-7-3-squared", "prop16-7-3", "prop16-7-2-squared", "cycle-16-3"])
+        # Recorded when level 5 took 672,260 placements, before each level
+        # was searched on its rho = k layer.
+        (
+            ring_quotient(cycle_path_ideal(13, 2)), 5,
+            "dd2a3df4b549edfbca6720df286e880754229b9933ba3209979bd922d655b9d9",
+        ),
+    ], ids=[
+        "cycle-9-3", "cycle-7-3-squared", "prop16-7-3", "prop16-7-2-squared", "cycle-16-3",
+        "cycle-13-2",
+    ])
     def test_pinned_certificate(self, pair, value, digest):
         result = sdepth_of_pair(pair)
         assert result.value == value
@@ -510,16 +547,18 @@ class TestSearchStats:
     costs time, so these counts are what shows it.
     """
 
-    # Recorded with the search before the order bitsets, whose depth-first
-    # walk made the same placements and prunes; ``candidate_tops`` was
-    # recorded when tables began to list their candidates lazily, by rank.
-    # The last four levels are on posets of 2,025 and 6,516 elements
+    # Recorded when each level began to be searched on its rho = k layer,
+    # which leaves the singletons above k out of ``placements`` and
+    # ``candidate_tops``; the line (6,3)^2 and root-refuted rows kept their
+    # earlier counts.  Cycle (9,3) level 5 made 44,316 placements and cycle
+    # (13,2) level 5 672,260 before, so a lost reduction shows here.  The
+    # middle four levels are on posets of 2,025 and 6,516 elements
     # (squarefree and not), where a changed candidate or witness order would
     # show only in these counts.
     @pytest.mark.parametrize("pair, k, feasible, counts", [
         (cycle_quotient(9, 3), 5, True, dict(
-            placements=44_316, stranded_prunes=11_094, moment_prunes=0,
-            table_hits=18_905, stored_states=33_183, table_clears=0, candidate_tops=168,
+            placements=23_990, stranded_prunes=6_123, moment_prunes=0,
+            table_hits=7_216, stored_states=17_831, table_clears=0, candidate_tops=147,
         )),
         (ring_quotient(square(line_path_ideal(6, 3))), 4, False, dict(
             placements=6_615, stranded_prunes=2_136, moment_prunes=0,
@@ -530,8 +569,8 @@ class TestSearchStats:
             table_hits=0, stored_states=0, table_clears=0, candidate_tops=0,
         )),
         (cycle_quotient(11, 9), 8, True, dict(
-            placements=209, stranded_prunes=0, moment_prunes=0,
-            table_hits=0, stored_states=0, table_clears=0, candidate_tops=209,
+            placements=165, stranded_prunes=0, moment_prunes=0,
+            table_hits=0, stored_states=0, table_clears=0, candidate_tops=165,
         )),
         # Level 6 exceeds maximal_rho, so it is refuted before any search.
         (ring_quotient(square(cycle_path_ideal(8, 7))), 6, False, dict(
@@ -539,12 +578,17 @@ class TestSearchStats:
             table_hits=0, stored_states=0, table_clears=0, candidate_tops=0,
         )),
         (ring_quotient(square(cycle_path_ideal(8, 7))), 5, True, dict(
-            placements=532, stranded_prunes=0, moment_prunes=0,
-            table_hits=0, stored_states=0, table_clears=0, candidate_tops=532,
+            placements=448, stranded_prunes=0, moment_prunes=0,
+            table_hits=0, stored_states=0, table_clears=0, candidate_tops=448,
+        )),
+        (cycle_quotient(13, 2), 5, True, dict(
+            placements=25_358, stranded_prunes=5_826, moment_prunes=0,
+            table_hits=208, stored_states=19_441, table_clears=0, candidate_tops=127,
         )),
     ], ids=[
         "cycle-9-3-level-5", "line-6-3-squared-level-4", "cycle-11-9-level-9",
         "cycle-11-9-level-8", "cycle-8-7-squared-level-6", "cycle-8-7-squared-level-5",
+        "cycle-13-2-level-5",
     ])
     def test_pinned_counts(self, pair, k, feasible, counts):
         # Each search takes well under a second; the limit turns a weakened
@@ -557,14 +601,13 @@ class TestSearchStats:
 
     def test_sdepth_sums_the_levels(self):
         # Level 4 = maximal_rho is refuted by its search (6,615 placements,
-        # pinned above) and level 3 is found.  Recorded when the scan started
-        # at the largest rho, which is 4 here too; the candidate tops when
-        # tables began to list them lazily.
+        # pinned above) and level 3 is found.  Recorded when each level began
+        # to be searched on its rho = k layer.
         stats = SearchStats()
         sdepth_of_pair(ring_quotient(square(line_path_ideal(6, 3))), stats=stats)
         assert stats.levels == [4, 3]
         counts = (stats.placements, stats.stranded_prunes, stats.candidate_tops)
-        assert counts == (6_737, 2_136, 470)
+        assert counts == (6_719, 2_136, 444)
 
     def test_no_search_below_level_one_or_above_max_rho(self):
         poset = build_poset(cycle_quotient(5, 2))
