@@ -20,7 +20,6 @@ from .families import (
     line_path_ideal,
     proof_tower,
     quotient_module_bound,
-    v_ideal,
 )
 from .harness import (
     Prop16Report,
@@ -53,7 +52,6 @@ from .ideals import (
     monomial,
     parse_ideal,
     parse_monomial,
-    relabel,
     ring_quotient,
     unit_ideal,
     variable,

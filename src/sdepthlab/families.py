@@ -163,20 +163,3 @@ def proof_tower(n: int, m: int) -> list[tuple[MonomialIdeal, MonomialIdeal]]:
         level = colon(level, x)
     return tower
 
-
-def v_ideal(n: int, m: int, k: int, j: int) -> MonomialIdeal:
-    """Truncated line-type ideal in ambient n-k-1.
-
-    Generators: the prefix window x_1*...*x_{m-j} followed by the full windows
-    x_i*...*x_{i+m-1} for i = 2..n-m-k.  For j = 0 this is exactly the line
-    family ideal in the smaller ambient.
-    """
-    if not (0 <= j <= k <= m - 2):
-        raise InputError(f"need 0 <= j <= k <= m-2, got (k, j) = ({k}, {j})")
-    if n - m - k < 2:
-        raise InputError(f"need n-m-k >= 2, got {n - m - k}")
-    ambient = n - k - 1
-    gens = [monomial(ambient, range(1, m - j + 1))]
-    for i in range(2, n - m - k + 1):
-        gens.append(monomial(ambient, range(i, i + m)))
-    return minimalize(gens, ambient)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from itertools import repeat
 from math import prod
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import IdealSyntaxError, InputError, InvalidPresentationError
 
@@ -94,6 +94,13 @@ class Monomial(FrozenRecord):
                 raise InputError(f"exponent {e} exceeds the cap {MAX_EXPONENT}")
         object.__setattr__(self, "exponents", exponents)
 
+    @classmethod
+    def trusted(cls, exponents: tuple[int, ...]) -> "Monomial":
+        """A monomial of exponents the caller knows to be valid, unchecked."""
+        monomial = object.__new__(cls)
+        _set_exponents(monomial, exponents)
+        return monomial
+
     # Sets and sorts of generators compare and hash monomials, so these two
     # skip the generic field tuple.
     def __eq__(self, other: object) -> bool:
@@ -145,6 +152,9 @@ class Monomial(FrozenRecord):
             elif e > 1:
                 parts.append(f"x{j + 1}^{e}")
         return "*".join(parts)
+
+
+_set_exponents = Monomial.exponents.__set__
 
 
 def monomial(n: int, factors: Iterable[int]) -> Monomial:
@@ -302,30 +312,6 @@ def add_generators(ideal: MonomialIdeal, extra: Iterable[Monomial]) -> MonomialI
         if g.ambient != ideal.ambient:
             raise InputError("ambient mismatch in add_generators")
     return minimalize(ideal.gens + extra, ideal.ambient)
-
-
-def relabel(ideal: MonomialIdeal, index_map: Mapping[int, int], new_ambient: int) -> MonomialIdeal:
-    """Rename variables through an injective 1-based index map.
-
-    Every index in the support of every generator must be mapped; images must
-    be distinct and lie in ``1..new_ambient``.
-    """
-    _check_ambient(new_ambient)
-    values = list(index_map.values())
-    if len(values) != len(set(values)):
-        raise InputError("relabel map is not injective")
-    for v in values:
-        if not 1 <= v <= new_ambient:
-            raise InputError(f"relabel image {v} out of range 1..{new_ambient}")
-    new_gens = []
-    for g in ideal.gens:
-        exps = [0] * new_ambient
-        for j in g.support():
-            if j not in index_map:
-                raise InputError(f"support index {j} is not mapped")
-            exps[index_map[j] - 1] = g.exponents[j - 1]
-        new_gens.append(Monomial(tuple(exps)))
-    return minimalize(new_gens, new_ambient)
 
 
 # ---------------------------------------------------------------------------

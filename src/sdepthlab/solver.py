@@ -62,6 +62,14 @@ order on its candidates: an element's candidate tops are read off its
 rank-indexed up-set lowest bit first (``candidate_ranks``), with no sort of
 its own, and a low element's witness is the uncovered top of highest rank in
 that up-set.
+
+Every certificate the solver reports is checked again by
+``verify_decomposition``, which shares no code with the search.  It holds the
+poset as the bitset ``cells`` that the build computes, indexed by code, and
+builds each interval's cells as one int per row of the box: the bottom's bit,
+shifted along each raised coordinate.  An interval passes when its cells lie in
+``cells`` and miss the union of those before it; exact cover is the union
+equal to ``cells`` at the end.
 """
 
 from __future__ import annotations
@@ -69,10 +77,10 @@ from __future__ import annotations
 import re
 import sys
 import time
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from functools import reduce
-from itertools import compress, filterfalse, repeat
-from typing import NamedTuple, Sequence
+from itertools import compress, repeat
+from typing import Iterable, NamedTuple, Sequence
 from math import comb, prod
 from operator import and_, eq, getitem, le, lt, mul, or_, sub
 
@@ -83,6 +91,7 @@ from .errors import (
     TimeLimitExceededError,
 )
 from .ideals import (
+    MAX_EXPONENT,
     FrozenRecord,
     Monomial,
     QuotientPresentation,
@@ -103,20 +112,26 @@ DEFAULT_TIME_LIMIT_S = 300.0
 FAILED_STATES_BYTES = 32 * 2**20
 _SET_SLOT_BYTES = 128
 
+# The most cells in one row of the bitsets that ``verify_decomposition`` checks.
+ROW_CELLS = 1 << 13
+
 
 class CharacteristicPoset(FrozenRecord):
     """The finite multidegree poset of a quotient presentation.
 
     Elements are stored as mixed-radix integer codes (radix g_j + 1 per
     coordinate), listed ascending by (total degree, code); that listing is the
-    linear extension used everywhere.  ``rho[i]`` counts the coordinates of
-    element i that equal the bound g.  ``maximal_rho`` is the least rho of a
-    maximal element: every element lies below a maximal one and rho is
-    monotone, so some element has no top of rho >= k above it exactly when
-    k > maximal_rho.
+    linear extension used everywhere.  ``cells`` is the same set as one int
+    with bit c set for each code c, the poset's membership test.  ``rho[i]``
+    counts the coordinates of element i that equal the bound g.
+    ``maximal_rho`` is the least rho of a maximal element: every element lies
+    below a maximal one and rho is monotone, so some element has no top of
+    rho >= k above it exactly when k > maximal_rho.
     """
 
-    __slots__ = _fields = ("n", "g", "weights", "codes", "exps", "rho", "index", "maximal_rho")
+    __slots__ = _fields = (
+        "n", "g", "weights", "codes", "cells", "exps", "rho", "index", "maximal_rho",
+    )
 
     def __init__(
         self,
@@ -124,12 +139,13 @@ class CharacteristicPoset(FrozenRecord):
         g: tuple[int, ...],
         weights: tuple[int, ...],
         codes: tuple[int, ...],
+        cells: int,
         exps: tuple[tuple[int, ...], ...],
         rho: tuple[int, ...],
         index: dict[int, int],
         maximal_rho: int,
     ) -> None:
-        self._init(n, g, weights, codes, exps, rho, index, maximal_rho)
+        self._init(n, g, weights, codes, cells, exps, rho, index, maximal_rho)
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -147,7 +163,7 @@ class CharacteristicPoset(FrozenRecord):
     def contains_exps(self, exps: tuple[int, ...]) -> bool:
         if any(e > gj for e, gj in zip(exps, self.g)):
             return False
-        return self.encode(exps) in self.index
+        return bool(self.cells >> self.encode(exps) & 1)
 
 
 def build_poset(
@@ -214,6 +230,7 @@ def build_poset(
         g=g,
         weights=weights,
         codes=codes,
+        cells=cells,
         exps=exps,
         rho=rho,
         index=index,
@@ -264,12 +281,19 @@ class StanleyDecomposition(FrozenRecord):
         return len(self.intervals)
 
 
-def _interval(
-    poset: CharacteristicPoset, bottom: int, top: int
-) -> tuple[Monomial, frozenset[int]]:
-    """The (bottom, variable set) pair of the interval between two element indices."""
-    zvars = frozenset(compress(range(1, poset.n + 1), map(eq, poset.exps[top], poset.g)))
-    return Monomial(poset.exps[bottom]), zvars
+def _decomposition(
+    poset: CharacteristicPoset, pairs: Iterable[tuple[int, int]]
+) -> StanleyDecomposition:
+    """The decomposition of the intervals between (bottom, top) element indices."""
+    exps, g = poset.exps, poset.g
+    variables = range(1, poset.n + 1)
+    # Every exponent of the poset lies in [0, g], so under the cap the
+    # monomial constructor's checks can be skipped.
+    make = Monomial.trusted if max(g) <= MAX_EXPONENT else Monomial
+    return StanleyDecomposition(poset.n, tuple(
+        (make(exps[bottom]), frozenset(compress(variables, map(eq, exps[top], g))))
+        for bottom, top in pairs
+    ))
 
 
 def _check_level(poset: CharacteristicPoset, k: int) -> None:
@@ -279,7 +303,8 @@ def _check_level(poset: CharacteristicPoset, k: int) -> None:
 
 def singleton_decomposition(poset: CharacteristicPoset) -> StanleyDecomposition:
     """Every element as its own interval; always a valid partition."""
-    return StanleyDecomposition(poset.n, tuple(_interval(poset, i, i) for i in range(len(poset))))
+    every = range(len(poset))
+    return _decomposition(poset, zip(every, every))
 
 
 class SearchStats(Record):
@@ -370,7 +395,7 @@ def exists_partition(
     intervals = _search(poset, k, deadline, stats)
     if intervals is None:
         return None
-    return StanleyDecomposition(poset.n, tuple(_interval(poset, ei, t) for ei, t in intervals))
+    return _decomposition(poset, intervals)
 
 
 def order_bitsets(
@@ -381,13 +406,13 @@ def order_bitsets(
     Bit i stands for ``exps[i]``.  ``ge[j][x]`` is the set of points with
     e_j >= x and ``le[j][x]`` the set with e_j <= x, for x in 0..g_j.  Each is
     read off one string per column (``_column_text``), so no Python code runs
-    per point.
+    per point; ``ge[j][0]`` is every point.
     """
     full = (1 << len(exps)) - 1
     ge, le = [], []
     for gj, column in zip(g, zip(*exps)):
         text = _column_text(column, gj)
-        at_least = [_at_least(text, x, gj) for x in range(gj + 1)]
+        at_least = [full] + [_at_least(text, x, gj) for x in range(1, gj + 1)]
         ge.append(at_least)
         le.append([full ^ above for above in at_least[1:]] + [full])
     return ge, le
@@ -781,19 +806,61 @@ def verify_decomposition(
     pairwise disjoint, that they cover every element, and that every interval
     top has rho at least k.  Failures are reported, never raised; a level
     outside 0..n is an input error.
+
+    The check reads only the certificate and the poset's bound, weights, codes
+    and cells, and shares no code with the search.  Sets of cells are bitsets
+    indexed by code, cut into rows of at most ``ROW_CELLS`` cells: a row holds
+    the cells that agree beyond the first few coordinates.  An interval's cells
+    are its bottom's bit, shifted along each raised coordinate, in each row
+    that the raised coordinates past the row reach.  An interval is accepted
+    when its cells lie in the poset's cells and miss those of the intervals
+    before it, and exact cover is one comparison at the end.  Cells are listed
+    one by one only for an interval that fails, to name each failure.
     """
     _check_level(poset, k)
     if decomposition.n != poset.n:
         return VerificationReport(False, (f"ambient mismatch: {decomposition.n} vs {poset.n}",), None)
 
-    n, g, weights, index = poset.n, poset.g, poset.weights, poset.index
+    n, g, weights = poset.n, poset.g, poset.weights
     variables = range(1, n + 1)
     in_range = frozenset(variables)
-    failures: list[str] = []
-    seen: dict[int, int] = {}
-    rhos: list[int] = []
+    # The first `split` coordinates run within a row, the rest across rows.
+    # A bitset of up to ROW_CELLS bits costs about as much to AND, OR or
+    # shift as the interpreter's own work per operation, so a box of that
+    # many cells is one row.
+    sizes = weights + (weights[-1] * (g[-1] + 1),)
+    split = bisect_right(sizes, ROW_CELLS) - 1
+    width = sizes[split]
+    digits = format(poset.cells, f"0{sizes[n]}b")
+    cell_rows = [int(digits[a:a + width], 2) for a in range(0, sizes[n], width)][::-1]
+    covered = [0] * len(cell_rows)
 
-    for i, (bottom, zvars) in enumerate(decomposition.intervals):
+    def spread(e, free):
+        # The cells from bottom e along the coordinates `free`: the rows they
+        # meet, ascending, and their bits within each row.
+        row, at = divmod(sum(map(mul, e, weights)), width)
+        within, rows = 1 << at, [row]
+        for j in compress(range(n), free):
+            w = weights[j]
+            if j < split:
+                for _ in range(g[j] - e[j]):
+                    within |= within << w
+            else:
+                w //= width
+                rows = [r + step for step in range(0, (g[j] - e[j] + 1) * w, w) for r in rows]
+        return rows, within
+
+    intervals = decomposition.intervals
+    failures: list[str] = []
+    rhos: list[int] = []
+    placed: list[int] = []
+    # The first interval to cover each cell, to name a double cover: filled
+    # from the intervals placed[:scanned], and extended to those before the
+    # current one only when it covers a cell twice.
+    owner: dict[int, int] = {}
+    scanned = 0
+
+    for i, (bottom, zvars) in enumerate(intervals):
         # The interval's label is formatted only when a failure names it.
         e = bottom.exponents
         if len(e) != n:
@@ -806,38 +873,55 @@ def verify_decomposition(
             failures.append(f"{_label(i, bottom, zvars)}: bottom {bottom} exceeds the bound")
             continue
         # The top meets the bound on the raised coordinates, those in zvars,
-        # and wherever the bottom does.
+        # and wherever the bottom does; the box spans the raised coordinates
+        # where the bottom is below the bound (at_bound < raised).
         raised = list(map(zvars.__contains__, variables))
         at_bound = list(map(eq, e, g))
         r = sum(map(or_, raised, at_bound))
         rhos.append(r)
         if r < k:
             failures.append(f"{_label(i, bottom, zvars)}: top has rho {r} < {k}")
-        # The box spans the raised coordinates where the bottom is below the
-        # bound (at_bound < raised), ascending, so its cells ascend by code.
-        cells = [sum(map(mul, e, weights))]
-        for j in compress(range(n), map(lt, at_bound, raised)):
-            w = weights[j]
-            cells = [c + step for step in range(0, (g[j] - e[j] + 1) * w, w) for c in cells]
-        if all(map(index.__contains__, cells)) and seen.keys().isdisjoint(cells):
-            seen.update(zip(cells, repeat(i)))
+        rows, within = spread(e, map(lt, at_bound, raised))
+        placed.append(i)
+        for row in rows:
+            if covered[row] & within or cell_rows[row] & within != within:
+                break
+        else:
+            for row in rows:
+                covered[row] |= within
             continue
-        for c in cells:
-            if c not in index:
-                outside = Monomial(poset.decode(c))
-                failures.append(f"{_label(i, bottom, zvars)}: cell {outside} is outside the poset")
-                continue
-            if c in seen:
-                failures.append(
-                    f"double cover of {Monomial(poset.decode(c))} by intervals "
-                    f"{seen[c] + 1} and {i + 1}"
-                )
-            else:
-                seen[c] = i
 
-    missing = next(filterfalse(seen.__contains__, poset.codes), None)
-    if missing is not None:
-        failures.append(f"uncovered element {Monomial(poset.decode(missing))}")
+        for row in rows:
+            for at in set_bits(within):
+                cell = row * width + at
+                if not cell_rows[row] >> at & 1:
+                    outside = Monomial(poset.decode(cell))
+                    failures.append(f"{_label(i, bottom, zvars)}: cell {outside} is outside the poset")
+                elif covered[row] >> at & 1:
+                    for j in placed[scanned:-1]:
+                        before, zvars_j = intervals[j]
+                        e_j = before.exponents
+                        free = map(lt, map(eq, e_j, g), map(zvars_j.__contains__, variables))
+                        rows_j, within_j = spread(e_j, free)
+                        for row_j in rows_j:
+                            for at_j in set_bits(within_j):
+                                owner.setdefault(row_j * width + at_j, j)
+                    scanned = len(placed) - 1
+                    failures.append(
+                        f"double cover of {Monomial(poset.decode(cell))} by intervals "
+                        f"{owner[cell] + 1} and {i + 1}"
+                    )
+                else:
+                    covered[row] |= 1 << at
+
+    if covered != cell_rows:
+        missing = {
+            row * width + at
+            for row, (have, want) in enumerate(zip(covered, cell_rows))
+            for at in set_bits(want & ~have)
+        }
+        first = next(filter(missing.__contains__, poset.codes))
+        failures.append(f"uncovered element {Monomial(poset.decode(first))}")
 
     return VerificationReport(not failures, tuple(failures), min(rhos, default=None))
 

@@ -1,16 +1,21 @@
 """Independent oracles shared by the unit and acceptance tests."""
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, compress, filterfalse, product, repeat
 from math import prod
+from operator import eq, le, lt, mul, or_
 
 from sdepthlab import (
+    InputError,
     Monomial,
     MonomialIdeal,
+    VerificationReport,
     exists_partition,
     minimalize,
+    monomial,
     sr_complex,
 )
+from sdepthlab.ideals import MAX_AMBIENT
 
 
 def brute_force_sdepth(poset) -> int:
@@ -151,6 +156,49 @@ def reference_first_partition(poset, k) -> list[tuple[int, int]] | None:
     return rec(frozenset(), [])
 
 
+def relabel(ideal: MonomialIdeal, index_map, new_ambient: int) -> MonomialIdeal:
+    """Rename variables through an injective 1-based index map.
+
+    Every index in the support of every generator must be mapped; images must
+    be distinct and lie in ``1..new_ambient``.
+    """
+    if not 1 <= new_ambient <= MAX_AMBIENT:
+        raise InputError(f"ambient variable count must be in 1..{MAX_AMBIENT}, got {new_ambient!r}")
+    values = list(index_map.values())
+    if len(values) != len(set(values)):
+        raise InputError("relabel map is not injective")
+    for v in values:
+        if not 1 <= v <= new_ambient:
+            raise InputError(f"relabel image {v} out of range 1..{new_ambient}")
+    new_gens = []
+    for g in ideal.gens:
+        exps = [0] * new_ambient
+        for j in g.support():
+            if j not in index_map:
+                raise InputError(f"support index {j} is not mapped")
+            exps[index_map[j] - 1] = g.exponents[j - 1]
+        new_gens.append(Monomial(tuple(exps)))
+    return minimalize(new_gens, new_ambient)
+
+
+def v_ideal(n: int, m: int, k: int, j: int) -> MonomialIdeal:
+    """Truncated line-type ideal in ambient n-k-1.
+
+    Generators: the prefix window x_1*...*x_{m-j} followed by the full windows
+    x_i*...*x_{i+m-1} for i = 2..n-m-k.  For j = 0 this is exactly the line
+    family ideal in the smaller ambient.
+    """
+    if not (0 <= j <= k <= m - 2):
+        raise InputError(f"need 0 <= j <= k <= m-2, got (k, j) = ({k}, {j})")
+    if n - m - k < 2:
+        raise InputError(f"need n-m-k >= 2, got {n - m - k}")
+    ambient = n - k - 1
+    gens = [monomial(ambient, range(1, m - j + 1))]
+    for i in range(2, n - m - k + 1):
+        gens.append(monomial(ambient, range(i, i + m)))
+    return minimalize(gens, ambient)
+
+
 def reference_faces(complex_) -> list[int]:
     """The masks that contain no nonface, ascending by (popcount, value)."""
     faces = [
@@ -255,3 +303,71 @@ def reference_betti(ideal: MonomialIdeal) -> dict[tuple[int, tuple[int, ...]], i
             if rank:
                 entries[(len(fvars) - degree_plus_one, fvars)] = rank
     return entries
+
+
+def reference_verification(poset, decomposition, k) -> VerificationReport:
+    """``verify_decomposition`` cell by cell, as it was before its bitset rows.
+
+    Every interval's cells are listed as codes, checked against
+    ``poset.index`` and a dict from each covered code to the first interval
+    that covered it; the first element of ``poset.codes`` that no interval
+    covered is reported as uncovered.  The failures and their wording are the
+    package's.
+    """
+    if not 0 <= k <= poset.n:
+        raise InputError(f"k must be in 0..{poset.n}, got {k}")
+    if decomposition.n != poset.n:
+        return VerificationReport(False, (f"ambient mismatch: {decomposition.n} vs {poset.n}",), None)
+
+    def label(i, bottom, zvars):
+        return f"interval {i + 1} [{bottom} ; {{{', '.join(f'x{v}' for v in sorted(zvars))}}}]"
+
+    n, g, weights, index = poset.n, poset.g, poset.weights, poset.index
+    variables = range(1, n + 1)
+    in_range = frozenset(variables)
+    failures: list[str] = []
+    seen: dict[int, int] = {}
+    rhos: list[int] = []
+
+    for i, (bottom, zvars) in enumerate(decomposition.intervals):
+        e = bottom.exponents
+        if len(e) != n:
+            failures.append(f"{label(i, bottom, zvars)}: bottom ambient mismatch")
+            continue
+        if not in_range.issuperset(zvars):
+            failures.append(f"{label(i, bottom, zvars)}: variable index out of range")
+            continue
+        if not all(map(le, e, g)):
+            failures.append(f"{label(i, bottom, zvars)}: bottom {bottom} exceeds the bound")
+            continue
+        raised = list(map(zvars.__contains__, variables))
+        at_bound = list(map(eq, e, g))
+        r = sum(map(or_, raised, at_bound))
+        rhos.append(r)
+        if r < k:
+            failures.append(f"{label(i, bottom, zvars)}: top has rho {r} < {k}")
+        cells = [sum(map(mul, e, weights))]
+        for j in compress(range(n), map(lt, at_bound, raised)):
+            w = weights[j]
+            cells = [c + step for step in range(0, (g[j] - e[j] + 1) * w, w) for c in cells]
+        if all(map(index.__contains__, cells)) and seen.keys().isdisjoint(cells):
+            seen.update(zip(cells, repeat(i)))
+            continue
+        for c in cells:
+            if c not in index:
+                outside = Monomial(poset.decode(c))
+                failures.append(f"{label(i, bottom, zvars)}: cell {outside} is outside the poset")
+                continue
+            if c in seen:
+                failures.append(
+                    f"double cover of {Monomial(poset.decode(c))} by intervals "
+                    f"{seen[c] + 1} and {i + 1}"
+                )
+            else:
+                seen[c] = i
+
+    missing = next(filterfalse(seen.__contains__, poset.codes), None)
+    if missing is not None:
+        failures.append(f"uncovered element {Monomial(poset.decode(missing))}")
+
+    return VerificationReport(not failures, tuple(failures), min(rhos, default=None))

@@ -1,5 +1,6 @@
 import pytest
 
+from helpers import relabel, v_ideal
 from sdepthlab import (
     FamilyInstance,
     InputError,
@@ -15,10 +16,8 @@ from sdepthlab import (
     minimalize,
     monomial,
     proof_tower,
-    relabel,
     ring_quotient,
     sdepth_of_pair,
-    v_ideal,
     variable,
 )
 

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from helpers import relabel
 from sdepthlab import (
     IdealSyntaxError,
     InputError,
@@ -18,7 +19,6 @@ from sdepthlab import (
     monomial,
     parse_ideal,
     parse_monomial,
-    relabel,
     ring_quotient,
     unit_ideal,
     variable,

@@ -17,6 +17,8 @@ from helpers import (
     reference_maximal_rho,
     reference_poset,
     reference_up_down,
+    reference_verification,
+    relabel,
 )
 from sdepthlab import (
     InputError,
@@ -37,7 +39,6 @@ from sdepthlab import (
     parse_ideal,
     parse_monomial,
     principal_decomposition,
-    relabel,
     ring_quotient,
     sdepth_of_pair,
     sdepth_of_poset,
@@ -138,6 +139,7 @@ class TestBuildPoset:
         poset = build_poset(pair, g_override=g_override)
         expected = reference_poset(pair, g_override)
         assert (poset.g, poset.codes, poset.exps, poset.rho, poset.index) == expected
+        assert poset.cells == sum(1 << code for code in expected[1])
         # A maximal_rho too low would lower sdepth with every certificate valid.
         _, _, exps, rho, _ = expected
         assert poset.maximal_rho == reference_maximal_rho(exps, rho)
@@ -185,6 +187,30 @@ class TestBuildPoset:
 
                         for c in product(*(range(x, y + 1) for x, y in zip(a, b))):
                             assert poset.contains_exps(c)
+
+    def test_convexity_sample_catches_a_hole(self):
+        # x1 is missing between 1 and x1^2, the first two elements.
+        fields = dict(
+            n=1, g=(2,), weights=(1,), codes=(0, 2), cells=0b101, exps=((0,), (2,)),
+            rho=(0, 1), index={0: 0, 2: 1}, maximal_rho=1,
+        )
+        poset = solver.CharacteristicPoset(**fields)
+        with pytest.raises(AssertionError, match="element set is not box-convex"):
+            solver._assert_box_convex_sample(poset)
+        # The same check under python -O, which strips asserts.
+        code = "\n".join([
+            "import sdepthlab.solver as solver",
+            f"poset = solver.CharacteristicPoset(**{fields!r})",
+            "try:",
+            "    solver._assert_box_convex_sample(poset)",
+            "except AssertionError as exc:",
+            "    print('raised:', exc)",
+            "else:",
+            "    print('returned')",
+        ])
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "raised: element set is not box-convex\n", proc.stdout
 
     def test_cap(self):
         from sdepthlab import PosetCapExceededError
@@ -775,7 +801,94 @@ class TestPrincipalDecomposition:
             principal_decomposition(mono(2))
 
 
+MUTATIONS = (
+    "drop", "repeat", "shift", "add variable", "remove variable", "bad index",
+    "bottom ambient", "decomposition ambient", "k above min_rho",
+)
+
+
+@st.composite
+def tampered_certificates(draw):
+    """(poset, certificate, k): the search's certificate at level k, and 0 to 3
+    mutations of it or of k, in the order drawn."""
+    poset = draw(small_presentations())
+    n = poset.n
+    k = draw(st.integers(min_value=0, max_value=n))
+    found = exists_partition(poset, k)
+    if found is None:
+        k, found = 0, exists_partition(poset, 0)
+    intervals, ambient = list(found.intervals), n
+    for kind in draw(st.lists(st.sampled_from(MUTATIONS), max_size=3)):
+        if kind == "decomposition ambient":
+            ambient = n + 1
+            continue
+        if kind == "k above min_rho":
+            certificate = StanleyDecomposition(n, tuple(intervals))
+            min_rho = reference_verification(poset, certificate, k).min_rho
+            if min_rho is not None and min_rho < n:
+                k = min_rho + 1
+            continue
+        if not intervals:
+            continue
+        i = draw(st.integers(min_value=0, max_value=len(intervals) - 1))
+        bottom, zvars = intervals[i]
+        e = bottom.exponents
+        if kind == "drop":
+            del intervals[i]
+        elif kind == "repeat":
+            intervals.insert(draw(st.integers(min_value=0, max_value=len(intervals))), intervals[i])
+        elif kind == "shift":
+            j = draw(st.integers(min_value=0, max_value=len(e) - 1))
+            step = draw(st.sampled_from((-1, 1))) if e[j] else 1
+            e = e[:j] + (e[j] + step,) + e[j + 1:]
+            intervals[i] = (Monomial(e), zvars)
+        elif kind == "add variable":
+            intervals[i] = (bottom, zvars | {draw(st.integers(min_value=1, max_value=n))})
+        elif kind == "remove variable" and zvars:
+            intervals[i] = (bottom, zvars - {draw(st.sampled_from(sorted(zvars)))})
+        elif kind == "bad index":
+            intervals[i] = (bottom, zvars | {draw(st.sampled_from((0, n + 1)))})
+        elif kind == "bottom ambient":
+            intervals[i] = (Monomial(e + (0,)), zvars)
+    return poset, StanleyDecomposition(ambient, tuple(intervals)), k
+
+
 class TestVerification:
+    @settings(max_examples=400, deadline=None)
+    @given(tampered_certificates(), st.sampled_from((1, 2, 4, 8, solver.ROW_CELLS)))
+    # An interval repeated across four rows of two cells: its double covers
+    # are named in code order, row by row.
+    @example((
+        principal_poset("x1*x2*x3", 3),
+        StanleyDecomposition(3, ((Monomial((0, 0, 0)), frozenset({2, 3})),) * 2),
+        0,
+    ), 2)
+    def test_matches_cell_by_cell_reference(self, case, row_cells):
+        # Rows of 1 to 8 cells split these small boxes the way a box of more
+        # than ROW_CELLS cells is split.
+        poset, certificate, k = case
+        expected = reference_verification(poset, certificate, k)
+        default, solver.ROW_CELLS = solver.ROW_CELLS, row_cells
+        try:
+            assert verify_decomposition(poset, certificate, k) == expected
+        finally:
+            solver.ROW_CELLS = default
+
+    @pytest.mark.parametrize("n, m, k", [(14, 2, 5), (14, 3, 7)])
+    def test_matches_reference_on_rows(self, n, m, k):
+        # A box of 2^14 cells is two rows.  The certificate, less its first
+        # interval, with its last interval repeated at the front, and with its
+        # first one twice more at the end: the third cover names the first.
+        poset = build_poset(cycle_quotient(n, m))
+        intervals = exists_partition(poset, k).intervals
+        for tampered in (
+            intervals, intervals[1:], intervals[-1:] + intervals, intervals + intervals[:1] * 2,
+        ):
+            certificate = StanleyDecomposition(n, tampered)
+            expected = reference_verification(poset, certificate, k)
+            assert verify_decomposition(poset, certificate, k) == expected
+            assert expected.ok == (tampered is intervals)
+
     def test_uncovered_reported(self):
         poset = build_poset(cycle_quotient(4, 2))
         decomposition = exists_partition(poset, 1)
