@@ -42,13 +42,16 @@ Herzog, Vladoiu and Zheng (J. Algebra 322, 2009):
   k <= maximal_rho every low has such a top, as rho rises by at most 1 per unit
   step towards a maximal element.
 
-The elements come from one pass over the box: the cells of each ideal are the
-upward closure of its generators' cells, as one int bitmask indexed by code
-(``box_upset``).  An element's exponents, degree and rho are read from two
-tables, one per half of the coordinates, indexed by the low and high digits
-of its code; the halves are chosen so that each table has about sqrt(box)
-rows, and an element costs one divmod and a few lookups instead of a walk
-over its digits.
+The elements come from bitmask passes over the box, indexed by code: the
+cells of each ideal are the upward closure of its generators' cells
+(``box_upset``), and the box cells of degree d + 1 or more are those one step
+above a cell of degree d or more, one masked shift per coordinate.  The
+poset's cells of each degree, read off in turn, list the elements in
+(degree, code) order with no sort.  An element's exponents and rho are read
+from two tables, one per half of the coordinates, indexed by the low and high
+digits of its code; the halves are chosen so that each table has about
+sqrt(box) rows, and an element costs one divmod and a few lookups instead of
+a walk over its digits.
 
 The search asks the order its questions as int bitsets indexed by element
 (``order_bitsets``): the up-set of an element is the AND of one column bitset
@@ -91,6 +94,7 @@ from .errors import (
     TimeLimitExceededError,
 )
 from .ideals import (
+    MAX_AMBIENT,
     MAX_EXPONENT,
     FrozenRecord,
     Monomial,
@@ -130,7 +134,7 @@ class CharacteristicPoset(FrozenRecord):
     """
 
     __slots__ = _fields = (
-        "n", "g", "weights", "codes", "cells", "exps", "rho", "index", "maximal_rho",
+        "n", "g", "weights", "codes", "cells", "exps", "rho", "maximal_rho",
     )
 
     def __init__(
@@ -142,10 +146,9 @@ class CharacteristicPoset(FrozenRecord):
         cells: int,
         exps: tuple[tuple[int, ...], ...],
         rho: tuple[int, ...],
-        index: dict[int, int],
         maximal_rho: int,
     ) -> None:
-        self._init(n, g, weights, codes, cells, exps, rho, index, maximal_rho)
+        self._init(n, g, weights, codes, cells, exps, rho, maximal_rho)
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -198,69 +201,76 @@ def build_poset(
     if not cells:
         raise InvalidPresentationError("the presentation has an empty poset")
 
+    # The codes in (degree, code) order, one degree at a time.  The box cells
+    # of degree d + 1 or more are those one step above a cell of degree d or
+    # more, one masked shift per coordinate; each degree's codes are listed
+    # ascending.
+    steps = box_steps(g)
+    codes: list[int] = []
+    at_least, rest = (1 << box) - 1, cells
+    while rest:
+        nxt = 0
+        for weight, below in steps:
+            nxt |= (at_least & below) << weight
+        higher = rest & nxt
+        codes += set_bits(rest ^ higher)
+        at_least, rest = nxt, higher
+
     # A code is hi * radix + lo, with lo the code of the first `split`
     # coordinates, and each half's table is read at its half-code.  Splitting
     # where the two radix products are closest keeps both near sqrt(box) rows.
     low_sizes = weights + (box,)
     split = min(range(n + 1), key=lambda s: abs(low_sizes[s] - box // low_sizes[s]))
     radix = low_sizes[split]
-    (lo_e, lo_d, lo_r), (hi_e, hi_d, hi_r) = (
-        _half_table(g, range(split)), _half_table(g, range(split, n))
-    )
-    codes = set_bits(cells)
+    (lo_e, lo_r), (hi_e, hi_r) = _half_table(g, range(split)), _half_table(g, range(split, n))
     halves = [divmod(code, radix) for code in codes]
-    degree = [hi_d[a] + lo_d[b] for a, b in halves]
-    # The codes are ascending and the sort is stable: (degree, code) order.
-    order = sorted(range(len(codes)), key=degree.__getitem__)
-    codes = tuple(codes[i] for i in order)
-    halves = [halves[i] for i in order]
     exps = tuple(lo_e[b] + hi_e[a] for a, b in halves)
     rho = tuple(lo_r[b] + hi_r[a] for a, b in halves)
-    index = {code: i for i, code in enumerate(codes)}
 
     # The set is box-convex, so a cell is maximal when no cell one step above
     # it along any coordinate is in the set.
     above = 0
-    for weight, below in box_steps(g):
+    for weight, below in steps:
         above |= (cells >> weight) & below
-    maximal = set_bits(cells & ~above)
+    maximal = (divmod(code, radix) for code in set_bits(cells & ~above))
 
     poset = CharacteristicPoset(
         n=n,
         g=g,
         weights=weights,
-        codes=codes,
+        codes=tuple(codes),
         cells=cells,
         exps=exps,
         rho=rho,
-        index=index,
-        maximal_rho=min(map(rho.__getitem__, map(index.__getitem__, maximal))),
+        maximal_rho=min(lo_r[b] + hi_r[a] for a, b in maximal),
     )
     _assert_box_convex_sample(poset)
     return poset
 
 
 def _half_table(g: tuple[int, ...], coords: range) -> tuple[tuple, ...]:
-    """(exps, degree, rho) per mixed-radix code of the coordinates ``coords``.
+    """(exps, rho) per mixed-radix code of the coordinates ``coords``.
 
     The first coordinate is the least significant digit.
     """
-    rows = [((), 0, 0)]
+    rows = [((), 0)]
     for j in coords:
         gj = g[j]
-        rows = [(e + (x,), d + x, r + (x == gj)) for x in range(gj + 1) for e, d, r in rows]
+        rows = [(e + (x,), r + (x == gj)) for x in range(gj + 1) for e, r in rows]
     return tuple(zip(*rows))
 
 
 def _assert_box_convex_sample(poset: CharacteristicPoset, limit: int = 12) -> None:
     # The element set must be box-convex; spot-check a deterministic sample.
+    # Both ends lie in [0, g], so their midpoint does and has a code.
     sample = poset.exps[: limit]
+    cells, weights = poset.cells, poset.weights
     for a in sample:
         for b in sample:
-            if a is b or any(x > y for x, y in zip(a, b)):
+            if a is b or not all(map(le, a, b)):
                 continue
-            mid = tuple((x + y) // 2 for x, y in zip(a, b))
-            if not poset.contains_exps(mid):
+            mid = ((x + y) // 2 for x, y in zip(a, b))
+            if not cells >> sum(map(mul, mid, weights)) & 1:
                 raise AssertionError("element set is not box-convex")
 
 
@@ -447,8 +457,12 @@ def ranked_tops(poset: CharacteristicPoset, tops: int) -> list[int]:
     canonical top t of an element e (t_j in {e_j, g_j} for every j) has
     |[e, t]| * |[t, g]| = |[e, g]|, so on every element's canonical tops this
     one order is (box of [e, t], code of t) order.  On a squarefree bound
-    |[t, g]| = 2^(n - rho(t)) and the order is element order.
+    |[t, g]| = 2^(n - rho(t)) and rho(t) is deg(t) plus the count of zero
+    bounds, so the order is (degree, code) order, element order, and the
+    ranks are the elements ascending.
     """
+    if max(poset.g) <= 1:
+        return set_bits(tops)
     g_up, exps, codes = [gj + 1 for gj in poset.g], poset.exps, poset.codes
     return sorted(set_bits(tops), key=lambda t: (-prod(map(sub, g_up, exps[t])), codes[t]))
 
@@ -960,6 +974,14 @@ def principal_decomposition(u: Monomial) -> StanleyDecomposition:
 
 _VAR_RE = re.compile(r"^x(\d+)$")
 
+# A line in the exact form ``format_certificate`` writes: no spaces but the
+# separators, and no leading zeros.  ``_formatted_interval`` reads it when its
+# variables also ascend and lie in 1..n and each written exponent is 2 or more
+# and within the cap; every other line goes through the general parser.  The
+# pattern is compiled on first use, not at import.
+_FACTOR = r"x[1-9]\d*(?:\^[1-9]\d*)?"
+_FORMATTED_LINE = rf"(1|{_FACTOR}(?:\*{_FACTOR})*) ; \{{((?:x[1-9]\d*(?:, x[1-9]\d*)*)?)\}}"
+
 
 def format_certificate(decomposition: StanleyDecomposition) -> str:
     lines = []
@@ -971,7 +993,13 @@ def format_certificate(decomposition: StanleyDecomposition) -> str:
 
 def parse_certificate(text: str, n: int) -> StanleyDecomposition:
     intervals = []
+    formatted = re.compile(_FORMATTED_LINE).fullmatch if 1 <= n <= MAX_AMBIENT else None
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        match = formatted and formatted(raw)
+        interval = match and _formatted_interval(match, n)
+        if interval:
+            intervals.append(interval)
+            continue
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -995,3 +1023,31 @@ def parse_certificate(text: str, n: int) -> StanleyDecomposition:
                 zvars.add(v)
         intervals.append((bottom, frozenset(zvars)))
     return StanleyDecomposition(n, tuple(intervals))
+
+
+def _formatted_interval(
+    match: re.Match, n: int
+) -> tuple[Monomial, frozenset[int]] | None:
+    """The interval of a ``_FORMATTED_LINE`` match, or None for a line that
+    the general parser must read: variables out of order or past n, or an
+    exponent of 1 or past the cap written out."""
+    bottom, zvars = match.groups()
+    exps = [0] * n
+    last = 0
+    if bottom != "1":
+        for factor in bottom[1:].split("*x"):
+            var, _, exponent = factor.partition("^")
+            j = int(var)
+            if not last < j <= n:
+                return None
+            last = j
+            if not exponent:
+                exps[j - 1] = 1
+            elif 2 <= int(exponent) <= MAX_EXPONENT:
+                exps[j - 1] = int(exponent)
+            else:
+                return None
+    variables = [int(v) for v in zvars[1:].split(", x")] if zvars else []
+    if not all(map(lt, [0] + variables, variables + [n + 1])):
+        return None
+    return Monomial.trusted(tuple(exps)), frozenset(variables)

@@ -1,5 +1,6 @@
 """Independent oracles shared by the unit and acceptance tests."""
 
+import re
 from fractions import Fraction
 from itertools import combinations, compress, filterfalse, product, repeat
 from math import prod
@@ -9,13 +10,20 @@ from sdepthlab import (
     InputError,
     Monomial,
     MonomialIdeal,
+    StanleyDecomposition,
     VerificationReport,
     exists_partition,
     minimalize,
     monomial,
+    parse_monomial,
     sr_complex,
 )
 from sdepthlab.ideals import MAX_AMBIENT
+
+
+def element_index(poset) -> dict[int, int]:
+    """Each element's code mapped to its index in the poset's listing."""
+    return {code: i for i, code in enumerate(poset.codes)}
 
 
 def brute_force_sdepth(poset) -> int:
@@ -30,6 +38,7 @@ def brute_force_sdepth(poset) -> int:
     size = len(poset)
     exps = poset.exps
     rho = poset.rho
+    index = element_index(poset)
     best = -1
 
     def cells_of(ei, bi):
@@ -38,7 +47,7 @@ def brute_force_sdepth(poset) -> int:
             return None
         idxs = []
         for point in product(*(range(a[j], b[j] + 1) for j in range(poset.n))):
-            ci = poset.index.get(poset.encode(point))
+            ci = index.get(poset.encode(point))
             if ci is None:
                 return None
             idxs.append(ci)
@@ -309,7 +318,7 @@ def reference_verification(poset, decomposition, k) -> VerificationReport:
     """``verify_decomposition`` cell by cell, as it was before its bitset rows.
 
     Every interval's cells are listed as codes, checked against
-    ``poset.index`` and a dict from each covered code to the first interval
+    ``element_index(poset)`` and a dict from each covered code to the first interval
     that covered it; the first element of ``poset.codes`` that no interval
     covered is reported as uncovered.  The failures and their wording are the
     package's.
@@ -322,7 +331,7 @@ def reference_verification(poset, decomposition, k) -> VerificationReport:
     def label(i, bottom, zvars):
         return f"interval {i + 1} [{bottom} ; {{{', '.join(f'x{v}' for v in sorted(zvars))}}}]"
 
-    n, g, weights, index = poset.n, poset.g, poset.weights, poset.index
+    n, g, weights, index = poset.n, poset.g, poset.weights, element_index(poset)
     variables = range(1, n + 1)
     in_range = frozenset(variables)
     failures: list[str] = []
@@ -371,3 +380,34 @@ def reference_verification(poset, decomposition, k) -> VerificationReport:
         failures.append(f"uncovered element {Monomial(poset.decode(missing))}")
 
     return VerificationReport(not failures, tuple(failures), min(rhos, default=None))
+
+
+def reference_parse_certificate(text: str, n: int) -> StanleyDecomposition:
+    """``parse_certificate`` as it was before its path for formatted lines:
+    every line through the general monomial parser, with the package's error
+    messages."""
+    intervals = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if ";" not in line:
+            raise InputError(f"certificate line {lineno}: missing ';' separator")
+        left, right = line.split(";", 1)
+        bottom = parse_monomial(left.strip(), n)
+        right = right.strip()
+        if not (right.startswith("{") and right.endswith("}")):
+            raise InputError(f"certificate line {lineno}: variable set must be braced")
+        inner = right[1:-1].strip()
+        zvars: set[int] = set()
+        if inner:
+            for token in inner.split(","):
+                match = re.match(r"^x(\d+)$", token.strip())
+                if not match:
+                    raise InputError(f"certificate line {lineno}: bad variable {token.strip()!r}")
+                v = int(match.group(1))
+                if not 1 <= v <= n:
+                    raise InputError(f"certificate line {lineno}: variable x{v} out of range")
+                zvars.add(v)
+        intervals.append((bottom, frozenset(zvars)))
+    return StanleyDecomposition(n, tuple(intervals))
