@@ -94,7 +94,6 @@ from .errors import (
     TimeLimitExceededError,
 )
 from .ideals import (
-    MAX_AMBIENT,
     MAX_EXPONENT,
     FrozenRecord,
     Monomial,
@@ -162,11 +161,6 @@ class CharacteristicPoset(FrozenRecord):
             code, e = divmod(code, gj + 1)
             out.append(e)
         return tuple(out)
-
-    def contains_exps(self, exps: tuple[int, ...]) -> bool:
-        if any(e > gj for e, gj in zip(exps, self.g)):
-            return False
-        return bool(self.cells >> self.encode(exps) & 1)
 
 
 def build_poset(
@@ -457,12 +451,8 @@ def ranked_tops(poset: CharacteristicPoset, tops: int) -> list[int]:
     canonical top t of an element e (t_j in {e_j, g_j} for every j) has
     |[e, t]| * |[t, g]| = |[e, g]|, so on every element's canonical tops this
     one order is (box of [e, t], code of t) order.  On a squarefree bound
-    |[t, g]| = 2^(n - rho(t)) and rho(t) is deg(t) plus the count of zero
-    bounds, so the order is (degree, code) order, element order, and the
-    ranks are the elements ascending.
+    |[t, g]| = 2^(n - rho(t)) and the order is element order.
     """
-    if max(poset.g) <= 1:
-        return set_bits(tops)
     g_up, exps, codes = [gj + 1 for gj in poset.g], poset.exps, poset.codes
     return sorted(set_bits(tops), key=lambda t: (-prod(map(sub, g_up, exps[t])), codes[t]))
 
@@ -974,14 +964,6 @@ def principal_decomposition(u: Monomial) -> StanleyDecomposition:
 
 _VAR_RE = re.compile(r"^x(\d+)$")
 
-# A line in the exact form ``format_certificate`` writes: no spaces but the
-# separators, and no leading zeros.  ``_formatted_interval`` reads it when its
-# variables also ascend and lie in 1..n and each written exponent is 2 or more
-# and within the cap; every other line goes through the general parser.  The
-# pattern is compiled on first use, not at import.
-_FACTOR = r"x[1-9]\d*(?:\^[1-9]\d*)?"
-_FORMATTED_LINE = rf"(1|{_FACTOR}(?:\*{_FACTOR})*) ; \{{((?:x[1-9]\d*(?:, x[1-9]\d*)*)?)\}}"
-
 
 def format_certificate(decomposition: StanleyDecomposition) -> str:
     lines = []
@@ -993,13 +975,7 @@ def format_certificate(decomposition: StanleyDecomposition) -> str:
 
 def parse_certificate(text: str, n: int) -> StanleyDecomposition:
     intervals = []
-    formatted = re.compile(_FORMATTED_LINE).fullmatch if 1 <= n <= MAX_AMBIENT else None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        match = formatted and formatted(raw)
-        interval = match and _formatted_interval(match, n)
-        if interval:
-            intervals.append(interval)
-            continue
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -1023,31 +999,3 @@ def parse_certificate(text: str, n: int) -> StanleyDecomposition:
                 zvars.add(v)
         intervals.append((bottom, frozenset(zvars)))
     return StanleyDecomposition(n, tuple(intervals))
-
-
-def _formatted_interval(
-    match: re.Match, n: int
-) -> tuple[Monomial, frozenset[int]] | None:
-    """The interval of a ``_FORMATTED_LINE`` match, or None for a line that
-    the general parser must read: variables out of order or past n, or an
-    exponent of 1 or past the cap written out."""
-    bottom, zvars = match.groups()
-    exps = [0] * n
-    last = 0
-    if bottom != "1":
-        for factor in bottom[1:].split("*x"):
-            var, _, exponent = factor.partition("^")
-            j = int(var)
-            if not last < j <= n:
-                return None
-            last = j
-            if not exponent:
-                exps[j - 1] = 1
-            elif 2 <= int(exponent) <= MAX_EXPONENT:
-                exps[j - 1] = int(exponent)
-            else:
-                return None
-    variables = [int(v) for v in zvars[1:].split(", x")] if zvars else []
-    if not all(map(lt, [0] + variables, variables + [n + 1])):
-        return None
-    return Monomial.trusted(tuple(exps)), frozenset(variables)

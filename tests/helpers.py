@@ -1,6 +1,5 @@
 """Independent oracles shared by the unit and acceptance tests."""
 
-import re
 from fractions import Fraction
 from itertools import combinations, compress, filterfalse, product, repeat
 from math import prod
@@ -10,12 +9,10 @@ from sdepthlab import (
     InputError,
     Monomial,
     MonomialIdeal,
-    StanleyDecomposition,
     VerificationReport,
     exists_partition,
     minimalize,
     monomial,
-    parse_monomial,
     sr_complex,
 )
 from sdepthlab.ideals import MAX_AMBIENT
@@ -24,6 +21,13 @@ from sdepthlab.ideals import MAX_AMBIENT
 def element_index(poset) -> dict[int, int]:
     """Each element's code mapped to its index in the poset's listing."""
     return {code: i for i, code in enumerate(poset.codes)}
+
+
+def contains_exps(poset, exps) -> bool:
+    """Whether the exponent vector ``exps`` is an element of ``poset``."""
+    if any(e > gj for e, gj in zip(exps, poset.g)):
+        return False
+    return bool(poset.cells >> poset.encode(exps) & 1)
 
 
 def brute_force_sdepth(poset) -> int:
@@ -380,34 +384,3 @@ def reference_verification(poset, decomposition, k) -> VerificationReport:
         failures.append(f"uncovered element {Monomial(poset.decode(missing))}")
 
     return VerificationReport(not failures, tuple(failures), min(rhos, default=None))
-
-
-def reference_parse_certificate(text: str, n: int) -> StanleyDecomposition:
-    """``parse_certificate`` as it was before its path for formatted lines:
-    every line through the general monomial parser, with the package's error
-    messages."""
-    intervals = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if ";" not in line:
-            raise InputError(f"certificate line {lineno}: missing ';' separator")
-        left, right = line.split(";", 1)
-        bottom = parse_monomial(left.strip(), n)
-        right = right.strip()
-        if not (right.startswith("{") and right.endswith("}")):
-            raise InputError(f"certificate line {lineno}: variable set must be braced")
-        inner = right[1:-1].strip()
-        zvars: set[int] = set()
-        if inner:
-            for token in inner.split(","):
-                match = re.match(r"^x(\d+)$", token.strip())
-                if not match:
-                    raise InputError(f"certificate line {lineno}: bad variable {token.strip()!r}")
-                v = int(match.group(1))
-                if not 1 <= v <= n:
-                    raise InputError(f"certificate line {lineno}: variable x{v} out of range")
-                zvars.add(v)
-        intervals.append((bottom, frozenset(zvars)))
-    return StanleyDecomposition(n, tuple(intervals))

@@ -1,10 +1,8 @@
 import hashlib
-import re
 import subprocess
 import sys
 import time
-from math import comb, prod
-from operator import sub
+from math import comb
 
 import pytest
 from hypothesis import example, given, reject, settings, strategies as st
@@ -13,12 +11,12 @@ import sdepthlab.solver as solver
 from helpers import (
     bisect_sdepth,
     brute_force_sdepth,
+    contains_exps,
     element_index,
     enumerate_small_ideals,
     reference_candidate_tops,
     reference_first_partition,
     reference_maximal_rho,
-    reference_parse_certificate,
     reference_poset,
     reference_up_down,
     reference_verification,
@@ -50,7 +48,7 @@ from sdepthlab import (
     verify_decomposition,
     zero_ideal,
 )
-from sdepthlab.ideals import MAX_AMBIENT, MAX_EXPONENT, set_bits
+from sdepthlab.ideals import set_bits
 
 
 def mono(n, *factors):
@@ -200,7 +198,7 @@ class TestBuildPoset:
                         from itertools import product
 
                         for c in product(*(range(x, y + 1) for x, y in zip(a, b))):
-                            assert poset.contains_exps(c)
+                            assert contains_exps(poset, c)
 
     def test_convexity_sample_catches_a_hole(self):
         # x1 is missing between 1 and x1^2, the first two elements.
@@ -725,48 +723,6 @@ class TestOrderBitsets:
                 assert found == reference_candidate_tops(poset, k, i), (e, k)
 
 
-@st.composite
-def squarefree_bound_subsets(draw):
-    """(poset, a subset of its elements as a bitset) on a bound of zeros and
-    ones: S/I or J/I with squarefree generators in the first ``used``
-    variables, and the bound of each later variable left at 0 or raised to 1."""
-    n = draw(st.integers(min_value=1, max_value=6))
-    used = draw(st.integers(min_value=1, max_value=n))
-    bits = st.integers(min_value=0, max_value=1)
-    monomials = st.lists(bits, min_size=used, max_size=used).map(
-        lambda e: Monomial(tuple(e) + (0,) * (n - used))
-    )
-    relations = monomials.filter(lambda u: not u.is_constant())
-    denominator = minimalize(draw(st.lists(relations, max_size=4)), n)
-    extra = draw(st.lists(monomials, max_size=3))
-    numerator = minimalize([*denominator.gens, *extra], n) if extra else unit_ideal(n)
-    raised = draw(st.lists(bits, min_size=n - used, max_size=n - used))
-    try:
-        pair = QuotientPresentation(numerator, denominator)
-    except InvalidPresentationError:
-        reject()
-    g = tuple(max(u.exponents[j] for u in numerator.gens + denominator.gens) for j in range(used))
-    poset = build_poset(pair, g_override=g + tuple(raised))
-    return poset, draw(st.integers(min_value=0, max_value=(1 << len(poset)) - 1))
-
-
-class TestRankedTops:
-    @settings(max_examples=200, deadline=None)
-    @given(squarefree_bound_subsets())
-    # A bound with a zero coordinate and a raised one.
-    @example((
-        build_poset(ring_quotient(parse_ideal("n=4: x1*x2")), g_override=(1, 1, 0, 1)), 0b110111
-    ))
-    def test_squarefree_ranks_are_element_order(self, case):
-        # The sort by (-|[t, g]|, code) that a bound above 1 takes.
-        poset, tops = case
-        g_up = [gj + 1 for gj in poset.g]
-        expected = sorted(
-            set_bits(tops), key=lambda t: (-prod(map(sub, g_up, poset.exps[t])), poset.codes[t])
-        )
-        assert solver.ranked_tops(poset, tops) == expected
-
-
 class TestFailedStates:
     """The table of covered sets whose subtree failed must not change results."""
 
@@ -1061,88 +1017,3 @@ class TestCertificates:
             parse_certificate("x1 ; x1, x2", 2)
         with pytest.raises(InputError):
             parse_certificate("x1 ; {x9}", 2)
-
-
-LINE_MUTATIONS = (
-    "whitespace", "delete", "index", "exponent", "repeat", "swap", "comment", "blank",
-)
-
-
-@st.composite
-def certificate_texts(draw):
-    """(text, n): a formatted certificate with 0 to 4 of its lines mutated,
-    to be parsed at its own ambient, one less or one more, or at an ambient
-    out of range."""
-    ambient = draw(st.integers(min_value=1, max_value=5))
-    bottoms = st.lists(
-        st.sampled_from((0, 0, 1, 2, MAX_EXPONENT)), min_size=ambient, max_size=ambient
-    ).map(lambda e: Monomial(tuple(e)))
-    intervals = draw(st.lists(
-        st.tuples(bottoms, st.frozensets(st.integers(min_value=1, max_value=ambient))), max_size=6
-    ))
-    lines = format_certificate(StanleyDecomposition(ambient, tuple(intervals))).splitlines()
-    for kind in draw(st.lists(st.sampled_from(LINE_MUTATIONS), max_size=4)):
-        i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
-        line = lines[i]
-        factors = list(re.finditer(r"x\d+(?:\^\d+)?", line))
-        if kind == "whitespace":
-            at = draw(st.integers(min_value=0, max_value=len(line)))
-            line = line[:at] + draw(st.sampled_from((" ", "  ", "\t"))) + line[at:]
-        elif kind == "delete" and line:
-            at = draw(st.integers(min_value=0, max_value=len(line) - 1))
-            line = line[:at] + line[at + 1:]
-        elif kind == "index" and factors:
-            # x0, x01, x{n+1}, or another variable, which may break the order.
-            at = draw(st.sampled_from(factors)).start() + 1
-            end = re.match(r"\d+", line[at:]).end() + at
-            new = draw(st.sampled_from(("0", "01", "1", str(ambient), str(ambient + 1))))
-            line = line[:at] + new + line[end:]
-        elif kind == "exponent" and factors:
-            # x^1 written out, 0, a leading zero, the cap and one past it.
-            factor = draw(st.sampled_from(factors))
-            at = factor.start() + 1 + re.match(r"\d+", line[factor.start() + 1:]).end()
-            new = draw(st.sampled_from(
-                ("0", "1", "02", "2", str(MAX_EXPONENT), str(MAX_EXPONENT + 1))
-            ))
-            line = line[:at] + "^" + new + line[factor.end():]
-        elif kind == "repeat" and factors:
-            factor = draw(st.sampled_from(factors))
-            sep = "*" if factor.start() < line.find(";") else ", "
-            line = line[:factor.end()] + sep + factor.group() + line[factor.end():]
-        elif kind == "swap" and len(factors) >= 2:
-            pair = draw(st.lists(st.sampled_from(factors), min_size=2, max_size=2, unique=True))
-            a, b = sorted(pair, key=re.Match.start)
-            line = line[:a.start()] + b.group() + line[a.end():b.start()] + a.group() + line[b.end():]
-        elif kind == "comment":
-            line = draw(st.sampled_from(("# ", "#", "  # "))) + line
-        elif kind == "blank":
-            line = draw(st.sampled_from(("", "  "))) + "\n" + line
-        lines[i] = line
-    n = draw(st.sampled_from((ambient, ambient - 1, ambient + 1, MAX_AMBIENT + 1)))
-    return "\n".join(lines) + draw(st.sampled_from(("", "\n", "\r\n"))), n
-
-
-def parse_outcome(parse, text, n):
-    """The decomposition parsed, or the type and text of the input error."""
-    try:
-        return parse(text, n)
-    except InputError as exc:
-        return type(exc), str(exc)
-
-
-class TestParseCertificate:
-    @settings(max_examples=500, deadline=None)
-    @given(certificate_texts())
-    @example(("1 ; {}\nx1*x3^2 ; {x2, x3}", 3))
-    @example(("x1^1 ; {x1}", 2))
-    @example(("x2*x1 ; {x1}", 2))
-    @example(("x1*x1 ; {x2, x2}", 2))
-    @example(("x1 ; {x2, x1}", 2))
-    @example(("x0 ; {}", 2))
-    @example(("x1 ; {x3}", 2))
-    @example((f"x1^{MAX_EXPONENT + 1} ; {{}}", 2))
-    @example(("x1  ; {x1}\n# x1 ; {x1}\n x2 ; {x2}", 2))
-    def test_matches_the_general_parser(self, case):
-        text, n = case
-        expected = parse_outcome(reference_parse_certificate, text, n)
-        assert parse_outcome(parse_certificate, text, n) == expected
