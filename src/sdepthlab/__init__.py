@@ -67,7 +67,6 @@ from .solver import (
     exists_partition,
     format_certificate,
     parse_certificate,
-    principal_decomposition,
     sdepth_of_pair,
     sdepth_of_poset,
     verify_decomposition,

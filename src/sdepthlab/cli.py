@@ -269,5 +269,20 @@ def main(argv=None) -> int:
         return EXIT_BROKEN_PIPE
 
 
+def run() -> None:
+    """Exit with ``main``'s code: ``python -m sdepthlab.cli`` and the ``sdepthlab`` script.
+
+    The objects the run leaves behind are frozen first, so the interpreter's
+    collections at exit skip them; they would walk every one of them and find
+    nothing to collect.  ``main`` leaves the collector alone, for in-process
+    callers.
+    """
+    code = main()
+    import gc
+
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -189,51 +189,61 @@ def _fork_rows(work: list[tuple], workers: int) -> list[list[ScanRow]]:
     lowest index first, as ``jobs=1`` would raise it; a child that exits
     without sending its rows raises RuntimeError.  No child outlives the call.
     """
-    import multiprocessing
     import pickle
 
     # Fork, not spawn: a child starts from this process's memory instead of
     # importing the package again, which costs more than most rows.  The scan
     # starts no threads, so nothing is forked mid-operation.
-    try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:
+    if not hasattr(os, "fork"):
         raise InputError("jobs > 1 needs the fork start method, "
-                         "which this platform does not have") from None
+                         "which this platform does not have")
     claims, feed = os.pipe()
     # run_scan caps n at MAX_AMBIENT, so the records fit in the pipe's buffer
     # and the write returns before any process reads.
     with open(feed, "wb") as out:
         out.write(b"".join(i.to_bytes(_CLAIM_BYTES, "little") for i in range(len(work))))
-    children, streams = [], []
+    streams = []
+    live = {}  # pid -> result stream of each child not yet reaped
     try:
         for _ in range(workers - 1):
             results, sink = os.pipe()
             streams.append(open(results, "rb"))
             try:
-                child = context.Process(target=_send_rows, args=(work, claims, sink))
-                child.start()
+                pid = os.fork()
+                if pid == 0:
+                    # The child never returns into the caller's stack, and
+                    # leaves without the interpreter's flushes, exit handlers
+                    # and final collections.
+                    code = 1
+                    try:
+                        _send_rows(work, claims, sink)
+                        code = 0
+                    finally:
+                        os._exit(code)
             finally:
                 os.close(sink)
-            children.append(child)
+            live[pid] = streams[-1]
         done, failure = _claim_rows(work, claims)
         failures = [] if failure is None else [failure]
-        for child, stream in zip(children, streams):
+        for pid, stream in list(live.items()):
             payload = stream.read()
-            child.join()
+            status = os.waitpid(pid, 0)[1]
+            del live[pid]
             if not payload:
-                raise RuntimeError(f"scan worker {child.pid} exited with code "
-                                   f"{child.exitcode} without sending its rows")
+                raise RuntimeError(f"scan worker {pid} exited with code "
+                                   f"{os.waitstatus_to_exitcode(status)} without sending its rows")
             theirs, failure = pickle.loads(payload)
             done += theirs
             if failure is not None:
                 failures.append(failure)
     finally:
         os.close(claims)
-        for child in children:
-            if child.is_alive():
-                child.kill()
-            child.join()
+        if live:
+            import signal  # only here: the import costs a millisecond per scan process
+
+            for pid in live:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
         for stream in streams:
             stream.close()
     if failures:
@@ -256,7 +266,7 @@ def run_scan(
     """Run one check over the (n, m) grid and return rows in canonical order.
 
     ``jobs`` is the number of processes that compute rows, this one included;
-    above 1 it needs the fork start method.
+    above 1 it needs ``os.fork``.
     """
     if check not in CHECKS:
         raise InputError(f"check must be one of {', '.join(CHECKS)}; got {check!r}")

@@ -152,9 +152,6 @@ class CharacteristicPoset(FrozenRecord):
     def __len__(self) -> int:
         return len(self.codes)
 
-    def encode(self, exps: tuple[int, ...]) -> int:
-        return sum(e * w for e, w in zip(exps, self.weights))
-
     def decode(self, code: int) -> tuple[int, ...]:
         out = []
         for gj in self.g:
@@ -188,24 +185,35 @@ def build_poset(
         raise PosetCapExceededError(f"multidegree box has {box} cells, cap is {cap}")
     weights = tuple(prod(gj + 1 for gj in g[:j]) for j in range(n))
 
-    # The elements are the box cells of the numerator less those of the denominator.
-    num, den = (sum(1 << sum(map(mul, m.exponents, weights)) for m in ideal.gens)
-                for ideal in (pair.numerator, pair.denominator))
-    cells = box_upset(num, g) & ~box_upset(den, g)
+    # The elements are the box cells of the numerator less those of the
+    # denominator.  ``firsts`` holds the numerator's generator cells by degree.
+    firsts: dict[int, int] = {}
+    for m in pair.numerator.gens:
+        d = m.degree()
+        firsts[d] = firsts.get(d, 0) | 1 << sum(map(mul, m.exponents, weights))
+    den = sum(1 << sum(map(mul, m.exponents, weights)) for m in pair.denominator.gens)
+    num = sum(firsts.values())
+    upper = box_upset(num, g)
+    cells = upper & ~box_upset(den, g)
     if not cells:
         raise InvalidPresentationError("the presentation has an empty poset")
 
-    # The codes in (degree, code) order, one degree at a time.  The box cells
-    # of degree d + 1 or more are those one step above a cell of degree d or
-    # more, one masked shift per coordinate; each degree's codes are listed
-    # ascending.
+    # The codes in (degree, code) order, one degree at a time, from the least
+    # degree of a numerator generator.  The numerator's cells of degree d + 1
+    # or more are the generator cells of degree d + 1 or more and the cells
+    # one step above a numerator cell of degree d or more, one masked shift
+    # per coordinate; each degree's codes are listed ascending.
     steps = box_steps(g)
     codes: list[int] = []
-    at_least, rest = (1 << box) - 1, cells
+    degree = min(firsts)
+    later = num ^ firsts[degree]  # the generator cells above `degree`
+    at_least, rest = upper, cells
     while rest:
-        nxt = 0
+        nxt = later
         for weight, below in steps:
             nxt |= (at_least & below) << weight
+        degree += 1
+        later ^= firsts.get(degree, 0)
         higher = rest & nxt
         codes += set_bits(rest ^ higher)
         at_least, rest = nxt, higher
@@ -933,28 +941,6 @@ def verify_decomposition(
 def _label(i: int, bottom: Monomial, zvars: frozenset[int]) -> str:
     """``interval i+1 [bottom ; {x_j, ...}]``: how a failure names the i-th interval."""
     return f"interval {i + 1} [{bottom} ; {{{', '.join(f'x{v}' for v in sorted(zvars))}}}]"
-
-
-def principal_decomposition(u: Monomial) -> StanleyDecomposition:
-    """The staircase decomposition of the quotient ring by one monomial.
-
-    Writing u as an ordered product of variables (ascending index, repeats
-    adjacent), the i-th interval starts at the product of the first i-1
-    factors and spans every variable except the i-th factor's.  Each interval
-    top then meets the bound in all but one coordinate, so the value is the
-    ambient size minus one.
-    """
-    if u.is_constant():
-        raise InputError("the principal generator must not be constant")
-    n = u.ambient
-    allvars = frozenset(range(1, n + 1))
-    intervals = []
-    prefix = [0] * n
-    for j in range(1, n + 1):
-        for _ in range(u.exponents[j - 1]):
-            intervals.append((Monomial(tuple(prefix)), allvars - {j}))
-            prefix[j - 1] += 1
-    return StanleyDecomposition(n, tuple(intervals))
 
 
 # ---------------------------------------------------------------------------

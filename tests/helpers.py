@@ -9,6 +9,7 @@ from sdepthlab import (
     InputError,
     Monomial,
     MonomialIdeal,
+    StanleyDecomposition,
     VerificationReport,
     exists_partition,
     minimalize,
@@ -23,11 +24,38 @@ def element_index(poset) -> dict[int, int]:
     return {code: i for i, code in enumerate(poset.codes)}
 
 
+def encode(poset, exps) -> int:
+    """The mixed-radix code of the exponent vector ``exps`` in ``poset``'s box."""
+    return sum(e * w for e, w in zip(exps, poset.weights))
+
+
 def contains_exps(poset, exps) -> bool:
     """Whether the exponent vector ``exps`` is an element of ``poset``."""
     if any(e > gj for e, gj in zip(exps, poset.g)):
         return False
-    return bool(poset.cells >> poset.encode(exps) & 1)
+    return bool(poset.cells >> encode(poset, exps) & 1)
+
+
+def principal_decomposition(u: Monomial) -> StanleyDecomposition:
+    """The staircase decomposition of the quotient ring by one monomial.
+
+    Writing u as an ordered product of variables (ascending index, repeats
+    adjacent), the i-th interval starts at the product of the first i-1
+    factors and spans every variable except the i-th factor's.  Each interval
+    top then meets the bound in all but one coordinate, so the value is the
+    ambient size minus one.
+    """
+    if u.is_constant():
+        raise InputError("the principal generator must not be constant")
+    n = u.ambient
+    allvars = frozenset(range(1, n + 1))
+    intervals = []
+    prefix = [0] * n
+    for j in range(1, n + 1):
+        for _ in range(u.exponents[j - 1]):
+            intervals.append((Monomial(tuple(prefix)), allvars - {j}))
+            prefix[j - 1] += 1
+    return StanleyDecomposition(n, tuple(intervals))
 
 
 def brute_force_sdepth(poset) -> int:
@@ -51,7 +79,7 @@ def brute_force_sdepth(poset) -> int:
             return None
         idxs = []
         for point in product(*(range(a[j], b[j] + 1) for j in range(poset.n))):
-            ci = index.get(poset.encode(point))
+            ci = index.get(encode(poset, point))
             if ci is None:
                 return None
             idxs.append(ci)

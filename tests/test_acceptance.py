@@ -9,7 +9,7 @@ import subprocess
 import sys
 import time
 
-from helpers import brute_force_sdepth, enumerate_small_ideals
+from helpers import brute_force_sdepth, enumerate_small_ideals, principal_decomposition
 from sdepthlab import (
     QuotientPresentation,
     build_poset,
@@ -19,7 +19,6 @@ from sdepthlab import (
     homology_ranks,
     line_path_ideal,
     parse_ideal,
-    principal_decomposition,
     prop16_structure_check,
     ring_quotient,
     run_scan,

@@ -1,7 +1,6 @@
+import gc
 import itertools
 import json
-import multiprocessing
-import multiprocessing.context
 import os
 import signal
 import subprocess
@@ -57,13 +56,15 @@ class TestThm14Scan:
         # forked children; a single row runs in process, with the same bytes.
         sequential = emit_csv(run_scan("thm14", n_max=6, m_min=5, m_max=5))
         started = []
-        start = multiprocessing.context.ForkProcess.start
+        fork = os.fork
 
-        def recording(process):
-            started.append(process)
-            start(process)
+        def recording():
+            pid = fork()
+            if pid:
+                started.append(pid)
+            return pid
 
-        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", recording)
+        monkeypatch.setattr(os, "fork", recording)
         assert emit_csv(run_scan("thm14", n_max=6, m_min=5, m_max=5, jobs=2)) == sequential
         assert started == []
         run_scan("thm14", n_max=6, m_min=4, m_max=4, jobs=4)
@@ -154,7 +155,6 @@ class TestForkedRows:
 
     @staticmethod
     def assert_no_children():
-        assert multiprocessing.active_children() == []
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -212,13 +212,58 @@ class TestForkedRows:
         self.assert_no_children()
 
     def test_no_fork_start_method(self, monkeypatch):
-        def no_fork(method=None):
-            raise ValueError(f"cannot find context for {method!r}")
-
-        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        monkeypatch.delattr(os, "fork")
         with pytest.raises(InputError, match="fork start method"):
             run_scan("thm14", jobs=2, **self.GRID)
         assert run_scan("thm14", **self.GRID)
+
+    # A scan in a process of its own; with a marker path, the child fails its
+    # first row past the row handlers, after which the parent computes its
+    # own.  Each line is printed once if only the scan's own process returns
+    # from run_scan, and the first stays in the buffer of the piped stdout
+    # across the fork.
+    SCRIPT = """
+import atexit, os, sys, time
+from sdepthlab import harness, run_scan
+
+parent, marker = os.getpid(), sys.argv[1]
+real = harness._compute_rows
+
+def rows(args):
+    if marker and os.getpid() != parent:
+        open(marker, "w").close()
+        raise KeyboardInterrupt
+    while marker and not os.path.exists(marker):
+        time.sleep(0.005)
+    return real(args)
+
+harness._compute_rows = rows
+atexit.register(print, "exit handler")
+print("before the fork")
+try:
+    print("rows", len(run_scan("thm14", n_max=5, jobs=2)))
+except RuntimeError as exc:
+    print(str(exc).partition(" exited ")[2])
+print("multiprocessing loaded:", "multiprocessing" in sys.modules)
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child left")
+"""
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["rows", "base-exception"])
+    def test_child_leaves_through_exit(self, tmp_path, fails):
+        # Without flushing the parent's buffers, running its exit handlers or
+        # returning into its stack; and without loading multiprocessing.
+        marker = str(tmp_path / "failed") if fails else ""
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, marker],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        result = "with code 1 without sending its rows" if fails else "rows 6"
+        assert proc.stdout.splitlines() == [
+            "before the fork", result, "multiprocessing loaded: False", "no child left",
+            "exit handler",
+        ]
 
 
 class TestCor15Scan:
@@ -716,6 +761,27 @@ class TestCli:
         proc = run_cli("scan", "--check", "thm14", "--n-max", "5")
         assert proc.returncode == 0
         assert proc.stdout.startswith("n,m,check")
+
+    def test_main_and_scan_leave_the_collector_alone(self, capsys):
+        # Only the exit function freezes the objects left behind.
+        run_scan("thm14", n_max=5, jobs=2)
+        assert cli.main(["scan", "--check", "thm14", "--n-max", "5", "--jobs", "2"]) == 0
+        assert gc.get_freeze_count() == 0
+
+    @pytest.mark.parametrize("args,code", [
+        (("family", "--kind", "cycle", "--n", "5", "--m", "2"), 0),
+        (("family", "--kind", "cycle", "--n", "5"), 3),
+    ])
+    def test_run_exits_with_the_code_of_main_after_freezing(self, args, code):
+        script = ("import gc, sys\n"
+                  "from sdepthlab import cli\n"
+                  "try:\n"
+                  "    cli.run()\n"
+                  "except SystemExit as exc:\n"
+                  "    print(exc.code, gc.get_freeze_count() > 0, file=sys.stderr)\n")
+        proc = subprocess.run([sys.executable, "-c", script, *args],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.stderr.splitlines()[-1] == f"{code} True"
 
     def test_scan_jobs_below_one_is_input_error(self):
         proc = run_cli("scan", "--check", "thm14", "--n-max", "5", "--jobs", "-3")

@@ -13,7 +13,9 @@ from helpers import (
     brute_force_sdepth,
     contains_exps,
     element_index,
+    encode,
     enumerate_small_ideals,
+    principal_decomposition,
     reference_candidate_tops,
     reference_first_partition,
     reference_maximal_rho,
@@ -40,7 +42,6 @@ from sdepthlab import (
     parse_certificate,
     parse_ideal,
     parse_monomial,
-    principal_decomposition,
     ring_quotient,
     sdepth_of_pair,
     sdepth_of_poset,
@@ -68,7 +69,7 @@ def interval_indices(poset, bottom, zvars):
     e = bottom.exponents
     t = tuple(gj if j in zvars else x for j, x, gj in zip(range(1, poset.n + 1), e, poset.g))
     index = element_index(poset)
-    return index[poset.encode(e)], index[poset.encode(t)]
+    return index[encode(poset, e)], index[encode(poset, t)]
 
 
 def square(ideal):
@@ -145,6 +146,12 @@ class TestBuildPoset:
     # x1 and x2^3 with no element of degree 2 between them.
     @example((QuotientPresentation(
         parse_ideal("n=2: x1, x2^3"), parse_ideal("n=2: x1^2, x1*x2")
+    ), None))
+    # Numerator generators of degrees 1, 2 and 4: the degree pass starts at
+    # degree 1, and each later generator joins the cells of its own degree.
+    @example((QuotientPresentation(
+        parse_ideal("n=3: x1, x2^2, x3^4"),
+        parse_ideal("n=3: x1^2, x1*x2, x1*x3, x2^3, x2^2*x3, x3^5"),
     ), None))
     def test_matches_box_enumeration(self, case):
         pair, g_override = case
@@ -284,7 +291,7 @@ class TestExistsPartition:
         ideal = cycle_path_ideal(5, 3)
         square = minimalize([a.times(b) for a in ideal.gens for b in ideal.gens], 5)
         poset = build_poset(ring_quotient(square))
-        top = poset.exps[element_index(poset)[poset.encode((1, 1, 1, 1, 1))]]
+        top = poset.exps[element_index(poset)[encode(poset, (1, 1, 1, 1, 1))]]
         assert sum(e == gj for e, gj in zip(top, poset.g)) == 0
         assert not any(e != top and all(a <= b for a, b in zip(top, e)) for e in poset.exps)
         assert exists_partition(poset, 1) is None
