@@ -1,9 +1,10 @@
 """Command line interface.
 
-Exit codes: 0 when everything ran and no asserted claim failed, 1 when the
-reader closed standard output before all of it was written, 2 when a scan or
-verification found a violation, 3 for input errors, 4 when a resource cap or
-time limit was hit at the command level.
+Exit codes: 0 when everything ran and no asserted claim failed, 1 when
+standard output could not be written (silently when the reader closed it, with
+one ``error: cannot write standard output`` line on stderr for any other
+OSError there), 2 when a scan or verification found a violation, 3 for input
+errors, 4 when a resource cap or time limit was hit at the command level.
 """
 
 from __future__ import annotations
@@ -34,6 +35,23 @@ EXIT_BROKEN_PIPE = 1
 EXIT_VIOLATION = 2
 EXIT_INPUT = 3
 EXIT_RESOURCE = 4
+
+
+class _OutputError(Exception):
+    """An OSError met writing standard output, which is its cause."""
+
+
+def _write(text: str) -> None:
+    """Write ``text`` to standard output and flush it.
+
+    An OSError there is raised as _OutputError, so that ``main`` can tell it
+    from the OSErrors of files.
+    """
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        raise _OutputError from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,17 +97,18 @@ def _cmd_family(args) -> int:
                 "d": rec.d,
             },
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(format_ideal(ideal))
-        print(
-            f"phi={rec.phi} psi={rec.psi} pd_line={rec.pd_line} pd_cycle={rec.pd_cycle} "
-            f"depth_line={rec.depth_line} depth_cycle={rec.depth_cycle} p={rec.p} d={rec.d}"
-        )
-        if instance.collapses_to_principal:
-            print("note: m = n, the ideal is principal")
-        if instance.quotient_is_field:
-            print("note: m = 1, the quotient ring is the ground field")
+        _write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        return EXIT_OK
+    lines = [
+        format_ideal(ideal),
+        f"phi={rec.phi} psi={rec.psi} pd_line={rec.pd_line} pd_cycle={rec.pd_cycle} "
+        f"depth_line={rec.depth_line} depth_cycle={rec.depth_cycle} p={rec.p} d={rec.d}",
+    ]
+    if instance.collapses_to_principal:
+        lines.append("note: m = n, the ideal is principal")
+    if instance.quotient_is_field:
+        lines.append("note: m = 1, the quotient ring is the ground field")
+    _write("".join(line + "\n" for line in lines))
     return EXIT_OK
 
 
@@ -127,12 +146,14 @@ def _cmd_sdepth(args) -> int:
         # Also when the search hits the time limit: the counts show how far it got.
         if stats is not None:
             print(f"search: {stats.format()}", file=sys.stderr)
-    print(f"sdepth = {result.value}")
-    print(f"poset elements = {len(result.poset)}")
     if result.infeasible_at is not None:
-        print(f"certified: partition at {result.value}, none at {result.infeasible_at}")
+        certified = f"partition at {result.value}, none at {result.infeasible_at}"
     else:
-        print(f"certified: partition at {result.value} (ambient bound)")
+        certified = f"partition at {result.value} (ambient bound)"
+    _write(
+        f"sdepth = {result.value}\nposet elements = {len(result.poset)}\n"
+        f"certified: {certified}\n"
+    )
     if args.certificate:
         try:
             Path(args.certificate).write_text(
@@ -140,7 +161,7 @@ def _cmd_sdepth(args) -> int:
             )
         except OSError as exc:
             raise InputError(f"cannot write {args.certificate}: {exc}") from exc
-        print(f"certificate written to {args.certificate}")
+        _write(f"certificate written to {args.certificate}\n")
     return EXIT_OK
 
 
@@ -150,12 +171,12 @@ def _cmd_depth(args) -> int:
     table = hochster_betti(ideal, stats=stats)
     if stats is not None:
         print(f"homology: {stats.format()}", file=sys.stderr)
-    print(f"depth = {table.depth()}")
-    print(f"pd = {table.projective_dimension()}")
+    lines = [f"depth = {table.depth()}", f"pd = {table.projective_dimension()}"]
     if args.betti:
-        print("i,F,rank")
+        lines.append("i,F,rank")
         for (i, fvars), rank in sorted(table.entries.items()):
-            print(f"{i},{'-'.join(str(v) for v in fvars)},{rank}")
+            lines.append(f"{i},{'-'.join(str(v) for v in fvars)},{rank}")
+    _write("".join(line + "\n" for line in lines))
     return EXIT_OK
 
 
@@ -169,10 +190,9 @@ def _cmd_verify_decomp(args) -> int:
     decomposition = parse_certificate(text, poset.n)
     report = verify_decomposition(poset, decomposition, args.k)
     if report.ok:
-        print(f"valid decomposition at level {args.k} (min rho = {report.min_rho})")
+        _write(f"valid decomposition at level {args.k} (min rho = {report.min_rho})\n")
         return EXIT_OK
-    for failure in report.failures:
-        print(f"invalid: {failure}")
+    _write("".join(f"invalid: {failure}\n" for failure in report.failures))
     return EXIT_VIOLATION
 
 
@@ -188,7 +208,7 @@ def _cmd_scan(args) -> int:
         cert_dir=args.cert_dir,
     )
     emitter = {"csv": emit_csv, "json": emit_json, "md": emit_md}[args.format]
-    sys.stdout.write(emitter(rows, timings=args.timings))
+    _write(emitter(rows, timings=args.timings))
     if any(row.status == "violation" for row in rows):
         return EXIT_VIOLATION
     return EXIT_OK
@@ -252,18 +272,21 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        code = args.func(args)
-        sys.stdout.flush()
-        return code
+        return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ResourceCapError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except BrokenPipeError:
-        # As in the signal module's documentation: point stdout at devnull so
-        # the interpreter's final flush cannot fail a second time.
+    except (_OutputError, BrokenPipeError) as exc:
+        # A closed reader needs no message; any other error of the output
+        # gets one line.  As in the signal module's documentation, stdout
+        # then points at devnull so the interpreter's final flush cannot fail
+        # a second time.
+        cause = exc.__cause__ if isinstance(exc, _OutputError) else exc
+        if not isinstance(cause, BrokenPipeError):
+            print(f"error: cannot write standard output: {cause}", file=sys.stderr)
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return EXIT_BROKEN_PIPE

@@ -47,15 +47,18 @@ cells of each ideal are the upward closure of its generators' cells
 (``box_upset``), and the box cells of degree d + 1 or more are those one step
 above a cell of degree d or more, one masked shift per coordinate.  The
 poset's cells of each degree, read off in turn, list the elements in
-(degree, code) order with no sort.  An element's exponents and rho are read
-from two tables, one per half of the coordinates, indexed by the low and high
-digits of its code; the halves are chosen so that each table has about
-sqrt(box) rows, and an element costs one divmod and a few lookups instead of
-a walk over its digits.
+(degree, code) order with no sort.  A code is cut into parts of at most 256
+codes, runs of coordinates from x1 up, and the poset keeps one byte per part
+per element, its part code, and no exponent tuples.  An element's exponents
+are decoded when the search or the certificate needs them, from per-part
+tables that depend only on the bound and are shared by every poset with that
+bound; rho is a sum of per-part counts, read once at the build.
 
 The search asks the order its questions as int bitsets indexed by element
-(``order_bitsets``): the up-set of an element is the AND of one column bitset
-per coordinate, and so is the down-set of a top.  An interval's cells are the
+(``order_bitsets``): for each coordinate and threshold, one translation of a
+part's bytes gives the elements at or above it, and the up-set of an element
+is the AND of one such column bitset per coordinate, and so is the down-set
+of a top.  An interval's cells are the
 up-set of its bottom ANDed with the down-set of its top.  The tops of a level
 are kept a second time, as bitsets indexed by rank, ranked once by
 (-|[t, g]|, code of t), where |[t, g]| counts the cells from t up to the
@@ -81,11 +84,11 @@ import re
 import sys
 import time
 from bisect import bisect_left, bisect_right
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import compress, repeat
 from typing import Iterable, NamedTuple, Sequence
 from math import comb, prod
-from operator import and_, eq, getitem, le, lt, mul, or_, sub
+from operator import add, and_, eq, getitem, le, lt, mul, or_, sub
 
 from .errors import (
     InputError,
@@ -125,15 +128,18 @@ class CharacteristicPoset(FrozenRecord):
     Elements are stored as mixed-radix integer codes (radix g_j + 1 per
     coordinate), listed ascending by (total degree, code); that listing is the
     linear extension used everywhere.  ``cells`` is the same set as one int
-    with bit c set for each code c, the poset's membership test.  ``rho[i]``
-    counts the coordinates of element i that equal the bound g.
+    with bit c set for each code c, the poset's membership test.  ``parts``
+    holds, for each part of a code (``_code_parts``), the part code of every
+    element, element i's at position i: a ``bytes``, or a ``str`` of chr(part
+    code) for a part of one coordinate whose bound is 256 or more.
+    ``rho[i]`` counts the coordinates of element i that equal the bound g.
     ``maximal_rho`` is the least rho of a maximal element: every element lies
     below a maximal one and rho is monotone, so some element has no top of
     rho >= k above it exactly when k > maximal_rho.
     """
 
     __slots__ = _fields = (
-        "n", "g", "weights", "codes", "cells", "exps", "rho", "maximal_rho",
+        "n", "g", "weights", "codes", "cells", "parts", "rho", "maximal_rho",
     )
 
     def __init__(
@@ -143,21 +149,22 @@ class CharacteristicPoset(FrozenRecord):
         weights: tuple[int, ...],
         codes: tuple[int, ...],
         cells: int,
-        exps: tuple[tuple[int, ...], ...],
+        parts: tuple[bytes | str, ...],
         rho: tuple[int, ...],
         maximal_rho: int,
     ) -> None:
-        self._init(n, g, weights, codes, cells, exps, rho, maximal_rho)
+        self._init(n, g, weights, codes, cells, parts, rho, maximal_rho)
 
     def __len__(self) -> int:
         return len(self.codes)
 
     def decode(self, code: int) -> tuple[int, ...]:
-        out = []
-        for gj in self.g:
-            code, e = divmod(code, gj + 1)
-            out.append(e)
-        return tuple(out)
+        """The exponents of the box cell ``code``, one table lookup per part."""
+        out: tuple[int, ...] = ()
+        for radix, exps, _ in _code_parts(self.g):
+            code, low = divmod(code, radix)
+            out += exps[low]
+        return out
 
 
 def build_poset(
@@ -218,23 +225,13 @@ def build_poset(
         codes += set_bits(rest ^ higher)
         at_least, rest = nxt, higher
 
-    # A code is hi * radix + lo, with lo the code of the first `split`
-    # coordinates, and each half's table is read at its half-code.  Splitting
-    # where the two radix products are closest keeps both near sqrt(box) rows.
-    low_sizes = weights + (box,)
-    split = min(range(n + 1), key=lambda s: abs(low_sizes[s] - box // low_sizes[s]))
-    radix = low_sizes[split]
-    (lo_e, lo_r), (hi_e, hi_r) = _half_table(g, range(split)), _half_table(g, range(split, n))
-    halves = [divmod(code, radix) for code in codes]
-    exps = tuple(lo_e[b] + hi_e[a] for a, b in halves)
-    rho = tuple(lo_r[b] + hi_r[a] for a, b in halves)
+    parts, rho = _split_codes(codes, g)
 
     # The set is box-convex, so a cell is maximal when no cell one step above
     # it along any coordinate is in the set.
     above = 0
     for weight, below in steps:
         above |= (cells >> weight) & below
-    maximal = (divmod(code, radix) for code in set_bits(cells & ~above))
 
     poset = CharacteristicPoset(
         n=n,
@@ -242,30 +239,75 @@ def build_poset(
         weights=weights,
         codes=tuple(codes),
         cells=cells,
-        exps=exps,
+        parts=parts,
         rho=rho,
-        maximal_rho=min(lo_r[b] + hi_r[a] for a, b in maximal),
+        maximal_rho=min(_split_codes(set_bits(cells & ~above), g)[1]),
     )
     _assert_box_convex_sample(poset)
     return poset
 
 
-def _half_table(g: tuple[int, ...], coords: range) -> tuple[tuple, ...]:
-    """(exps, rho) per mixed-radix code of the coordinates ``coords``.
+@lru_cache(maxsize=64)
+def _code_parts(g: tuple[int, ...]) -> tuple[tuple[int, tuple, tuple], ...]:
+    """(radix, exps, rho) of each part of a code on the bound g.
 
-    The first coordinate is the least significant digit.
+    A part is a run of coordinates from x1 up whose radix product is at most
+    256, or a single coordinate whose bound is 256 or more, and a code is the
+    mixed-radix number of its part codes, x1's part least significant.
+    ``exps[c]`` and ``rho[c]`` are the exponents of the part code c, its first
+    coordinate least significant, and its count of coordinates at the bound.
     """
-    rows = [((), 0)]
-    for j in coords:
-        gj = g[j]
-        rows = [(e + (x,), r + (x == gj)) for x in range(gj + 1) for e, r in rows]
-    return tuple(zip(*rows))
+    runs: list[list[int]] = []
+    for j, gj in enumerate(g):
+        if runs and prod(g[i] + 1 for i in runs[-1]) * (gj + 1) <= 256:
+            runs[-1].append(j)
+        else:
+            runs.append([j])
+    parts = []
+    for run in runs:
+        rows = [((), 0)]
+        for j in run:
+            gj = g[j]
+            rows = [(e + (x,), r + (x == gj)) for x in range(gj + 1) for e, r in rows]
+        exps, rho = zip(*rows)
+        parts.append((len(rows), exps, rho))
+    return tuple(parts)
+
+
+def _split_codes(
+    codes: Sequence[int], g: tuple[int, ...]
+) -> tuple[tuple[bytes | str, ...], tuple[int, ...]]:
+    """The part codes of ``codes`` on the bound g, one string per part, and their rho.
+
+    A code's part code is its digit in the mixed radix of the parts, so the
+    first part takes no division and the last no remainder.  A part's counts
+    of coordinates at the bound are one translation of its bytes.
+    """
+    tables = _code_parts(g)
+    box = prod(radix for radix, _, _ in tables)
+    parts, rho = [], None
+    weight = 1
+    for radix, _, rho_of in tables:
+        digits = codes if weight == 1 else map(weight.__rfloordiv__, codes)
+        if weight * radix < box:
+            digits = map(radix.__rmod__, digits)
+        if radix <= 256:
+            part = bytes(digits)
+            counts = part.translate(bytes(rho_of).ljust(256, b"\0"))
+        else:
+            digits = list(digits)
+            part = "".join(map(chr, digits))
+            counts = map(rho_of.__getitem__, digits)
+        parts.append(part)
+        rho = counts if rho is None else map(add, rho, counts)
+        weight *= radix
+    return tuple(parts), tuple(rho)
 
 
 def _assert_box_convex_sample(poset: CharacteristicPoset, limit: int = 12) -> None:
     # The element set must be box-convex; spot-check a deterministic sample.
     # Both ends lie in [0, g], so their midpoint does and has a code.
-    sample = poset.exps[: limit]
+    sample = list(map(poset.decode, poset.codes[:limit]))
     cells, weights = poset.cells, poset.weights
     for a in sample:
         for b in sample:
@@ -296,16 +338,21 @@ class StanleyDecomposition(FrozenRecord):
 def _decomposition(
     poset: CharacteristicPoset, pairs: Iterable[tuple[int, int]]
 ) -> StanleyDecomposition:
-    """The decomposition of the intervals between (bottom, top) element indices."""
-    exps, g = poset.exps, poset.g
+    """The decomposition of the intervals between (bottom, top) element indices.
+
+    Intervals with equal variable sets share one frozenset.
+    """
+    g, codes, decode = poset.g, poset.codes, poset.decode
     variables = range(1, poset.n + 1)
     # Every exponent of the poset lies in [0, g], so under the cap the
     # monomial constructor's checks can be skipped.
     make = Monomial.trusted if max(g) <= MAX_EXPONENT else Monomial
-    return StanleyDecomposition(poset.n, tuple(
-        (make(exps[bottom]), frozenset(compress(variables, map(eq, exps[top], g))))
-        for bottom, top in pairs
-    ))
+    shared: dict[frozenset[int], frozenset[int]] = {}
+    intervals = []
+    for bottom, top in pairs:
+        zvars = frozenset(compress(variables, map(eq, decode(codes[top]), g)))
+        intervals.append((make(decode(codes[bottom])), shared.setdefault(zvars, zvars)))
+    return StanleyDecomposition(poset.n, tuple(intervals))
 
 
 def _check_level(poset: CharacteristicPoset, k: int) -> None:
@@ -411,35 +458,61 @@ def exists_partition(
 
 
 def order_bitsets(
-    exps: Sequence[tuple[int, ...]], g: tuple[int, ...]
+    parts: Sequence[bytes | str], g: tuple[int, ...]
 ) -> tuple[list[list[int]], list[list[int]]]:
     """The coordinate columns of a list of points of [0, g] as int bitsets.
 
-    Bit i stands for ``exps[i]``.  ``ge[j][x]`` is the set of points with
-    e_j >= x and ``le[j][x]`` the set with e_j <= x, for x in 0..g_j.  Each is
-    read off one string per column (``_column_text``), so no Python code runs
-    per point; ``ge[j][0]`` is every point.
+    ``parts`` holds the points' part codes as ``CharacteristicPoset.parts``
+    does, point i's at position i, and bit i stands for point i.
+    ``ge[j][x]`` is the set of points with e_j >= x and ``le[j][x]`` the set
+    with e_j <= x, for x in 0..g_j; ``ge[j][0]`` is every point.  Each
+    ``ge[j][x]`` with x > 0 is one translation of the reversed part string
+    into binary digits, with a table of the bound (``_column_tables``), so no
+    Python code runs per point.
     """
-    full = (1 << len(exps)) - 1
+    full = (1 << len(parts[0])) - 1
     ge, le = [], []
-    for gj, column in zip(g, zip(*exps)):
-        text = _column_text(column, gj)
-        at_least = [full] + [_at_least(text, x, gj) for x in range(1, gj + 1)]
-        ge.append(at_least)
-        le.append([full ^ above for above in at_least[1:]] + [full])
+    for part, columns in zip(parts, _column_tables(g)):
+        text = part[::-1]
+        for tables in columns:
+            at_least = [full] + [int(text.translate(table), 2) for table in tables]
+            ge.append(at_least)
+            le.append([full ^ above for above in at_least[1:]] + [full])
     return ge, le
 
 
-def _column_text(values: tuple[int, ...], largest: int) -> str:
-    """Values in 0..largest as one character each, chr(value), last value first."""
-    if largest < 256:
-        return bytes(values).decode("latin-1")[::-1]
-    return "".join(map(chr, reversed(values)))
+@lru_cache(maxsize=64)
+def _column_tables(g: tuple[int, ...]) -> tuple[tuple[tuple[bytes | str, ...], ...], ...]:
+    """Per part of a code on the bound g, per coordinate j in it, the
+    translation tables for x = 1..g_j: each maps a part code to "1" when its
+    coordinate j is x or more and to "0" otherwise.  A part stored as bytes
+    gets 256-byte tables, one stored as str a str table indexed by part code.
+    """
+    out = []
+    for radix, exps, _ in _code_parts(g):
+        columns = []
+        for digits in zip(*exps):
+            tables = []
+            for x in range(1, max(digits) + 1):
+                marks = "".join("01"[d >= x] for d in digits)
+                tables.append(marks if radix > 256 else marks.encode().ljust(256, b"0"))
+            columns.append(tuple(tables))
+        out.append(tuple(columns))
+    return tuple(out)
 
 
-def _at_least(text: str, x: int, largest: int) -> int:
-    """The bitset of the positions whose value in ``_column_text`` is x or more."""
-    return int(text.translate("0" * x + "1" * (largest + 1 - x)), 2)
+def _at_least(text: bytes, x: int) -> int:
+    """The bitset of the positions of ``text``, read last first, whose byte is x or more."""
+    return int(text.translate(b"0" * x + b"1" * (256 - x)), 2)
+
+
+def gather_parts(parts: Sequence[bytes | str], order: Sequence[int]) -> list[bytes | str]:
+    """The part strings of the points ``order`` lists, in that order."""
+    return [
+        "".join(map(part.__getitem__, order)) if isinstance(part, str)
+        else bytes(map(part.__getitem__, order))
+        for part in parts
+    ]
 
 
 def up_set(ge: list[list[int]], e: tuple[int, ...]) -> int:
@@ -461,8 +534,10 @@ def ranked_tops(poset: CharacteristicPoset, tops: int) -> list[int]:
     one order is (box of [e, t], code of t) order.  On a squarefree bound
     |[t, g]| = 2^(n - rho(t)) and the order is element order.
     """
-    g_up, exps, codes = [gj + 1 for gj in poset.g], poset.exps, poset.codes
-    return sorted(set_bits(tops), key=lambda t: (-prod(map(sub, g_up, exps[t])), codes[t]))
+    g_up, decode, codes = [gj + 1 for gj in poset.g], poset.decode, poset.codes
+    return sorted(
+        set_bits(tops), key=lambda t: (-prod(map(sub, g_up, decode(codes[t]))), codes[t])
+    )
 
 
 def candidate_ranks(
@@ -506,28 +581,29 @@ def beta_profile(alpha: Sequence[int], kappa: int) -> list[int] | None:
 
 
 def _search(poset, k, deadline, stats):
-    g = poset.g
-    exps = poset.exps
-    size = len(exps)
+    g, codes, rho, decode = poset.g, poset.codes, poset.rho, poset.decode
+    size = len(codes)
     full = (1 << size) - 1
 
     # Degree-moment account.  For squarefree bounds rho is degree plus the
     # count z of coordinates pinned at zero.  When the poset's maximal degree
     # equals kappa = k - z, every interval top must sit at degree kappa
     # exactly, so the uncovered degree counts must have a ``beta_profile``.
-    # Elements ascend by degree, so the last one has the largest and each
-    # degree's count is the gap between where it and the next degree start;
-    # the counts are kept only when the account applies.
+    # On a bound of zeros and ones a code has one binary digit per coordinate
+    # at 1, so an element's degree is the bit count of its code.  Elements
+    # ascend by degree, so the last one has the largest and each degree's
+    # count is the gap between where it and the next degree start; the counts
+    # are kept only when the account applies.
     kappa = k - g.count(0)
-    moments_apply = max(g) <= 1 and sum(exps[-1]) == kappa
+    moments_apply = max(g) <= 1 and codes[-1].bit_count() == kappa
     if moments_apply:
-        starts = [bisect_left(exps, d, key=sum) for d in range(kappa + 2)]
+        starts = [bisect_left(codes, d, key=int.bit_count) for d in range(kappa + 2)]
         per_degree = list(map(sub, starts[1:], starts))
 
     def count_cells(bottom, top, sign):
         # The interval covers C(s, j) cells at degree deg(bottom) + j.
-        low = sum(exps[bottom])
-        height = sum(exps[top]) - low
+        low = codes[bottom].bit_count()
+        height = codes[top].bit_count() - low
         for j in range(height + 1):
             per_degree[low + j] += sign * comb(height, j)
 
@@ -561,14 +637,14 @@ def _search(poset, k, deadline, stats):
         # candidates and witnesses.  A low's set of the tops above it is built
         # when it first needs a witness and kept for the rest of this level;
         # by rank it takes one bit per top, not one per element.
-        rho_text = _column_text(poset.rho, poset.n)
-        high = _at_least(rho_text, k + 1, poset.n)
-        tops = _at_least(rho_text, k, poset.n) ^ high
+        rho_text = bytes(rho)[::-1]
+        high = _at_least(rho_text, k + 1)
+        tops = _at_least(rho_text, k) ^ high
         if high == full:
             return [(i, i) for i in range(size)]
         top_of = ranked_tops(poset, tops)
-        ge, le = order_bitsets(exps, g)
-        top_ge, top_le = order_bitsets([exps[t] for t in top_of], g)
+        ge, le = order_bitsets(poset.parts, g)
+        top_ge, top_le = order_bitsets(gather_parts(poset.parts, top_of), g)
         ranks_above: list[int | None] = [None] * size
 
         # watchers[r] is the bitset of the lows whose current witness (an
@@ -585,7 +661,8 @@ def _search(poset, k, deadline, stats):
         # complement of the unlisted ones; they are listed when a frame gets
         # to that entry, since most tables are never read past their first
         # candidate.  The cells of a candidate, as (bitset, tops among them
-        # by rank), are found on its first try.
+        # by rank), are found on its first try.  A top's table is its one
+        # candidate, itself, with its cells, and keeps no up-set.
         tables: list[tuple | None] = [None] * size
 
         def opened(ei, placed):
@@ -594,18 +671,24 @@ def _search(poset, k, deadline, stats):
             nonlocal listed
             found = tables[ei]
             if found is None:
-                # The set is never empty.  A top's only candidate is itself:
-                # any other top above it has the same rho, so it is not
-                # canonical.  The guard below gives every low e a top t above
-                # it; the element equal to t where t meets g and to e
-                # elsewhere lies between them, has t's rho and is canonical.
-                e = exps[ei]
+                e = decode(codes[ei])
                 above = up_set(top_ge, e)
-                rest = candidate_ranks(top_ge, g, e, above)
-                first = rest & -rest
-                rest ^= first
-                cands = [top_of[first.bit_length() - 1]] + ([~rest] if rest else [])
-                found = tables[ei] = (cands, [None] * len(cands), up_set(ge, e), above)
+                if rho[ei] == k:
+                    # A top's only candidate is itself: any other top above
+                    # it has the same rho, so it is not canonical.  Its cells
+                    # are itself and, by rank, the lowest bit of the tops
+                    # above it, whose boxes [t, g] all lie inside its own.
+                    found = tables[ei] = ([ei], [(1 << ei, above & -above)], None, None)
+                else:
+                    # The set is never empty: the guard below gives every low
+                    # e a top t above it, and the element equal to t where t
+                    # meets g and to e elsewhere lies between them, has t's
+                    # rho and is canonical.
+                    rest = candidate_ranks(top_ge, g, e, above)
+                    first = rest & -rest
+                    rest ^= first
+                    cands = [top_of[first.bit_length() - 1]] + ([~rest] if rest else [])
+                    found = tables[ei] = (cands, [None] * len(cands), up_set(ge, e), above)
                 listed += 1
             return ei, found, enumerate(found[0]), placed
 
@@ -624,7 +707,7 @@ def _search(poset, k, deadline, stats):
                     u = bit.bit_length() - 1
                     above = ranks_above[u]
                     if above is None:
-                        above = ranks_above[u] = up_set(top_ge, exps[u])
+                        above = ranks_above[u] = up_set(top_ge, decode(codes[u]))
                     above &= free
                     if not above:
                         return False
@@ -642,7 +725,7 @@ def _search(poset, k, deadline, stats):
         for r in range(len(top_of) - 1, -1, -1):
             if not unwatched:
                 break
-            watchers[r] = down_set(le, exps[top_of[r]]) & unwatched
+            watchers[r] = down_set(le, decode(codes[top_of[r]])) & unwatched
             unwatched ^= watchers[r]
         if unwatched:
             stranded += 1
@@ -668,7 +751,7 @@ def _search(poset, k, deadline, stats):
                         top = cands[pos] = more[0]
                         cands += more[1:]
                         cells_of += repeat(None, len(more) - 1)
-                    t = exps[top]
+                    t = decode(codes[top])
                     cells = cells_of[pos] = (up & down_set(le, t), ranks & down_set(top_le, t))
                 bits, covered = cells
                 if bits & mask:

@@ -19,6 +19,11 @@ from sdepthlab import (
 from sdepthlab.ideals import MAX_AMBIENT
 
 
+def rows(poset) -> tuple[tuple[int, ...], ...]:
+    """The exponent tuple of each element of ``poset``, in element order."""
+    return tuple(map(poset.decode, poset.codes))
+
+
 def element_index(poset) -> dict[int, int]:
     """Each element's code mapped to its index in the poset's listing."""
     return {code: i for i, code in enumerate(poset.codes)}
@@ -68,7 +73,7 @@ def brute_force_sdepth(poset) -> int:
     extension is the bottom of exactly one interval of any partition.
     """
     size = len(poset)
-    exps = poset.exps
+    exps = rows(poset)
     rho = poset.rho
     index = element_index(poset)
     best = -1
@@ -145,22 +150,41 @@ def reference_maximal_rho(exps, rho) -> int:
 def reference_up_down(poset, i) -> tuple[int, int]:
     """(up-set, down-set) of element i as bitsets over element indices, by
     comparing exponent vectors coordinate by coordinate."""
-    e = poset.exps[i]
-    up = sum(1 << j for j, f in enumerate(poset.exps) if all(a <= b for a, b in zip(e, f)))
-    down = sum(1 << j for j, f in enumerate(poset.exps) if all(b <= a for a, b in zip(e, f)))
+    exps = rows(poset)
+    e = exps[i]
+    up = sum(1 << j for j, f in enumerate(exps) if all(a <= b for a, b in zip(e, f)))
+    down = sum(1 << j for j, f in enumerate(exps) if all(b <= a for a, b in zip(e, f)))
     return up, down
+
+
+def reference_order_bitsets(points, g) -> tuple[list[list[int]], list[list[int]]]:
+    """(ge, le) of ``solver.order_bitsets`` built from rows of exponents.
+
+    ``ge[j][x]`` has bit i set when points[i][j] >= x and ``le[j][x]`` when
+    points[i][j] <= x, for x in 0..g_j; each is read off the column's values,
+    one character chr(value) per point, last point first.
+    """
+    full = (1 << len(points)) - 1
+    ge, le = [], []
+    for j, gj in enumerate(g):
+        text = "".join(chr(point[j]) for point in reversed(points))
+        at_least = [int(text.translate("0" * x + "1" * (gj + 1 - x)), 2) for x in range(gj + 1)]
+        ge.append(at_least)
+        le.append([full ^ above for above in at_least[1:]] + [full])
+    return ge, le
 
 
 def reference_candidate_tops(poset, k, i) -> list[int]:
     """The elements t >= element i with rho(t) >= k and t_j in {e_j, g_j} for
     every j, ascending by (cells of the box [e, t], code of t)."""
-    e = poset.exps[i]
+    exps = rows(poset)
+    e = exps[i]
     tops = [
-        t for t, f in enumerate(poset.exps)
+        t for t, f in enumerate(exps)
         if poset.rho[t] >= k and all(b in (a, gj) for a, b, gj in zip(e, f, poset.g))
     ]
     return sorted(
-        tops, key=lambda t: (prod(b - a + 1 for a, b in zip(e, poset.exps[t])), poset.codes[t])
+        tops, key=lambda t: (prod(b - a + 1 for a, b in zip(e, exps[t])), poset.codes[t])
     )
 
 
@@ -173,7 +197,7 @@ def reference_first_partition(poset, k) -> list[tuple[int, int]] | None:
     the order placed, or None when there is none.  It has no prune, no table
     of failed states and no layer reduction.
     """
-    exps = poset.exps
+    exps = rows(poset)
 
     def cells(bottom, top):
         a, b = exps[bottom], exps[top]

@@ -817,3 +817,19 @@ class TestCli:
             os.close(write_end)
         assert proc.stderr == ""
         assert proc.returncode == cli.EXIT_BROKEN_PIPE
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("args", [
+        ("family", "--kind", "cycle", "--n", "7", "--m", "3"),
+        ("scan", "--check", "thm14", "--n-max", "6"),
+        ("scan", "--check", "thm14", "--n-max", "6", "--jobs", "2"),
+    ])
+    def test_full_stdout_reports_one_line(self, args):
+        # Every write to /dev/full fails with ENOSPC.
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(CLI + list(args), stdout=full,
+                                  stderr=subprocess.PIPE, text=True)
+        assert proc.stderr.splitlines() == [
+            "error: cannot write standard output: [Errno 28] No space left on device"
+        ]
+        assert proc.returncode == cli.EXIT_BROKEN_PIPE

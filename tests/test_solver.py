@@ -1,7 +1,10 @@
+import gc
 import hashlib
 import subprocess
 import sys
 import time
+import tracemalloc
+from itertools import product
 from math import comb
 
 import pytest
@@ -19,10 +22,12 @@ from helpers import (
     reference_candidate_tops,
     reference_first_partition,
     reference_maximal_rho,
+    reference_order_bitsets,
     reference_poset,
     reference_up_down,
     reference_verification,
     relabel,
+    rows,
 )
 from sdepthlab import (
     InputError,
@@ -157,7 +162,7 @@ class TestBuildPoset:
         pair, g_override = case
         poset = build_poset(pair, g_override=g_override)
         expected = reference_poset(pair, g_override)
-        assert (poset.g, poset.codes, poset.exps, poset.rho, element_index(poset)) == expected
+        assert (poset.g, poset.codes, rows(poset), poset.rho, element_index(poset)) == expected
         assert poset.cells == sum(1 << code for code in expected[1])
         # A maximal_rho too low would lower sdepth with every certificate valid.
         _, _, exps, rho, _ = expected
@@ -166,7 +171,7 @@ class TestBuildPoset:
     def test_principal_two_vars(self):
         poset = build_poset(ring_quotient(parse_ideal("n=2: x1*x2")))
         assert len(poset) == 3
-        assert set(poset.exps) == {(0, 0), (1, 0), (0, 1)}
+        assert set(rows(poset)) == {(0, 0), (1, 0), (0, 1)}
         assert poset.g == (1, 1)
 
     def test_cycle_five_two_counts_independent_sets(self):
@@ -177,12 +182,12 @@ class TestBuildPoset:
     def test_cycle_over_line_single_element(self):
         pair = QuotientPresentation(cycle_path_ideal(4, 2), line_path_ideal(4, 2))
         poset = build_poset(pair)
-        assert poset.exps == ((1, 0, 0, 1),)
+        assert rows(poset) == ((1, 0, 0, 1),)
         assert poset.rho == (2,)
 
     def test_linear_extension_order(self):
         poset = build_poset(cycle_quotient(4, 2))
-        degrees = [sum(e) for e in poset.exps]
+        degrees = [sum(e) for e in rows(poset)]
         assert degrees == sorted(degrees)
         for a, b in zip(poset.codes, poset.codes[1:]):
             ea, eb = sum(poset.decode(a)), sum(poset.decode(b))
@@ -192,15 +197,15 @@ class TestBuildPoset:
         # x3 never occurs, so its bound is 0 and it counts toward every rho.
         poset = build_poset(ring_quotient(parse_ideal("n=3: x1*x2")))
         assert poset.g == (1, 1, 0)
-        for e, r in zip(poset.exps, poset.rho):
+        for e, r in zip(rows(poset), poset.rho):
             assert r == sum(1 for ej, gj in zip(e, poset.g) if ej == gj)
         assert poset.rho[0] == 1  # the constant monomial meets only the x3 bound
 
     def test_box_convexity(self):
         for pair in [cycle_quotient(5, 2), ring_quotient(parse_ideal("n=3: x1^2*x2, x2*x3"))]:
             poset = build_poset(pair)
-            for a in poset.exps:
-                for b in poset.exps:
+            for a in rows(poset):
+                for b in rows(poset):
                     if all(x <= y for x, y in zip(a, b)):
                         from itertools import product
 
@@ -210,7 +215,7 @@ class TestBuildPoset:
     def test_convexity_sample_catches_a_hole(self):
         # x1 is missing between 1 and x1^2, the first two elements.
         fields = dict(
-            n=1, g=(2,), weights=(1,), codes=(0, 2), cells=0b101, exps=((0,), (2,)),
+            n=1, g=(2,), weights=(1,), codes=(0, 2), cells=0b101, parts=(bytes([0, 2]),),
             rho=(0, 1), maximal_rho=1,
         )
         poset = solver.CharacteristicPoset(**fields)
@@ -291,9 +296,9 @@ class TestExistsPartition:
         ideal = cycle_path_ideal(5, 3)
         square = minimalize([a.times(b) for a in ideal.gens for b in ideal.gens], 5)
         poset = build_poset(ring_quotient(square))
-        top = poset.exps[element_index(poset)[encode(poset, (1, 1, 1, 1, 1))]]
+        top = rows(poset)[element_index(poset)[encode(poset, (1, 1, 1, 1, 1))]]
         assert sum(e == gj for e, gj in zip(top, poset.g)) == 0
-        assert not any(e != top and all(a <= b for a, b in zip(top, e)) for e in poset.exps)
+        assert not any(e != top and all(a <= b for a, b in zip(top, e)) for e in rows(poset))
         assert exists_partition(poset, 1) is None
         assert sdepth_of_poset(poset).value == 0
 
@@ -396,7 +401,7 @@ class TestSdepth:
             reject()
         best = brute_force_sdepth(poset)
         for k in range(poset.n + 1):
-            assert (exists_partition(poset, k) is not None) == (best >= k), (poset.exps, k)
+            assert (exists_partition(poset, k) is not None) == (best >= k), (rows(poset), k)
         # The level scan starts at maximal_rho.
         assert best <= poset.maximal_rho
         assert sdepth_of_poset(poset).value == best
@@ -413,13 +418,13 @@ class TestSdepth:
             expected = reference_first_partition(poset, k)
             found = exists_partition(poset, k)
             if expected is None or found is None:
-                assert found is expected is None, (poset.exps, k)
+                assert found is expected is None, (rows(poset), k)
                 continue
             pairs = [interval_indices(poset, bottom, zvars) for bottom, zvars in found.intervals]
-            assert pairs == expected, (poset.exps, k)
+            assert pairs == expected, (rows(poset), k)
             for bottom, top in pairs:
                 rho = poset.rho[top]
-                assert rho == k or (bottom == top and rho > k), (poset.exps, k)
+                assert rho == k or (bottom == top and rho > k), (rows(poset), k)
 
     # sha256 of format_certificate.  The search visits its nodes in a fixed
     # order, so a speed-up that keeps that order keeps these bytes: the heaviest
@@ -714,8 +719,8 @@ class TestOrderBitsets:
     # An exponent past one byte: 303 elements on the box [0, (300, 1)].
     @example(build_poset(ring_quotient(parse_ideal("n=2: x1^2*x2")), g_override=(300, 1)))
     def test_matches_brute_force(self, poset):
-        ge, le = solver.order_bitsets(poset.exps, poset.g)
-        for i, e in enumerate(poset.exps):
+        ge, le = solver.order_bitsets(poset.parts, poset.g)
+        for i, e in enumerate(rows(poset)):
             up, down = reference_up_down(poset, i)
             assert (solver.up_set(ge, e), solver.down_set(le, e)) == (up, down), e
         # Candidate tops as the search reads them: rank bitsets, lowest bit
@@ -723,11 +728,79 @@ class TestOrderBitsets:
         for k in range(max(poset.rho) + 1):
             tops = sum(1 << t for t, r in enumerate(poset.rho) if r >= k)
             top_of = solver.ranked_tops(poset, tops)
-            top_ge, _ = solver.order_bitsets([poset.exps[t] for t in top_of], poset.g)
-            for i, e in enumerate(poset.exps):
+            top_ge, _ = solver.order_bitsets(solver.gather_parts(poset.parts, top_of), poset.g)
+            for i, e in enumerate(rows(poset)):
                 ranks = solver.candidate_ranks(top_ge, poset.g, e, solver.up_set(top_ge, e))
                 found = [top_of[r] for r in set_bits(ranks)]
                 assert found == reference_candidate_tops(poset, k, i), (e, k)
+
+
+class TestPartBytes:
+    """The poset keeps one byte per code part per element and no exponent rows."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(box_presentations())
+    # Squarefree: a cycle's quotient ring and a module J/I.
+    @example((cycle_quotient(9, 3), None))
+    @example((QuotientPresentation(cycle_path_ideal(7, 3), line_path_ideal(7, 3)), None))
+    # Squared: S/I^2, and J^2/I^2.
+    @example((ring_quotient(square(line_path_ideal(6, 3))), None))
+    @example((QuotientPresentation(
+        square(cycle_path_ideal(6, 2)), square(line_path_ideal(6, 2))
+    ), None))
+    # A part of one coordinate past one byte, stored as a str.
+    @example((ring_quotient(parse_ideal("n=2: x1^2*x2")), (300, 1)))
+    def test_columns_match_rows(self, case):
+        pair, g_override = case
+        poset = build_poset(pair, g_override=g_override)
+        points = rows(poset)
+        expected = reference_order_bitsets(points, poset.g)
+        assert solver.order_bitsets(poset.parts, poset.g) == expected
+        for k in range(max(poset.rho) + 1):
+            tops = sum(1 << t for t, r in enumerate(poset.rho) if r >= k)
+            top_of = solver.ranked_tops(poset, tops)
+            found = solver.order_bitsets(solver.gather_parts(poset.parts, top_of), poset.g)
+            assert found == reference_order_bitsets([points[t] for t in top_of], poset.g), k
+        # decode reads every cell of the box, element or not.
+        cells = product(*(range(gj + 1) for gj in reversed(poset.g)))
+        for code, point in enumerate(cells):
+            assert poset.decode(code) == point[::-1], code
+
+    @pytest.mark.parametrize("g, radices", [
+        ((1,) * 11, [256, 8]),
+        ((2,) * 8, [243, 27]),
+        ((1,) * 20, [256, 256, 16]),
+        ((1, 0, 1), [4]),
+        ((30, 30, 1), [31, 62]),
+        ((300, 1), [301, 2]),
+    ])
+    def test_parts_group_coordinates_from_x1(self, g, radices):
+        assert [radix for radix, _, _ in solver._code_parts(g)] == radices
+
+    def test_build_retains_under_100_bytes_per_element(self):
+        # The bound's tables are shared by every poset with that bound.
+        pair = cycle_quotient(14, 3)
+        build_poset(pair)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            poset = build_poset(pair)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 100 * len(poset), (retained, len(poset))
+
+    def test_equal_variable_sets_are_one_object(self):
+        # Squared ideals: the variable sets of their certificates repeat.
+        for certificate in [
+            sdepth_of_pair(ring_quotient(square(cycle_path_ideal(7, 3)))).certificate,
+            solver.singleton_decomposition(principal_poset("x1^2*x2^2*x3", 3)),
+        ]:
+            shared = {}
+            for _, zvars in certificate.intervals:
+                assert shared.setdefault(zvars, zvars) is zvars
+            assert len(shared) < len(certificate)
 
 
 class TestFailedStates:
