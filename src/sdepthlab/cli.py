@@ -58,13 +58,23 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse's default exits with code 2
         raise InputError(message)
 
+    def print_help(self, file=None):
+        # argparse's own write ignores an OSError; ``_write`` reports it.
+        if file is None:
+            _write(self.format_help())
+        else:
+            super().print_help(file)
 
-def _read_ideal(path: str):
+
+def _read_text(path: str) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    return parse_ideal(text)
+
+
+def _read_ideal(path: str):
+    return parse_ideal(_read_text(path))
 
 
 def _load_pair(args) -> QuotientPresentation:
@@ -77,7 +87,9 @@ def _load_pair(args) -> QuotientPresentation:
 def _cmd_family(args) -> int:
     instance = FamilyInstance(args.n, args.m, args.kind)
     ideal = instance.ideal()
+    # Every field of the formula record after n and m, in field order.
     rec = formula_table(args.n, args.m)
+    formulas = dict(zip(rec._fields[2:], rec[2:]))
     if args.out == "json":
         import json
 
@@ -86,23 +98,13 @@ def _cmd_family(args) -> int:
             "n": args.n,
             "m": args.m,
             "ideal": format_ideal(ideal),
-            "formulas": {
-                "phi": rec.phi,
-                "psi": rec.psi,
-                "pd_line": rec.pd_line,
-                "pd_cycle": rec.pd_cycle,
-                "depth_line": rec.depth_line,
-                "depth_cycle": rec.depth_cycle,
-                "p": rec.p,
-                "d": rec.d,
-            },
+            "formulas": formulas,
         }
         _write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return EXIT_OK
     lines = [
         format_ideal(ideal),
-        f"phi={rec.phi} psi={rec.psi} pd_line={rec.pd_line} pd_cycle={rec.pd_cycle} "
-        f"depth_line={rec.depth_line} depth_cycle={rec.depth_cycle} p={rec.p} d={rec.d}",
+        " ".join(f"{name}={value}" for name, value in formulas.items()),
     ]
     if instance.collapses_to_principal:
         lines.append("note: m = n, the ideal is principal")
@@ -183,11 +185,7 @@ def _cmd_depth(args) -> int:
 def _cmd_verify_decomp(args) -> int:
     pair = _load_pair(args)
     poset = build_poset(pair, cap=args.max_poset)
-    try:
-        text = Path(args.decomp_file).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read {args.decomp_file}: {exc}") from exc
-    decomposition = parse_certificate(text, poset.n)
+    decomposition = parse_certificate(_read_text(args.decomp_file), poset.n)
     report = verify_decomposition(poset, decomposition, args.k)
     if report.ok:
         _write(f"valid decomposition at level {args.k} (min rho = {report.min_rho})\n")

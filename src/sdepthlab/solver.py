@@ -40,7 +40,10 @@ Herzog, Vladoiu and Zheng (J. Algebra 322, 2009):
 - Prunes.  A low is stranded when no uncovered top of rho exactly k lies above
   it; that is exact since the partition found has that form.  When
   k <= maximal_rho every low has such a top, as rho rises by at most 1 per unit
-  step towards a maximal element.
+  step towards a maximal element.  On a squarefree bound whose tops all sit
+  at one degree, the degree counts must also split into Boolean intervals
+  (``beta_profile``); that test runs at the root only, as no placement of
+  the search can make it fail.
 
 The elements come from bitmask passes over the box, indexed by code: the
 cells of each ideal are the upward closure of its generators' cells
@@ -130,8 +133,7 @@ class CharacteristicPoset(FrozenRecord):
     linear extension used everywhere.  ``cells`` is the same set as one int
     with bit c set for each code c, the poset's membership test.  ``parts``
     holds, for each part of a code (``_code_parts``), the part code of every
-    element, element i's at position i: a ``bytes``, or a ``str`` of chr(part
-    code) for a part of one coordinate whose bound is 256 or more.
+    element as one ``bytes``, element i's at position i.
     ``rho[i]`` counts the coordinates of element i that equal the bound g.
     ``maximal_rho`` is the least rho of a maximal element: every element lies
     below a maximal one and rho is monotone, so some element has no top of
@@ -149,7 +151,7 @@ class CharacteristicPoset(FrozenRecord):
         weights: tuple[int, ...],
         codes: tuple[int, ...],
         cells: int,
-        parts: tuple[bytes | str, ...],
+        parts: tuple[bytes, ...],
         rho: tuple[int, ...],
         maximal_rho: int,
     ) -> None:
@@ -176,8 +178,8 @@ def build_poset(
     """Enumerate the multidegree poset of a presentation.
 
     ``g_override`` replaces the default bound with any coordinatewise larger
-    one; the computed invariant does not depend on that choice, which the test
-    suite exercises.
+    one up to ``MAX_EXPONENT``; the computed invariant does not depend on that
+    choice, which the test suite exercises.
     """
     n = pair.ambient
     gens = pair.numerator.gens + pair.denominator.gens
@@ -185,6 +187,8 @@ def build_poset(
     if g_override is not None:
         if len(g_override) != n or any(o < gj for o, gj in zip(g_override, g)):
             raise InputError("g_override must dominate the generator exponents")
+        if max(g_override) > MAX_EXPONENT:
+            raise InputError(f"g_override entry {max(g_override)} exceeds the cap {MAX_EXPONENT}")
         g = tuple(g_override)
 
     box = prod(gj + 1 for gj in g)
@@ -252,8 +256,9 @@ def _code_parts(g: tuple[int, ...]) -> tuple[tuple[int, tuple, tuple], ...]:
     """(radix, exps, rho) of each part of a code on the bound g.
 
     A part is a run of coordinates from x1 up whose radix product is at most
-    256, or a single coordinate whose bound is 256 or more, and a code is the
-    mixed-radix number of its part codes, x1's part least significant.
+    256, so a part code is one byte, as every bound is at most
+    ``MAX_EXPONENT``; a code is the mixed-radix number of its part codes, x1's
+    part least significant.
     ``exps[c]`` and ``rho[c]`` are the exponents of the part code c, its first
     coordinate least significant, and its count of coordinates at the bound.
     """
@@ -276,8 +281,8 @@ def _code_parts(g: tuple[int, ...]) -> tuple[tuple[int, tuple, tuple], ...]:
 
 def _split_codes(
     codes: Sequence[int], g: tuple[int, ...]
-) -> tuple[tuple[bytes | str, ...], tuple[int, ...]]:
-    """The part codes of ``codes`` on the bound g, one string per part, and their rho.
+) -> tuple[tuple[bytes, ...], tuple[int, ...]]:
+    """The part codes of ``codes`` on the bound g, one ``bytes`` per part, and their rho.
 
     A code's part code is its digit in the mixed radix of the parts, so the
     first part takes no division and the last no remainder.  A part's counts
@@ -291,13 +296,8 @@ def _split_codes(
         digits = codes if weight == 1 else map(weight.__rfloordiv__, codes)
         if weight * radix < box:
             digits = map(radix.__rmod__, digits)
-        if radix <= 256:
-            part = bytes(digits)
-            counts = part.translate(bytes(rho_of).ljust(256, b"\0"))
-        else:
-            digits = list(digits)
-            part = "".join(map(chr, digits))
-            counts = map(rho_of.__getitem__, digits)
+        part = bytes(digits)
+        counts = part.translate(bytes(rho_of).ljust(256, b"\0"))
         parts.append(part)
         rho = counts if rho is None else map(add, rho, counts)
         weight *= radix
@@ -344,14 +344,15 @@ def _decomposition(
     """
     g, codes, decode = poset.g, poset.codes, poset.decode
     variables = range(1, poset.n + 1)
-    # Every exponent of the poset lies in [0, g], so under the cap the
-    # monomial constructor's checks can be skipped.
-    make = Monomial.trusted if max(g) <= MAX_EXPONENT else Monomial
+    # Every exponent of the poset lies in [0, g], and ``build_poset`` keeps g
+    # under the cap, so the monomial constructor's checks can be skipped.
     shared: dict[frozenset[int], frozenset[int]] = {}
     intervals = []
     for bottom, top in pairs:
         zvars = frozenset(compress(variables, map(eq, decode(codes[top]), g)))
-        intervals.append((make(decode(codes[bottom])), shared.setdefault(zvars, zvars)))
+        intervals.append(
+            (Monomial.trusted(decode(codes[bottom])), shared.setdefault(zvars, zvars))
+        )
     return StanleyDecomposition(poset.n, tuple(intervals))
 
 
@@ -372,9 +373,10 @@ class SearchStats(Record):
     ``levels`` lists the levels searched, in order.  ``sdepth_of_poset``
     starts at ``maximal_rho``, so value + 1 is listed when its own search
     refuted it and not when it exceeds ``maximal_rho``.  A placement covers the
-    cells of one interval; a prune rejects the covered set a placement made,
-    or the root, because some uncovered element has no top left (stranded) or
-    the degree counts cannot be split into intervals (moments).  A table hit
+    cells of one interval.  A stranded prune rejects the covered set a
+    placement made, or the root, because some uncovered element has no top
+    left; a moment prune rejects the root because its degree counts cannot be
+    split into intervals, a test that never fails below the root.  A table hit
     is a placement skipped because its covered set is stored as one whose
     subtree holds no partition; ``stored_states`` counts those stores,
     ``table_clears`` the times the table reached its byte budget, and
@@ -458,7 +460,7 @@ def exists_partition(
 
 
 def order_bitsets(
-    parts: Sequence[bytes | str], g: tuple[int, ...]
+    parts: Sequence[bytes], g: tuple[int, ...]
 ) -> tuple[list[list[int]], list[list[int]]]:
     """The coordinate columns of a list of points of [0, g] as int bitsets.
 
@@ -466,7 +468,7 @@ def order_bitsets(
     does, point i's at position i, and bit i stands for point i.
     ``ge[j][x]`` is the set of points with e_j >= x and ``le[j][x]`` the set
     with e_j <= x, for x in 0..g_j; ``ge[j][0]`` is every point.  Each
-    ``ge[j][x]`` with x > 0 is one translation of the reversed part string
+    ``ge[j][x]`` with x > 0 is one translation of the reversed part bytes
     into binary digits, with a table of the bound (``_column_tables``), so no
     Python code runs per point.
     """
@@ -482,21 +484,19 @@ def order_bitsets(
 
 
 @lru_cache(maxsize=64)
-def _column_tables(g: tuple[int, ...]) -> tuple[tuple[tuple[bytes | str, ...], ...], ...]:
-    """Per part of a code on the bound g, per coordinate j in it, the
+def _column_tables(g: tuple[int, ...]) -> tuple[tuple[tuple[bytes, ...], ...], ...]:
+    """Per part of a code on the bound g, per coordinate j in it, the 256-byte
     translation tables for x = 1..g_j: each maps a part code to "1" when its
-    coordinate j is x or more and to "0" otherwise.  A part stored as bytes
-    gets 256-byte tables, one stored as str a str table indexed by part code.
+    coordinate j is x or more and to "0" otherwise.
     """
     out = []
-    for radix, exps, _ in _code_parts(g):
+    for _, exps, _ in _code_parts(g):
         columns = []
         for digits in zip(*exps):
-            tables = []
-            for x in range(1, max(digits) + 1):
-                marks = "".join("01"[d >= x] for d in digits)
-                tables.append(marks if radix > 256 else marks.encode().ljust(256, b"0"))
-            columns.append(tuple(tables))
+            columns.append(tuple(
+                bytes(b"01"[d >= x] for d in digits).ljust(256, b"0")
+                for x in range(1, max(digits) + 1)
+            ))
         out.append(tuple(columns))
     return tuple(out)
 
@@ -506,13 +506,9 @@ def _at_least(text: bytes, x: int) -> int:
     return int(text.translate(b"0" * x + b"1" * (256 - x)), 2)
 
 
-def gather_parts(parts: Sequence[bytes | str], order: Sequence[int]) -> list[bytes | str]:
-    """The part strings of the points ``order`` lists, in that order."""
-    return [
-        "".join(map(part.__getitem__, order)) if isinstance(part, str)
-        else bytes(map(part.__getitem__, order))
-        for part in parts
-    ]
+def gather_parts(parts: Sequence[bytes], order: Sequence[int]) -> list[bytes]:
+    """The part bytes of the points ``order`` lists, in that order."""
+    return [bytes(map(part.__getitem__, order)) for part in parts]
 
 
 def up_set(ge: list[list[int]], e: tuple[int, ...]) -> int:
@@ -585,31 +581,9 @@ def _search(poset, k, deadline, stats):
     size = len(codes)
     full = (1 << size) - 1
 
-    # Degree-moment account.  For squarefree bounds rho is degree plus the
-    # count z of coordinates pinned at zero.  When the poset's maximal degree
-    # equals kappa = k - z, every interval top must sit at degree kappa
-    # exactly, so the uncovered degree counts must have a ``beta_profile``.
-    # On a bound of zeros and ones a code has one binary digit per coordinate
-    # at 1, so an element's degree is the bit count of its code.  Elements
-    # ascend by degree, so the last one has the largest and each degree's
-    # count is the gap between where it and the next degree start; the counts
-    # are kept only when the account applies.
-    kappa = k - g.count(0)
-    moments_apply = max(g) <= 1 and codes[-1].bit_count() == kappa
-    if moments_apply:
-        starts = [bisect_left(codes, d, key=int.bit_count) for d in range(kappa + 2)]
-        per_degree = list(map(sub, starts[1:], starts))
-
-    def count_cells(bottom, top, sign):
-        # The interval covers C(s, j) cells at degree deg(bottom) + j.
-        low = codes[bottom].bit_count()
-        height = codes[top].bit_count() - low
-        for j in range(height + 1):
-            per_degree[low + j] += sign * comb(height, j)
-
     # The covered set as a bitmask, and the covered sets whose subtree was
     # searched to exhaustion without a partition.  The branch element is the
-    # first uncovered one, and the candidate tables and both refutations
+    # first uncovered one, and the candidate tables and the stranded test
     # depend only on the covered set and k, so a subtree's outcome does too:
     # skipping a stored set never skips a partition, and the first partition
     # found is the same.  Failure depends on k, so the table lives one search.
@@ -622,11 +596,24 @@ def _search(poset, k, deadline, stats):
     placements = stranded = moment = hits = stored = clears = peak = listed = 0
 
     try:
-        # The degree-moment test also runs before the first placement and
-        # before the order bitsets are built.
-        if moments_apply and beta_profile(per_degree, kappa) is None:
-            moment += 1
-            return None
+        # Degree-moment test.  For squarefree bounds rho is degree plus the
+        # count z of coordinates pinned at zero.  When the poset's maximal
+        # degree equals kappa = k - z, every interval top sits at degree kappa
+        # exactly, so the degree counts must have a ``beta_profile``.  On a
+        # bound of zeros and ones an element's degree is the bit count of its
+        # code; elements ascend by degree, so the last one has the largest and
+        # each degree's count is the gap between where it and the next start.
+        # Below the root the test never fails, so it runs here only: a
+        # placement at the lowest uncovered element, of degree d0, takes one
+        # Boolean interval of height s0 = kappa - d0, whose profile is the
+        # unit vector at s0.  The recursion is linear and the profile's entry
+        # at s0 is the uncovered count at d0, at least 1, so it stays >= 0.
+        kappa = k - g.count(0)
+        if max(g) <= 1 and codes[-1].bit_count() == kappa:
+            starts = [bisect_left(codes, d, key=int.bit_count) for d in range(kappa + 2)]
+            if beta_profile(list(map(sub, starts[1:], starts)), kappa) is None:
+                moment += 1
+                return None
 
         # The level is searched on its rho = k layer (module docstring): the
         # elements of rho above k, ``high``, are covered as singletons from
@@ -774,22 +761,12 @@ def _search(poset, k, deadline, stats):
                         f"partition search at level {k} hit the time limit"
                     )
 
-                if moments_apply:
-                    count_cells(ei, top, -1)
-                    if beta_profile(per_degree, kappa) is None:
-                        moment += 1
-                        count_cells(ei, top, 1)
-                        mask ^= bits
-                        taken ^= covered
-                        continue
                 if none_stranded(covered, ~mask, ~taken):
                     # The next branch element is the lowest uncovered one.
                     nxt = (mask ^ (mask + 1)).bit_length() - 1
                     frames.append(opened(nxt, (ei, top, cells)))
                     break
                 stranded += 1
-                if moments_apply:
-                    count_cells(ei, top, 1)
                 mask ^= bits
                 taken ^= covered
             else:
@@ -806,8 +783,6 @@ def _search(poset, k, deadline, stats):
                     bottom, top, (bits, covered) = placed
                     mask ^= bits
                     taken ^= covered
-                    if moments_apply:
-                        count_cells(bottom, top, 1)
 
         return None
     finally:

@@ -818,11 +818,19 @@ class TestCli:
         assert proc.stderr == ""
         assert proc.returncode == cli.EXIT_BROKEN_PIPE
 
+    def test_help_writes_the_parser_text(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["--help"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out == cli.build_parser().format_help()
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("args", [
         ("family", "--kind", "cycle", "--n", "7", "--m", "3"),
         ("scan", "--check", "thm14", "--n-max", "6"),
         ("scan", "--check", "thm14", "--n-max", "6", "--jobs", "2"),
+        ("--help",),
+        ("scan", "--help"),
     ])
     def test_full_stdout_reports_one_line(self, args):
         # Every write to /dev/full fails with ENOSPC.

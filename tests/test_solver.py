@@ -82,10 +82,14 @@ def square(ideal):
 
 
 @st.composite
-def small_presentations(draw):
-    """S/I or J/I with J containing I, squarefree or with exponents up to 2."""
-    max_exp = draw(st.sampled_from((1, 2)))
-    n = draw(st.integers(min_value=2, max_value=5 if max_exp == 1 else 4))
+def small_presentations(draw, squarefree_n_max=None):
+    """S/I or J/I with J containing I, squarefree or with exponents up to 2.
+
+    With ``squarefree_n_max``, squarefree only, in up to that many variables.
+    """
+    max_exp = 1 if squarefree_n_max else draw(st.sampled_from((1, 2)))
+    n_max = squarefree_n_max or (5 if max_exp == 1 else 4)
+    n = draw(st.integers(min_value=2, max_value=n_max))
     monomials = st.builds(
         lambda e: Monomial(tuple(e)),
         st.lists(st.integers(min_value=0, max_value=max_exp), min_size=n, max_size=n),
@@ -131,6 +135,14 @@ def box_presentations(draw):
 
 
 class TestBuildPoset:
+    def test_override_past_the_exponent_cap_is_an_input_error(self):
+        pair = ring_quotient(parse_ideal("n=2: x1^2*x2"))
+        with pytest.raises(InputError, match="exceeds the cap 30"):
+            build_poset(pair, g_override=(31, 1))
+        poset = build_poset(pair, g_override=(30, 1))
+        certificate = exists_partition(poset, 0)
+        assert verify_decomposition(poset, certificate, 0).ok
+
     @settings(max_examples=200, deadline=None)
     @given(box_presentations())
     # One coordinate: one half of the box is empty.
@@ -677,6 +689,57 @@ def counts_of_heights(heights):
     return alpha
 
 
+class TestMomentLemma:
+    """Below the root the degree-moment test never fails, so the search runs
+    it at the root only.
+
+    On a squarefree bound with z coordinates at 0 and largest degree kappa,
+    the level k = kappa + z has its tops at degree kappa.  The search branches
+    on the lowest uncovered element and places a Boolean interval up to a top
+    of degree kappa that misses the covered cells; after each placement the
+    uncovered degree counts keep a ``beta_profile``.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_presentations(squarefree_n_max=7), st.data())
+    def test_placements_keep_the_profile_nonnegative(self, poset, data):
+        points = rows(poset)
+        degree = list(map(sum, points))
+        kappa = degree[-1]
+
+        def below(a, b):
+            return all(x <= y for x, y in zip(a, b))
+
+        def profile(uncovered):
+            counts = [0] * (kappa + 1)
+            for i in uncovered:
+                counts[degree[i]] += 1
+            return solver.beta_profile(counts, kappa)
+
+        uncovered = set(range(len(points)))
+        if profile(uncovered) is None:
+            reject()
+        while uncovered:
+            # Element order is (degree, code), so the lowest index is the
+            # search's branch element.  The poset is box-convex, so an
+            # interval misses the covered cells when it has 2^height
+            # uncovered ones.
+            e = points[min(uncovered)]
+            intervals = []
+            for t in sorted(uncovered):
+                if degree[t] != kappa or not below(e, points[t]):
+                    continue
+                cells = {
+                    i for i in uncovered if below(e, points[i]) and below(points[i], points[t])
+                }
+                if len(cells) == 2 ** (kappa - sum(e)):
+                    intervals.append(frozenset(cells))
+            if not intervals:
+                break  # the search backtracks here
+            uncovered -= data.draw(st.sampled_from(intervals))
+            assert profile(uncovered) is not None, sorted(uncovered)
+
+
 class TestBetaProfile:
     """``beta_profile`` against the closed form of the Hilbert-depth recursion,
     beta_d = sum_j (-1)^(d-j) C(kappa-j, d-j) alpha_j for the intervals with
@@ -716,8 +779,8 @@ class TestOrderBitsets:
     # (0,1,1) both span 4 cells, and code 3 comes before code 12 although
     # element order puts (0,1,1) first.
     @example(build_poset(ring_quotient(parse_ideal("n=3: x1^3*x2*x3")), g_override=(3, 1, 1)))
-    # An exponent past one byte: 303 elements on the box [0, (300, 1)].
-    @example(build_poset(ring_quotient(parse_ideal("n=2: x1^2*x2")), g_override=(300, 1)))
+    # The largest bound: 33 elements on the box [0, (30, 1)].
+    @example(build_poset(ring_quotient(parse_ideal("n=2: x1^2*x2")), g_override=(30, 1)))
     def test_matches_brute_force(self, poset):
         ge, le = solver.order_bitsets(poset.parts, poset.g)
         for i, e in enumerate(rows(poset)):
@@ -748,8 +811,8 @@ class TestPartBytes:
     @example((QuotientPresentation(
         square(cycle_path_ideal(6, 2)), square(line_path_ideal(6, 2))
     ), None))
-    # A part of one coordinate past one byte, stored as a str.
-    @example((ring_quotient(parse_ideal("n=2: x1^2*x2")), (300, 1)))
+    # The largest bound, a part of two coordinates.
+    @example((ring_quotient(parse_ideal("n=2: x1^2*x2")), (30, 1)))
     def test_columns_match_rows(self, case):
         pair, g_override = case
         poset = build_poset(pair, g_override=g_override)
@@ -772,7 +835,7 @@ class TestPartBytes:
         ((1,) * 20, [256, 256, 16]),
         ((1, 0, 1), [4]),
         ((30, 30, 1), [31, 62]),
-        ((300, 1), [301, 2]),
+        ((30, 1), [62]),
     ])
     def test_parts_group_coordinates_from_x1(self, g, radices):
         assert [radix for radix, _, _ in solver._code_parts(g)] == radices
