@@ -24,6 +24,7 @@ from .solver import (
     DEFAULT_TIME_LIMIT_S,
     SearchStats,
     build_poset,
+    check_limits,
     format_certificate,
     parse_certificate,
     sdepth_of_pair,
@@ -136,6 +137,7 @@ def _check_writable(path: str) -> None:
 
 
 def _cmd_sdepth(args) -> int:
+    check_limits(args.time_limit_s, args.max_poset)  # no stats line for a search never run
     pair = _load_pair(args)
     if args.certificate:
         _check_writable(args.certificate)

@@ -22,17 +22,26 @@ from .families import (
     quotient_module_bound,
 )
 from .homology import depth_squarefree
-from .ideals import MAX_AMBIENT, QuotientPresentation, minimalize, monomial, ring_quotient
+from .ideals import (
+    MAX_AMBIENT,
+    QuotientPresentation,
+    box_steps,
+    box_upset,
+    minimalize,
+    monomial,
+    ring_quotient,
+    set_bits,
+    submasks,
+)
 from .solver import (
     DEFAULT_POSET_CAP,
     DEFAULT_TIME_LIMIT_S,
+    check_limits,
     format_certificate,
     sdepth_of_pair,
 )
 
 CHECKS = ("thm14", "cor15", "prop16", "conjecture", "formulas")
-
-STRUCTURE_N_MAX = 12
 
 # Default for a row's sdepth cell when the check does not ask for the value.
 _NOT_REQUESTED = object()
@@ -134,10 +143,9 @@ def _compute_rows(args: tuple) -> list[ScanRow]:
     if check == "prop16":
         bound = quotient_module_bound(n, m)
         sdepth = sdepth_of(QuotientPresentation(cycle, line_path_ideal(n, m)))
-        report = prop16_structure_check(n, m) if n <= STRUCTURE_N_MAX else None
-        holds = (report is None or report.ok) and (sdepth is None or sdepth >= bound)
-        derived = None if report is None else report.derived_depth
-        return [row(check, holds, bound, None, depth=derived, sdepth=sdepth)]
+        report = prop16_structure_check(n, m)
+        holds = report.ok and (sdepth is None or sdepth >= bound)
+        return [row(check, holds, bound, None, depth=report.derived_depth, sdepth=sdepth)]
 
     if check == "conjecture":
         # Open statement: agreement with phi is recorded, never asserted.
@@ -185,16 +193,15 @@ def _fork_rows(work: list[tuple], workers: int) -> list[list[ScanRow]]:
     process and ``workers - 1`` forked children.
 
     Every process claims the next unclaimed index from one shared pipe, so a
-    slow row holds back no other.  A row that raises is re-raised here, the
-    lowest index first, as ``jobs=1`` would raise it; a child that exits
-    without sending its rows raises RuntimeError.  No child outlives the call.
+    slow row holds back no other.  With ``workers`` = 1 nothing is forked.
+    A row that raises is re-raised here, the lowest index first, whichever
+    process computed it; a child that exits without sending its rows raises
+    RuntimeError.  No child outlives the call.
     """
-    import pickle
-
     # Fork, not spawn: a child starts from this process's memory instead of
     # importing the package again, which costs more than most rows.  The scan
     # starts no threads, so nothing is forked mid-operation.
-    if not hasattr(os, "fork"):
+    if workers > 1 and not hasattr(os, "fork"):
         raise InputError("jobs > 1 needs the fork start method, "
                          "which this platform does not have")
     claims, feed = os.pipe()
@@ -226,6 +233,8 @@ def _fork_rows(work: list[tuple], workers: int) -> list[list[ScanRow]]:
         done, failure = _claim_rows(work, claims)
         failures = [] if failure is None else [failure]
         for pid, stream in list(live.items()):
+            import pickle  # only here: a scan without children never loads it
+
             payload = stream.read()
             status = os.waitpid(pid, 0)[1]
             del live[pid]
@@ -266,12 +275,14 @@ def run_scan(
     """Run one check over the (n, m) grid and return rows in canonical order.
 
     ``jobs`` is the number of processes that compute rows, this one included;
-    above 1 it needs ``os.fork``.
+    above 1 it needs ``os.fork``.  The limits are checked before any row, also
+    for checks that search nothing.
     """
     if check not in CHECKS:
         raise InputError(f"check must be one of {', '.join(CHECKS)}; got {check!r}")
     if jobs < 1:
         raise InputError(f"jobs must be at least 1, got {jobs}")
+    check_limits(time_limit_s, max_poset)
     if n_max is None:
         n_max = default_n_max(check)
     if n_max > MAX_AMBIENT:
@@ -286,12 +297,7 @@ def run_scan(
         for n, m in _instances(check, n_max, m_min, m_max)
     ]
     # A single row runs in process: a child would only add a fork to it.
-    workers = min(jobs, len(work))
-    if workers > 1:
-        chunks = _fork_rows(work, workers)
-    else:
-        chunks = [_compute_rows(w) for w in work]
-    rows = [row for chunk in chunks for row in chunk]
+    rows = [row for chunk in _fork_rows(work, min(jobs, len(work))) for row in chunk]
     rows.sort(key=lambda r: (r.n, r.m, r.check))
     return rows
 
@@ -363,109 +369,99 @@ class Prop16Report(NamedTuple):
     derived_equals_claimed: bool | None
 
 
-def _wrap_window(n: int, m: int, t: int) -> frozenset[int]:
-    return frozenset(range(n - m + t + 1, n + 1)) | frozenset(range(1, t + 1))
-
-
 def prop16_structure_check(n: int, m: int) -> Prop16Report:
     """Decompose the cycle/line quotient into wrap-window components.
 
-    Every squarefree multidegree of the module must contain one of the m-1
-    windows that cross the n-to-1 seam and no non-crossing window; it is
-    assigned to the smallest crossing window it contains.  Per component the
-    residual sets (window removed) must form a downward-closed family over the
-    variables strictly between the window and its forced excluded variable,
-    with minimal non-faces that are consecutive runs: one truncated run at the
-    left edge plus full-length runs, whenever those fit inside the ambient.
-    The derived depth is the minimum over components of the residual quotient
-    depth plus the window size; it is compared with the claimed depth
-    ``quotient_module_bound(n, m)`` = phi(n-m-2, m) + m = psi + 1.
+    Sets of variables are int masks, bit j - 1 for x_j, and the module's
+    squarefree multidegrees are the cells of the box [0, (1,)*n] in the
+    cycle's up-set but not the line's (``box_upset``).  Each must contain one
+    of the m-1 windows that cross the n-to-1 seam, and is assigned to the
+    smallest one it contains.  Per component the residual sets (window
+    removed) must form a downward-closed family over the variables strictly
+    between the window and its forced excluded variable, with minimal
+    non-faces that are consecutive runs: one truncated run at the left edge
+    plus full-length runs, whenever those fit inside the ambient.  The derived
+    depth is the minimum over components of the residual quotient depth plus
+    the window size; it is compared with the claimed depth
+    ``quotient_module_bound(n, m)`` = phi(n-m-2, m) + m = psi + 1.  The check
+    enumerates the 2^n cells at once, for every n up to ``MAX_AMBIENT``.
     """
-    if not (2 <= m < n <= STRUCTURE_N_MAX):
-        raise InputError(f"need 2 <= m < n <= {STRUCTURE_N_MAX}, got (n, m) = ({n}, {m})")
+    if not (2 <= m < n <= MAX_AMBIENT):
+        raise InputError(f"need 2 <= m < n <= {MAX_AMBIENT}, got (n, m) = ({n}, {m})")
     claimed = quotient_module_bound(n, m)
 
-    line_windows = [frozenset(range(i, i + m)) for i in range(1, n - m + 2)]
-    cyclic_windows = [
-        frozenset(((i + d - 1) % n) + 1 for d in range(m)) for i in range(1, n + 1)
-    ]
-    wraps = {t: _wrap_window(n, m, t) for t in range(1, m)}
+    box, full = (1,) * n, (1 << n) - 1
+    steps = box_steps(box)
 
-    problems: list[str] = []
-    residuals: dict[int, set[frozenset[int]]] = {t: set() for t in range(1, m)}
-    for mask in range(1 << n):
-        fset = frozenset(j + 1 for j in range(n) if mask >> j & 1)
-        in_cycle = any(w <= fset for w in cyclic_windows)
-        in_line = any(w <= fset for w in line_windows)
-        if not in_cycle or in_line:
-            continue
-        assigned = next((t for t in range(1, m) if wraps[t] <= fset), None)
-        if assigned is None:
-            problems.append(f"non-assignable multidegree {sorted(fset)}")
-            continue
-        residuals[assigned].add(fset - wraps[assigned])
+    def upset(ideal):
+        cells = sum(1 << sum(1 << v - 1 for v in g.support()) for g in ideal.gens)
+        return box_upset(cells, box)
 
+    def step_up(cells, mask):
+        # The cells one step above ``cells`` along a variable of ``mask``.
+        out = 0
+        for j in set_bits(mask):
+            weight, below = steps[j]
+            out |= (cells & below) << weight
+        return out
+
+    def variables(mask):
+        return [j + 1 for j in set_bits(mask)]
+
+    unassigned = upset(cycle_path_ideal(n, m)) & ~upset(line_path_ideal(n, m))
+    problems = []
     components = []
     for t in range(1, m):
+        wrap = (1 << m - t) - 1 << n - m + t | (1 << t) - 1  # x_(n-m+t+1) .. x_n, x_1 .. x_t
         forced = n - m + t
-        ambient_vars = tuple(range(t + 1, n - m + t))  # excludes the forced variable
-        ambient_set = frozenset(ambient_vars)
-        family = residuals[t]
+        ambient = (1 << n - m - 1) - 1 << t  # x_(t+1) .. x_(n-m+t-1)
+        cells = unassigned & box_upset(1 << wrap, box)
+        unassigned ^= cells
+        family = cells >> wrap  # bit w - wrap for each w assigned here: the residuals
         if not family:
             problems.append(f"component {t} is empty")
             continue
-        for gset in family:
-            if forced in gset:
-                problems.append(f"component {t}: residual {sorted(gset)} uses x{forced}")
-            if not gset <= ambient_set:
-                problems.append(f"component {t}: residual {sorted(gset)} leaves the ambient")
-            for v in gset:
-                if gset - {v} not in family:
-                    problems.append(f"component {t} is not downward closed at {sorted(gset)}")
-                    break
+        # Bit r is set when r less some variable is not a residual.
+        unclosed = family & step_up(submasks(full) & ~family, full)
+        inner = submasks(ambient)
+        for r in set_bits(family & ~inner | unclosed):
+            if r >> forced - 1 & 1:
+                problems.append(f"component {t}: residual {variables(r)} uses x{forced}")
+            if r & ~ambient:
+                problems.append(f"component {t}: residual {variables(r)} leaves the ambient")
+            if unclosed >> r & 1:
+                problems.append(f"component {t} is not downward closed at {variables(r)}")
 
-        subsets = []
-        for smask in range(1 << len(ambient_vars)):
-            subsets.append(frozenset(v for i, v in enumerate(ambient_vars) if smask >> i & 1))
-        nonfaces = []
-        for s in subsets:
-            if s in family:
-                continue
-            if all((s - {v}) in family for v in s):
-                nonfaces.append(tuple(sorted(s)))
-        nonfaces.sort()
-
-        predicted = []
-        if m <= n - m + t - 1:
-            predicted.append(tuple(range(t + 1, m + 1)))
-        for i in range(t + 2, n - 2 * m + t + 1):
-            predicted.append(tuple(range(i, i + m)))
-        predicted.sort()
+        # The minimal non-faces: no set one variable smaller is a non-face.
+        outside = inner & ~family
+        minimal = outside & ~step_up(outside, ambient)
+        nonfaces = sorted(tuple(variables(s)) for s in set_bits(minimal))
+        # A truncated run at the left edge, then the full-length runs that fit.
+        predicted = [tuple(range(t + 1, m + 1))] if m <= n - m + t - 1 else []
+        predicted += [tuple(range(i, i + m)) for i in range(t + 2, n - 2 * m + t + 1)]
         if nonfaces != predicted:
             problems.append(
                 f"component {t}: minimal non-faces {nonfaces} differ from expected {predicted}"
             )
 
-        if not ambient_vars:
-            residual_depth = 0
-        elif not nonfaces:
-            residual_depth = len(ambient_vars)
-        else:
-            position = {v: i + 1 for i, v in enumerate(ambient_vars)}
-            gens = [monomial(len(ambient_vars), [position[v] for v in nf]) for nf in nonfaces]
-            residual_depth = depth_squarefree(minimalize(gens, len(ambient_vars)))
+        size = ambient.bit_count()
+        residual_depth = size  # with no nonface, of the polynomial ring
+        if nonfaces:
+            gens = [monomial(size, [v - t for v in nf]) for nf in nonfaces]
+            residual_depth = depth_squarefree(minimalize(gens, size))
         components.append(
             ComponentReport(
                 t=t,
-                wrap_window=tuple(sorted(wraps[t])),
+                wrap_window=tuple(variables(wrap)),
                 forced_var=forced,
-                residual_count=len(family),
+                residual_count=family.bit_count(),
                 minimal_nonfaces=tuple(nonfaces),
                 predicted_nonfaces=tuple(predicted),
                 residual_depth=residual_depth,
                 component_depth=residual_depth + m,
             )
         )
+    problems += [f"non-assignable multidegree {variables(w)}" for w in set_bits(unassigned)]
 
     derived = min((c.component_depth for c in components), default=None)
     return Prop16Report(

@@ -30,7 +30,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .errors import InputError
-from .ideals import MonomialIdeal, Record, box_upset, set_bits
+from .ideals import MonomialIdeal, Record, box_upset, set_bits, submasks
 
 
 class SimplicialComplex(NamedTuple):
@@ -328,15 +328,6 @@ def _join_ranks(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _submasks(fmask: int) -> int:
-    """The set of submasks of ``fmask``, with bit m set for each submask m."""
-    below = 1
-    for j in range(fmask.bit_length()):
-        if fmask >> j & 1:
-            below |= below << (1 << j)
-    return below
-
-
 def _dominated(fmask: int, inside: list[int], upset: int) -> int:
     """A vertex v of the restriction to F that another vertex w of F
     dominates, as the bit 1 << v, or 0 when there is none.
@@ -457,7 +448,7 @@ def hochster_betti(ideal: MonomialIdeal, stats: HomologyStats | None = None) -> 
             ranks = ranks_at.get(fmask ^ vbit, ())
             collapses += 1
         else:
-            below = _submasks(fmask)
+            below = submasks(fmask)
             inner = upset & below
             count = inner.bit_count()
             if (1 << size) - count > count:

@@ -298,6 +298,15 @@ def set_bits(mask: int) -> list[int]:
     return [m.start() for m in _ONE.finditer(bin(mask)[:1:-1])]
 
 
+def submasks(mask: int) -> int:
+    """The set of submasks of ``mask``, with bit s set for each submask s."""
+    below = 1
+    for j in range(mask.bit_length()):
+        if mask >> j & 1:
+            below |= below << (1 << j)
+    return below
+
+
 def colon(ideal: MonomialIdeal, u: Monomial) -> MonomialIdeal:
     """The colon ideal (I : u), generated by g / gcd(g, u) over generators g."""
     if u.ambient != ideal.ambient:

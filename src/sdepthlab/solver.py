@@ -181,6 +181,7 @@ def build_poset(
     one up to ``MAX_EXPONENT``; the computed invariant does not depend on that
     choice, which the test suite exercises.
     """
+    check_limits(cap=cap)
     n = pair.ambient
     gens = pair.numerator.gens + pair.denominator.gens
     g = tuple(map(max, zip(*(m.exponents for m in gens))))
@@ -356,6 +357,18 @@ def _decomposition(
     return StanleyDecomposition(poset.n, tuple(intervals))
 
 
+def check_limits(time_limit_s: float | None = None, cap: int = 1) -> None:
+    """Raise InputError for a negative or NaN time limit or a poset cap below 1.
+
+    A time limit of None, 0 or inf is valid; these are input errors, not
+    resource limits that a search hit.
+    """
+    if time_limit_s is not None and not time_limit_s >= 0:
+        raise InputError(f"time limit must be at least 0 seconds, got {time_limit_s}")
+    if cap < 1:
+        raise InputError(f"poset cap must be at least 1, got {cap}")
+
+
 def _check_level(poset: CharacteristicPoset, k: int) -> None:
     if not 0 <= k <= poset.n:
         raise InputError(f"k must be in 0..{poset.n}, got {k}")
@@ -446,6 +459,7 @@ def exists_partition(
     of rho >= k would meet first.
     """
     _check_level(poset, k)
+    check_limits(time_limit_s)
     if stats is not None:
         stats.levels.append(k)
     if k == 0:
@@ -833,6 +847,7 @@ def sdepth_of_poset(
     gets the time the levels before it left.  A ``stats`` record, when given,
     sums the counts of every level searched.
     """
+    check_limits(time_limit_s)
     deadline = None if time_limit_s is None else time.monotonic() + time_limit_s
     for value in range(poset.maximal_rho, -1, -1):
         left = None if deadline is None else max(0.0, deadline - time.monotonic())

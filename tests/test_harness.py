@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import json
 import os
@@ -74,6 +75,16 @@ class TestThm14Scan:
         for jobs in (0, -3):
             with pytest.raises(InputError, match="jobs must be at least 1"):
                 run_scan("thm14", n_max=4, jobs=jobs)
+
+    @pytest.mark.parametrize("limits", [
+        dict(time_limit_s=-1), dict(time_limit_s=float("nan")), dict(max_poset=0),
+    ])
+    def test_bad_limits_rejected_before_any_row(self, monkeypatch, limits):
+        # Also by the checks that run no search.
+        monkeypatch.setattr(harness, "_compute_rows", None)
+        for check in ("thm14", "formulas"):
+            with pytest.raises(InputError, match="must be at least"):
+                run_scan(check, n_max=5, **limits)
 
     def test_grid_capped_at_max_ambient(self):
         with pytest.raises(InputError, match="n_max must be at most 20"):
@@ -305,6 +316,11 @@ class TestProp16Scan:
         rows = run_scan("prop16", n_max=9, m_max=2)
         assert all(r.status == "ok" for r in rows)
         assert all(r.sdepth == r.bound_lo for r in rows)
+
+    def test_structure_check_past_twelve(self):
+        (row,) = run_scan("prop16", n_max=13, m_min=12)
+        assert (row.n, row.m, row.status) == (13, 12, "ok")
+        assert row.depth == row.bound_lo == row.psi + 1 == 12
 
     def test_wider_windows_fall_below_stated_bound(self):
         # The quotient value is psi+1, strictly below psi+m-1 once m exceeds
@@ -545,10 +561,17 @@ class TestStructureCheck:
         assert report.claimed_depth == 5
         assert report.derived_equals_claimed is True
 
+    def test_reports_match_the_pinned_digest(self):
+        # Recorded with the frozenset enumeration that the masks replaced.
+        reports = [prop16_structure_check(n, m) for n in range(3, 13) for m in range(2, n)]
+        assert hashlib.sha256(repr(reports).encode()).hexdigest() == (
+            "bdd73f244a404f4e6b83d770755108cf17cb155329962af182edb0f7e8e3cd11"
+        )
+
     def test_structure_holds_across_grid(self):
         from sdepthlab import cycle_depth_formula
 
-        for n in range(3, 13):
+        for n in range(3, 17):
             for m in range(2, n):
                 report = prop16_structure_check(n, m)
                 assert report.ok, (n, m, report.problems)
@@ -563,9 +586,18 @@ class TestStructureCheck:
 
     def test_bounds(self):
         with pytest.raises(InputError):
-            prop16_structure_check(13, 2)
+            prop16_structure_check(21, 2)
         with pytest.raises(InputError):
             prop16_structure_check(4, 4)
+        assert prop16_structure_check(13, 2).ok
+
+    def test_multidegrees_outside_every_wrap_window_reported(self, monkeypatch):
+        # With the windows of width 2 in the cycle, {x1, x2} lies in the
+        # module at (6,3) but holds no wrap window of width 3.
+        monkeypatch.setattr(harness, "cycle_path_ideal", lambda n, m: cycle_path_ideal(n, m - 1))
+        report = prop16_structure_check(6, 3)
+        assert not report.ok
+        assert "non-assignable multidegree [1, 2]" in report.problems
 
 
 CLI = [sys.executable, "-m", "sdepthlab.cli"]
@@ -782,6 +814,29 @@ class TestCli:
         proc = subprocess.run([sys.executable, "-c", script, *args],
                               capture_output=True, text=True, timeout=60)
         assert proc.stderr.splitlines()[-1] == f"{code} True"
+
+    @pytest.mark.parametrize("args", [
+        ("sdepth", "--time-limit-s", "-1"),
+        ("sdepth", "--time-limit-s", "nan", "--stats"),
+        ("sdepth", "--max-poset", "-5"),
+        ("verify-decomp", "--max-poset", "0"),
+        ("scan", "--check", "thm14", "--n-max", "9", "--m-min", "3", "--m-max", "3",
+         "--time-limit-s", "-1"),
+        ("scan", "--check", "formulas", "--max-poset", "0"),
+    ])
+    def test_bad_limits_are_input_errors(self, tmp_path, capsys, args):
+        # Exit 3 before any work, not 4 as a limit that a search hit.
+        ideal_file = tmp_path / "j42.txt"
+        ideal_file.write_text(format_ideal(cycle_path_ideal(4, 2)))
+        if args[0] == "sdepth":
+            args += ("--ideal-file", str(ideal_file))
+        if args[0] == "verify-decomp":
+            args += ("--ideal-file", str(ideal_file), "--decomp-file", str(ideal_file), "--k", "1")
+        assert cli.main(list(args)) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "must be at least" in err
+        assert err.count("\n") == 1
 
     def test_scan_jobs_below_one_is_input_error(self):
         proc = run_cli("scan", "--check", "thm14", "--n-max", "5", "--jobs", "-3")

@@ -29,7 +29,7 @@ from sdepthlab import (
 from sdepthlab import cli
 from sdepthlab import homology
 from sdepthlab.homology import _integer_rank
-from sdepthlab.ideals import box_upset, set_bits
+from sdepthlab.ideals import box_upset, set_bits, submasks
 
 # A hollow triangle and an isolated vertex: F_2 homology in two neighbouring
 # degrees, so the edge boundary takes the exact fallback, where the unsigned
@@ -643,7 +643,7 @@ class TestLatticeRoutes:
             inside = [nf for nf in cx.nonface_masks if nf & fmask == nf]
             if reduce(or_, inside, 0) != fmask:
                 continue
-            below = homology._submasks(fmask)
+            below = submasks(fmask)
             faces = set_bits(below & ~upset)
             assert faces == sorted(m for m in reference_faces(cx) if m & fmask == m)
             expected = nonzero(reference_ranks(cx.restrict(fmask)))

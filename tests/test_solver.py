@@ -254,6 +254,11 @@ class TestBuildPoset:
         with pytest.raises(PosetCapExceededError):
             build_poset(cycle_quotient(10, 2), cap=100)
 
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_cap_below_one_is_input_error(self, cap):
+        with pytest.raises(InputError, match=f"poset cap must be at least 1, got {cap}"):
+            build_poset(cycle_quotient(4, 2), cap=cap)
+
 
 class TestExistsPartition:
     def test_level_one_found_and_valid(self):
@@ -319,6 +324,23 @@ class TestExistsPartition:
         poset = build_poset(cycle_quotient(13, 3))
         with pytest.raises(TimeLimitExceededError):
             exists_partition(poset, 7, time_limit_s=0.02)
+
+    @pytest.mark.parametrize("limit", [-1.0, -1e-9, float("-inf"), float("nan")])
+    def test_negative_or_nan_time_limit_is_input_error(self, limit):
+        # At every level, those that need no search included.
+        poset = build_poset(cycle_quotient(5, 2))
+        for k in range(poset.n + 1):
+            with pytest.raises(InputError, match="time limit must be at least 0 seconds"):
+                exists_partition(poset, k, time_limit_s=limit)
+        with pytest.raises(InputError, match="time limit must be at least 0 seconds"):
+            sdepth_of_poset(poset, time_limit_s=limit)
+
+    @pytest.mark.parametrize("limit", [None, 0, 0.0, float("inf")])
+    def test_none_zero_and_infinite_time_limits_are_valid(self, limit):
+        # Cycle (5,2) settles in fewer placements than the clock is read after.
+        poset = build_poset(cycle_quotient(5, 2))
+        assert exists_partition(poset, 2, time_limit_s=limit) is not None
+        assert sdepth_of_poset(poset, time_limit_s=limit).value == 2
 
 
 class TestSdepth:
