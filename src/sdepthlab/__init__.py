@@ -10,7 +10,6 @@ from .errors import (
     TimeLimitExceededError,
 )
 from .families import (
-    FamilyInstance,
     FormulaRecord,
     cycle_depth_formula,
     cycle_path_ideal,

@@ -15,8 +15,8 @@ import sys
 from pathlib import Path
 
 from .errors import InputError, ResourceCapError
-from .families import FamilyInstance, formula_table
-from .harness import CHECKS, emit_csv, emit_json, emit_md, run_scan
+from .families import cycle_path_ideal, formula_table, line_path_ideal
+from .harness import CHECKS, emit_csv, emit_json, emit_md, run_scan, write_certificate
 from .homology import HomologyStats, hochster_betti
 from .ideals import QuotientPresentation, format_ideal, parse_ideal, ring_quotient
 from .solver import (
@@ -25,7 +25,6 @@ from .solver import (
     SearchStats,
     build_poset,
     check_limits,
-    format_certificate,
     parse_certificate,
     sdepth_of_pair,
     verify_decomposition,
@@ -86,8 +85,8 @@ def _load_pair(args) -> QuotientPresentation:
 
 
 def _cmd_family(args) -> int:
-    instance = FamilyInstance(args.n, args.m, args.kind)
-    ideal = instance.ideal()
+    family = line_path_ideal if args.kind == "line" else cycle_path_ideal
+    ideal = family(args.n, args.m)
     # Every field of the formula record after n and m, in field order.
     rec = formula_table(args.n, args.m)
     formulas = dict(zip(rec._fields[2:], rec[2:]))
@@ -107,9 +106,9 @@ def _cmd_family(args) -> int:
         format_ideal(ideal),
         " ".join(f"{name}={value}" for name, value in formulas.items()),
     ]
-    if instance.collapses_to_principal:
+    if args.m == args.n:
         lines.append("note: m = n, the ideal is principal")
-    if instance.quotient_is_field:
+    if args.m == 1:
         lines.append("note: m = 1, the quotient ring is the ground field")
     _write("".join(line + "\n" for line in lines))
     return EXIT_OK
@@ -159,12 +158,7 @@ def _cmd_sdepth(args) -> int:
         f"certified: {certified}\n"
     )
     if args.certificate:
-        try:
-            Path(args.certificate).write_text(
-                format_certificate(result.certificate), encoding="utf-8"
-            )
-        except OSError as exc:
-            raise InputError(f"cannot write {args.certificate}: {exc}") from exc
+        write_certificate(args.certificate, result.certificate)
         _write(f"certificate written to {args.certificate}\n")
     return EXIT_OK
 

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Literal, NamedTuple
+from typing import NamedTuple
 
 from .errors import InputError
 from .ideals import (
     MAX_AMBIENT,
-    FrozenRecord,
     MonomialIdeal,
     add_generators,
     colon,
@@ -20,33 +19,6 @@ from .ideals import (
 def _check_bounds(n: int, m: int) -> None:
     if not 1 <= m <= n <= MAX_AMBIENT:
         raise InputError(f"need 1 <= m <= n <= {MAX_AMBIENT}, got (n, m) = ({n}, {m})")
-
-
-class FamilyInstance(FrozenRecord):
-    """One member of the line or cycle path-ideal family."""
-
-    __slots__ = _fields = ("n", "m", "kind")
-
-    def __init__(self, n: int, m: int, kind: Literal["line", "cycle"]) -> None:
-        _check_bounds(n, m)
-        if kind not in ("line", "cycle"):
-            raise InputError(f"kind must be 'line' or 'cycle', got {kind!r}")
-        self._init(n, m, kind)
-
-    @property
-    def collapses_to_principal(self) -> bool:
-        """m = n: a single full-support generator, so the quotient is by a principal ideal."""
-        return self.m == self.n
-
-    @property
-    def quotient_is_field(self) -> bool:
-        """m = 1: the ideal is the maximal ideal and the quotient ring is the ground field."""
-        return self.m == 1
-
-    def ideal(self) -> MonomialIdeal:
-        if self.kind == "line":
-            return line_path_ideal(self.n, self.m)
-        return cycle_path_ideal(self.n, self.m)
 
 
 def line_path_ideal(n: int, m: int) -> MonomialIdeal:

@@ -36,6 +36,7 @@ from .ideals import (
 from .solver import (
     DEFAULT_POSET_CAP,
     DEFAULT_TIME_LIMIT_S,
+    StanleyDecomposition,
     check_limits,
     format_certificate,
     sdepth_of_pair,
@@ -79,6 +80,20 @@ def _instances(check: str, n_max: int, m_min: int, m_max: int | None) -> list[tu
     return out
 
 
+def write_certificate(path: str, decomposition: StanleyDecomposition) -> None:
+    """Write the certificate of ``decomposition`` to ``path``.
+
+    An OSError is raised as InputError, which the CLI reports on one line
+    with exit code 3: the ``sdepth`` command and scan rows, in any process,
+    write through here.
+    """
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(format_certificate(decomposition))
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def _compute_rows(args: tuple) -> list[ScanRow]:
     """Rows of one (n, m) instance.
 
@@ -101,8 +116,7 @@ def _compute_rows(args: tuple) -> list[ScanRow]:
         except (TimeLimitExceededError, PosetCapExceededError):
             return None
         if cert_path is not None:
-            with open(cert_path, "w", encoding="utf-8") as handle:
-                handle.write(format_certificate(result.certificate))
+            write_certificate(cert_path, result.certificate)
         return result.value
 
     def row(label, holds, bound_lo, bound_hi, *, depth=None, sdepth=_NOT_REQUESTED):

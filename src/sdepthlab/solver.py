@@ -45,29 +45,28 @@ Herzog, Vladoiu and Zheng (J. Algebra 322, 2009):
   (``beta_profile``); that test runs at the root only, as no placement of
   the search can make it fail.
 
-The elements come from bitmask passes over the box, indexed by code: the
-cells of each ideal are the upward closure of its generators' cells
-(``box_upset``), and the box cells of degree d + 1 or more are those one step
-above a cell of degree d or more, one masked shift per coordinate.  The
-poset's cells of each degree, read off in turn, list the elements in
-(degree, code) order with no sort.  A code is cut into parts of at most 256
-codes, runs of coordinates from x1 up, and the poset keeps one byte per part
-per element, its part code, and no exponent tuples.  An element's exponents
-are decoded when the search or the certificate needs them, from per-part
-tables that depend only on the bound and are shared by every poset with that
-bound; rho is a sum of per-part counts, read once at the build.
+The elements come from bitmask passes over the box, indexed by code: the cells
+of each ideal are the upward closure of its generators' cells (``box_upset``),
+and the box cells of degree d + 1 or more are those one step above a cell of
+degree d or more, one masked shift per coordinate.  The poset's cells of each
+degree, read off in turn, list the elements in (degree, code) order with no
+sort.  A code is cut into parts of at most 256 codes, runs of coordinates from
+x1 up; the poset keeps one byte per part per element, its part code, and
+neither codes nor exponent tuples.  An element's exponents are one table row
+per part byte, in tables that depend only on the bound and are shared by every
+poset with that bound; rho, one byte per element, is a sum of per-part counts
+read once at the build.
 
 The search asks the order its questions as int bitsets indexed by element
 (``order_bitsets``): for each coordinate and threshold, one translation of a
 part's bytes gives the elements at or above it, and the up-set of an element
-is the AND of one such column bitset per coordinate, and so is the down-set
-of a top.  An interval's cells are the
-up-set of its bottom ANDed with the down-set of its top.  The tops of a level
-are kept a second time, as bitsets indexed by rank, ranked once by
-(-|[t, g]|, code of t), where |[t, g]| counts the cells from t up to the
-bound (``ranked_tops``).  A canonical top t of e has
-|[e, t]| = |[e, g]| / |[t, g]|, so rank order is every element's (box, code)
-order on its candidates: an element's candidate tops are read off its
+is the AND of one such column bitset per coordinate, and so is the down-set of
+a top.  An interval's cells are the up-set of its bottom ANDed with the
+down-set of its top.  The tops of a level are kept a second time, as bitsets
+indexed by rank, ranked once by (-|[t, g]|, code of t), where |[t, g]| counts
+the cells from t up to the bound (``ranked_tops``).  A canonical top t of e
+has |[e, t]| = |[e, g]| / |[t, g]|, so rank order is every element's (box,
+code) order on its candidates: an element's candidate tops are read off its
 rank-indexed up-set lowest bit first (``candidate_ranks``), with no sort of
 its own, and a low element's witness is the uncovered top of highest rank in
 that up-set.
@@ -75,8 +74,9 @@ that up-set.
 Every certificate the solver reports is checked again by
 ``verify_decomposition``, which shares no code with the search.  It holds the
 poset as the bitset ``cells`` that the build computes, indexed by code, and
-builds each interval's cells as one int per row of the box: the bottom's bit,
-shifted along each raised coordinate.  An interval passes when its cells lie in
+decodes the cells it names by its own arithmetic on the weights.  It builds
+each interval's cells as one int per row of the box: the bottom's bit, shifted
+along each raised coordinate.  An interval passes when its cells lie in
 ``cells`` and miss the union of those before it; exact cover is the union
 equal to ``cells`` at the end.
 """
@@ -86,7 +86,7 @@ from __future__ import annotations
 import re
 import sys
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from functools import lru_cache, reduce
 from itertools import compress, repeat
 from typing import Iterable, NamedTuple, Sequence
@@ -94,6 +94,7 @@ from math import comb, prod
 from operator import add, and_, eq, getitem, le, lt, mul, or_, sub
 
 from .errors import (
+    IdealSyntaxError,
     InputError,
     InvalidPresentationError,
     PosetCapExceededError,
@@ -128,44 +129,43 @@ ROW_CELLS = 1 << 13
 class CharacteristicPoset(FrozenRecord):
     """The finite multidegree poset of a quotient presentation.
 
-    Elements are stored as mixed-radix integer codes (radix g_j + 1 per
-    coordinate), listed ascending by (total degree, code); that listing is the
-    linear extension used everywhere.  ``cells`` is the same set as one int
-    with bit c set for each code c, the poset's membership test.  ``parts``
-    holds, for each part of a code (``_code_parts``), the part code of every
-    element as one ``bytes``, element i's at position i.
-    ``rho[i]`` counts the coordinates of element i that equal the bound g.
-    ``maximal_rho`` is the least rho of a maximal element: every element lies
-    below a maximal one and rho is monotone, so some element has no top of
-    rho >= k above it exactly when k > maximal_rho.
+    Elements are cells of the box [0, g], each with its mixed-radix code
+    (``weights``), listed ascending by (total degree, code); that listing is
+    the linear extension used everywhere.  ``cells`` is the same set as one int
+    with bit c set for each code c, the membership test.  ``parts`` holds, for
+    each part of a code (``_code_parts``), the part code of every element as
+    one ``bytes``, element i's at position i, which ``exponents(i)`` reads
+    back through the bound's tables (the one slot that is not a field).
+    ``rho`` has one byte per element, the count of its coordinates that
+    equal the bound g.  ``maximal_rho`` is the least rho of a maximal element:
+    every element lies below a maximal one and rho is monotone, so some element
+    has no top of rho >= k above it exactly when k > maximal_rho.
     """
 
-    __slots__ = _fields = (
-        "n", "g", "weights", "codes", "cells", "parts", "rho", "maximal_rho",
-    )
+    _fields = ("n", "g", "weights", "cells", "parts", "rho", "maximal_rho")
+    __slots__ = (*_fields, "_tables")
 
     def __init__(
         self,
         n: int,
         g: tuple[int, ...],
         weights: tuple[int, ...],
-        codes: tuple[int, ...],
         cells: int,
         parts: tuple[bytes, ...],
-        rho: tuple[int, ...],
+        rho: bytes,
         maximal_rho: int,
     ) -> None:
-        self._init(n, g, weights, codes, cells, parts, rho, maximal_rho)
+        self._init(n, g, weights, cells, parts, rho, maximal_rho)
+        object.__setattr__(self, "_tables", tuple(exps for _, exps, _ in _code_parts(g)))
 
     def __len__(self) -> int:
-        return len(self.codes)
+        return len(self.rho)
 
-    def decode(self, code: int) -> tuple[int, ...]:
-        """The exponents of the box cell ``code``, one table lookup per part."""
+    def exponents(self, i: int) -> tuple[int, ...]:
+        """The exponents of element i, one table row per part byte."""
         out: tuple[int, ...] = ()
-        for radix, exps, _ in _code_parts(self.g):
-            code, low = divmod(code, radix)
-            out += exps[low]
+        for part, exps in zip(self.parts, self._tables):
+            out += exps[part[i]]
         return out
 
 
@@ -242,7 +242,6 @@ def build_poset(
         n=n,
         g=g,
         weights=weights,
-        codes=tuple(codes),
         cells=cells,
         parts=parts,
         rho=rho,
@@ -280,9 +279,7 @@ def _code_parts(g: tuple[int, ...]) -> tuple[tuple[int, tuple, tuple], ...]:
     return tuple(parts)
 
 
-def _split_codes(
-    codes: Sequence[int], g: tuple[int, ...]
-) -> tuple[tuple[bytes, ...], tuple[int, ...]]:
+def _split_codes(codes: Sequence[int], g: tuple[int, ...]) -> tuple[tuple[bytes, ...], bytes]:
     """The part codes of ``codes`` on the bound g, one ``bytes`` per part, and their rho.
 
     A code's part code is its digit in the mixed radix of the parts, so the
@@ -302,13 +299,13 @@ def _split_codes(
         parts.append(part)
         rho = counts if rho is None else map(add, rho, counts)
         weight *= radix
-    return tuple(parts), tuple(rho)
+    return tuple(parts), bytes(rho)
 
 
 def _assert_box_convex_sample(poset: CharacteristicPoset, limit: int = 12) -> None:
     # The element set must be box-convex; spot-check a deterministic sample.
     # Both ends lie in [0, g], so their midpoint does and has a code.
-    sample = list(map(poset.decode, poset.codes[:limit]))
+    sample = list(map(poset.exponents, range(min(limit, len(poset)))))
     cells, weights = poset.cells, poset.weights
     for a in sample:
         for b in sample:
@@ -339,21 +336,16 @@ class StanleyDecomposition(FrozenRecord):
 def _decomposition(
     poset: CharacteristicPoset, pairs: Iterable[tuple[int, int]]
 ) -> StanleyDecomposition:
-    """The decomposition of the intervals between (bottom, top) element indices.
-
-    Intervals with equal variable sets share one frozenset.
-    """
-    g, codes, decode = poset.g, poset.codes, poset.decode
+    """The intervals between (bottom, top) element indices; equal variable sets share a frozenset."""
+    g, exponents = poset.g, poset.exponents
     variables = range(1, poset.n + 1)
     # Every exponent of the poset lies in [0, g], and ``build_poset`` keeps g
     # under the cap, so the monomial constructor's checks can be skipped.
     shared: dict[frozenset[int], frozenset[int]] = {}
     intervals = []
     for bottom, top in pairs:
-        zvars = frozenset(compress(variables, map(eq, decode(codes[top]), g)))
-        intervals.append(
-            (Monomial.trusted(decode(codes[bottom])), shared.setdefault(zvars, zvars))
-        )
+        zvars = frozenset(compress(variables, map(eq, exponents(top), g)))
+        intervals.append((Monomial.trusted(exponents(bottom)), shared.setdefault(zvars, zvars)))
     return StanleyDecomposition(poset.n, tuple(intervals))
 
 
@@ -376,8 +368,7 @@ def _check_level(poset: CharacteristicPoset, k: int) -> None:
 
 def singleton_decomposition(poset: CharacteristicPoset) -> StanleyDecomposition:
     """Every element as its own interval; always a valid partition."""
-    every = range(len(poset))
-    return _decomposition(poset, zip(every, every))
+    return _decomposition(poset, ((i, i) for i in range(len(poset))))
 
 
 class SearchStats(Record):
@@ -399,9 +390,9 @@ class SearchStats(Record):
     a table takes its first candidate when it is built and the rest only once
     a frame has tried that one.  The elements of rho above the level are
     covered as singletons before the search starts, so neither placements nor
-    candidate tops count them.  Each search
-    adds its counts once, when it returns or hits the time limit, so a record
-    passed to ``sdepth_of_poset`` sums over the levels it tried.
+    candidate tops count them.  Each search adds its counts once, when it
+    returns or hits the time limit, so a record passed to ``sdepth_of_poset``
+    sums over the levels it tried.
     """
 
     _fields = (
@@ -515,11 +506,6 @@ def _column_tables(g: tuple[int, ...]) -> tuple[tuple[tuple[bytes, ...], ...], .
     return tuple(out)
 
 
-def _at_least(text: bytes, x: int) -> int:
-    """The bitset of the positions of ``text``, read last first, whose byte is x or more."""
-    return int(text.translate(b"0" * x + b"1" * (256 - x)), 2)
-
-
 def gather_parts(parts: Sequence[bytes], order: Sequence[int]) -> list[bytes]:
     """The part bytes of the points ``order`` lists, in that order."""
     return [bytes(map(part.__getitem__, order)) for part in parts]
@@ -544,10 +530,13 @@ def ranked_tops(poset: CharacteristicPoset, tops: int) -> list[int]:
     one order is (box of [e, t], code of t) order.  On a squarefree bound
     |[t, g]| = 2^(n - rho(t)) and the order is element order.
     """
-    g_up, decode, codes = [gj + 1 for gj in poset.g], poset.decode, poset.codes
-    return sorted(
-        set_bits(tops), key=lambda t: (-prod(map(sub, g_up, decode(codes[t]))), codes[t])
-    )
+    g_up, weights, exponents = [gj + 1 for gj in poset.g], poset.weights, poset.exponents
+
+    def key(t):
+        e = exponents(t)
+        return -prod(map(sub, g_up, e)), sum(map(mul, e, weights))
+
+    return sorted(set_bits(tops), key=key)
 
 
 def candidate_ranks(
@@ -591,8 +580,8 @@ def beta_profile(alpha: Sequence[int], kappa: int) -> list[int] | None:
 
 
 def _search(poset, k, deadline, stats):
-    g, codes, rho, decode = poset.g, poset.codes, poset.rho, poset.decode
-    size = len(codes)
+    g, rho, exponents = poset.g, poset.rho, poset.exponents
+    size = len(rho)
     full = (1 << size) - 1
 
     # The covered set as a bitmask, and the covered sets whose subtree was
@@ -610,37 +599,34 @@ def _search(poset, k, deadline, stats):
     placements = stranded = moment = hits = stored = clears = peak = listed = 0
 
     try:
-        # Degree-moment test.  For squarefree bounds rho is degree plus the
-        # count z of coordinates pinned at zero.  When the poset's maximal
-        # degree equals kappa = k - z, every interval top sits at degree kappa
-        # exactly, so the degree counts must have a ``beta_profile``.  On a
-        # bound of zeros and ones an element's degree is the bit count of its
-        # code; elements ascend by degree, so the last one has the largest and
-        # each degree's count is the gap between where it and the next start.
-        # Below the root the test never fails, so it runs here only: a
+        # Degree-moment test.  On a bound of zeros and ones rho is degree plus
+        # the count z of coordinates pinned at zero.  When max(rho) = k, every
+        # interval top sits at the poset's maximal degree kappa = k - z, so the
+        # degree counts, those of rho = z + d, must have a ``beta_profile``.
+        # The test never fails below the root, so it runs here only: a
         # placement at the lowest uncovered element, of degree d0, takes one
-        # Boolean interval of height s0 = kappa - d0, whose profile is the
-        # unit vector at s0.  The recursion is linear and the profile's entry
-        # at s0 is the uncovered count at d0, at least 1, so it stays >= 0.
-        kappa = k - g.count(0)
-        if max(g) <= 1 and codes[-1].bit_count() == kappa:
-            starts = [bisect_left(codes, d, key=int.bit_count) for d in range(kappa + 2)]
-            if beta_profile(list(map(sub, starts[1:], starts)), kappa) is None:
+        # Boolean interval of height s0 = kappa - d0, whose profile is the unit
+        # vector at s0.  The recursion is linear and the profile's entry at s0
+        # is the uncovered count at d0, at least 1, so it stays >= 0.
+        z = g.count(0)
+        if max(g) <= 1 and max(rho) == k:
+            if beta_profile([rho.count(d) for d in range(z, k + 1)], k - z) is None:
                 moment += 1
                 return None
 
         # The level is searched on its rho = k layer (module docstring): the
-        # elements of rho above k, ``high``, are covered as singletons from
-        # the start, and the tops are the elements of rho exactly k.  Only the
-        # others, the lows, can get stranded.  The order is kept as bitsets
+        # elements of rho above k, ``high``, are covered as singletons from the
+        # start, and the tops are the elements of rho exactly k; each set is
+        # one translation of the reversed rho bytes into binary digits.  Only
+        # the others, the lows, can get stranded.  The order is kept as bitsets
         # twice: over all elements, for the cells of intervals, and over the
         # tops alone, bit r standing for top_of[r] (``ranked_tops``), for
-        # candidates and witnesses.  A low's set of the tops above it is built
-        # when it first needs a witness and kept for the rest of this level;
-        # by rank it takes one bit per top, not one per element.
-        rho_text = bytes(rho)[::-1]
-        high = _at_least(rho_text, k + 1)
-        tops = _at_least(rho_text, k) ^ high
+        # candidates and witnesses.  An element's set of the tops above it by
+        # rank, ``ranks_above``, is built on first use and kept for the rest of
+        # this level: one bit per top, not one per element.
+        rho_text = rho[::-1]
+        high = int(rho_text.translate(b"0" * (k + 1) + b"1" * (255 - k)), 2)
+        tops = int(rho_text.translate(b"0" * k + b"1" + b"0" * (255 - k)), 2)
         if high == full:
             return [(i, i) for i in range(size)]
         top_of = ranked_tops(poset, tops)
@@ -656,14 +642,14 @@ def _search(poset, k, deadline, stats):
 
         # Candidate tops of an element depend only on the element and k, so
         # each table is built once per level, on first use.  A table is (tops,
-        # cells of each, the element's up-set, the tops above it by rank).
-        # Rank order is the tops' (box, code) order, so a table lists only its
-        # lowest bit, followed, when there are more, by ~rest, the negative
-        # complement of the unlisted ones; they are listed when a frame gets
-        # to that entry, since most tables are never read past their first
-        # candidate.  The cells of a candidate, as (bitset, tops among them
-        # by rank), are found on its first try.  A top's table is its one
-        # candidate, itself, with its cells, and keeps no up-set.
+        # cells of each, the element's up-set).  Rank order is the tops' (box,
+        # code) order, so a table lists only its lowest bit, followed, when
+        # there are more, by ~rest, the negative complement of the unlisted
+        # ones; they are listed when a frame gets to that entry, since most
+        # tables are never read past their first candidate.  The cells of a
+        # candidate, as (bitset, tops among them by rank), are found on its
+        # first try.  A top's table is its one candidate, itself, with its
+        # cells, and keeps no up-set.
         tables: list[tuple | None] = [None] * size
 
         def opened(ei, placed):
@@ -672,14 +658,16 @@ def _search(poset, k, deadline, stats):
             nonlocal listed
             found = tables[ei]
             if found is None:
-                e = decode(codes[ei])
-                above = up_set(top_ge, e)
+                e = exponents(ei)
+                above = ranks_above[ei]
+                if above is None:
+                    above = ranks_above[ei] = up_set(top_ge, e)
                 if rho[ei] == k:
                     # A top's only candidate is itself: any other top above
                     # it has the same rho, so it is not canonical.  Its cells
                     # are itself and, by rank, the lowest bit of the tops
                     # above it, whose boxes [t, g] all lie inside its own.
-                    found = tables[ei] = ([ei], [(1 << ei, above & -above)], None, None)
+                    found = tables[ei] = ([ei], [(1 << ei, above & -above)], None)
                 else:
                     # The set is never empty: the guard below gives every low
                     # e a top t above it, and the element equal to t where t
@@ -689,7 +677,7 @@ def _search(poset, k, deadline, stats):
                     first = rest & -rest
                     rest ^= first
                     cands = [top_of[first.bit_length() - 1]] + ([~rest] if rest else [])
-                    found = tables[ei] = (cands, [None] * len(cands), up_set(ge, e), above)
+                    found = tables[ei] = (cands, [None] * len(cands), up_set(ge, e))
                 listed += 1
             return ei, found, enumerate(found[0]), placed
 
@@ -708,7 +696,7 @@ def _search(poset, k, deadline, stats):
                     u = bit.bit_length() - 1
                     above = ranks_above[u]
                     if above is None:
-                        above = ranks_above[u] = up_set(top_ge, decode(codes[u]))
+                        above = ranks_above[u] = up_set(top_ge, exponents(u))
                     above &= free
                     if not above:
                         return False
@@ -726,7 +714,7 @@ def _search(poset, k, deadline, stats):
         for r in range(len(top_of) - 1, -1, -1):
             if not unwatched:
                 break
-            watchers[r] = down_set(le, decode(codes[top_of[r]])) & unwatched
+            watchers[r] = down_set(le, exponents(top_of[r])) & unwatched
             unwatched ^= watchers[r]
         if unwatched:
             stranded += 1
@@ -738,7 +726,7 @@ def _search(poset, k, deadline, stats):
         mask = high
         frames = [opened((mask ^ (mask + 1)).bit_length() - 1, None)]
         while frames:
-            ei, (cands, cells_of, up, ranks), untried, placed = frames[-1]
+            ei, (cands, cells_of, up), untried, placed = frames[-1]
             for pos, top in untried:
                 cells = cells_of[pos]
                 if cells is None:
@@ -752,8 +740,10 @@ def _search(poset, k, deadline, stats):
                         top = cands[pos] = more[0]
                         cands += more[1:]
                         cells_of += repeat(None, len(more) - 1)
-                    t = decode(codes[top])
-                    cells = cells_of[pos] = (up & down_set(le, t), ranks & down_set(top_le, t))
+                    t = exponents(top)
+                    cells = cells_of[pos] = (
+                        up & down_set(le, t), ranks_above[ei] & down_set(top_le, t)
+                    )
                 bits, covered = cells
                 if bits & mask:
                     continue
@@ -892,8 +882,9 @@ def verify_decomposition(
     top has rho at least k.  Failures are reported, never raised; a level
     outside 0..n is an input error.
 
-    The check reads only the certificate and the poset's bound, weights, codes
-    and cells, and shares no code with the search.  Sets of cells are bitsets
+    The check reads only the certificate and the poset's bound, weights and
+    cells, and decodes the cells it names by its own arithmetic on the
+    weights, sharing no code with the search.  Sets of cells are bitsets
     indexed by code, cut into rows of at most ``ROW_CELLS`` cells: a row holds
     the cells that agree beyond the first few coordinates.  An interval's cells
     are its bottom's bit, shifted along each raised coordinate, in each row
@@ -934,6 +925,9 @@ def verify_decomposition(
                 w //= width
                 rows = [r + step for step in range(0, (g[j] - e[j] + 1) * w, w) for r in rows]
         return rows, within
+
+    def exponents(cell):
+        return tuple(cell // w % (gj + 1) for w, gj in zip(weights, g))
 
     intervals = decomposition.intervals
     failures: list[str] = []
@@ -980,7 +974,7 @@ def verify_decomposition(
             for at in set_bits(within):
                 cell = row * width + at
                 if not cell_rows[row] >> at & 1:
-                    outside = Monomial(poset.decode(cell))
+                    outside = Monomial(exponents(cell))
                     failures.append(f"{_label(i, bottom, zvars)}: cell {outside} is outside the poset")
                 elif covered[row] >> at & 1:
                     for j in placed[scanned:-1]:
@@ -993,20 +987,23 @@ def verify_decomposition(
                                 owner.setdefault(row_j * width + at_j, j)
                     scanned = len(placed) - 1
                     failures.append(
-                        f"double cover of {Monomial(poset.decode(cell))} by intervals "
+                        f"double cover of {Monomial(exponents(cell))} by intervals "
                         f"{owner[cell] + 1} and {i + 1}"
                     )
                 else:
                     covered[row] |= 1 << at
 
     if covered != cell_rows:
-        missing = {
-            row * width + at
+        # The first uncovered element is the missing cell of least (degree,
+        # code): a cell's degree is its row's plus that of its bit in the row.
+        at_degree = [sum(exponents(at)) for at in range(width)]
+        row_degree = [sum(exponents(row * width)) for row in range(len(cell_rows))]
+        first = min(
+            (row_degree[row] + at_degree[at], row * width + at)
             for row, (have, want) in enumerate(zip(covered, cell_rows))
             for at in set_bits(want & ~have)
-        }
-        first = next(filter(missing.__contains__, poset.codes))
-        failures.append(f"uncovered element {Monomial(poset.decode(first))}")
+        )[1]
+        failures.append(f"uncovered element {Monomial(exponents(first))}")
 
     return VerificationReport(not failures, tuple(failures), min(rhos, default=None))
 
@@ -1041,7 +1038,10 @@ def parse_certificate(text: str, n: int) -> StanleyDecomposition:
         if ";" not in line:
             raise InputError(f"certificate line {lineno}: missing ';' separator")
         left, right = line.split(";", 1)
-        bottom = parse_monomial(left.strip(), n)
+        try:
+            bottom = parse_monomial(left.strip(), n)
+        except IdealSyntaxError as exc:
+            raise InputError(f"certificate line {lineno}: {exc}") from exc
         right = right.strip()
         if not (right.startswith("{") and right.endswith("}")):
             raise InputError(f"certificate line {lineno}: variable set must be braced")

@@ -21,17 +21,27 @@ from sdepthlab.ideals import MAX_AMBIENT
 
 def rows(poset) -> tuple[tuple[int, ...], ...]:
     """The exponent tuple of each element of ``poset``, in element order."""
-    return tuple(map(poset.decode, poset.codes))
-
-
-def element_index(poset) -> dict[int, int]:
-    """Each element's code mapped to its index in the poset's listing."""
-    return {code: i for i, code in enumerate(poset.codes)}
+    return tuple(map(poset.exponents, range(len(poset))))
 
 
 def encode(poset, exps) -> int:
     """The mixed-radix code of the exponent vector ``exps`` in ``poset``'s box."""
     return sum(e * w for e, w in zip(exps, poset.weights))
+
+
+def decode(poset, code) -> tuple[int, ...]:
+    """The exponent vector of the cell ``code`` of ``poset``'s box."""
+    return tuple(code // w % (gj + 1) for w, gj in zip(poset.weights, poset.g))
+
+
+def codes(poset) -> tuple[int, ...]:
+    """The code of each element of ``poset``, in element order."""
+    return tuple(encode(poset, e) for e in rows(poset))
+
+
+def element_index(poset) -> dict[int, int]:
+    """Each element's code mapped to its index in the poset's listing."""
+    return {code: i for i, code in enumerate(codes(poset))}
 
 
 def contains_exps(poset, exps) -> bool:
@@ -184,7 +194,7 @@ def reference_candidate_tops(poset, k, i) -> list[int]:
         if poset.rho[t] >= k and all(b in (a, gj) for a, b, gj in zip(e, f, poset.g))
     ]
     return sorted(
-        tops, key=lambda t: (prod(b - a + 1 for a, b in zip(e, exps[t])), poset.codes[t])
+        tops, key=lambda t: (prod(b - a + 1 for a, b in zip(e, exps[t])), encode(poset, exps[t]))
     )
 
 
@@ -375,7 +385,7 @@ def reference_verification(poset, decomposition, k) -> VerificationReport:
 
     Every interval's cells are listed as codes, checked against
     ``element_index(poset)`` and a dict from each covered code to the first interval
-    that covered it; the first element of ``poset.codes`` that no interval
+    that covered it; the first element of ``codes(poset)`` that no interval
     covered is reported as uncovered.  The failures and their wording are the
     package's.
     """
@@ -420,19 +430,19 @@ def reference_verification(poset, decomposition, k) -> VerificationReport:
             continue
         for c in cells:
             if c not in index:
-                outside = Monomial(poset.decode(c))
+                outside = Monomial(decode(poset, c))
                 failures.append(f"{label(i, bottom, zvars)}: cell {outside} is outside the poset")
                 continue
             if c in seen:
                 failures.append(
-                    f"double cover of {Monomial(poset.decode(c))} by intervals "
+                    f"double cover of {Monomial(decode(poset, c))} by intervals "
                     f"{seen[c] + 1} and {i + 1}"
                 )
             else:
                 seen[c] = i
 
-    missing = next(filterfalse(seen.__contains__, poset.codes), None)
+    missing = next(filterfalse(seen.__contains__, codes(poset)), None)
     if missing is not None:
-        failures.append(f"uncovered element {Monomial(poset.decode(missing))}")
+        failures.append(f"uncovered element {Monomial(decode(poset, missing))}")
 
     return VerificationReport(not failures, tuple(failures), min(rhos, default=None))

@@ -2,7 +2,6 @@ import pytest
 
 from helpers import relabel, v_ideal
 from sdepthlab import (
-    FamilyInstance,
     InputError,
     add_generators,
     colon,
@@ -77,12 +76,6 @@ class TestConstructors:
             line_path_ideal(3, 4)
         with pytest.raises(InputError):
             cycle_path_ideal(3, 0)
-
-    def test_family_instance_flags(self):
-        assert FamilyInstance(4, 4, "cycle").collapses_to_principal
-        assert FamilyInstance(4, 1, "line").quotient_is_field
-        assert not FamilyInstance(4, 2, "cycle").collapses_to_principal
-        assert FamilyInstance(5, 2, "line").ideal() == line_path_ideal(5, 2)
 
 
 class TestFormulas:

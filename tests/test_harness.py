@@ -614,6 +614,21 @@ class TestCli:
         assert format_ideal(cycle_path_ideal(5, 2)) in proc.stdout
         assert "phi=2 psi=2" in proc.stdout
 
+    @pytest.mark.parametrize("kind, n, m, notes", [
+        ("cycle", 5, 2, []),
+        ("cycle", 4, 4, ["note: m = n, the ideal is principal"]),
+        ("line", 4, 1, ["note: m = 1, the quotient ring is the ground field"]),
+        ("line", 1, 1, [
+            "note: m = n, the ideal is principal",
+            "note: m = 1, the quotient ring is the ground field",
+        ]),
+    ])
+    def test_family_note_lines(self, kind, n, m, notes):
+        # The ideal line and the formula line come first, then the notes.
+        proc = run_cli("family", "--kind", kind, "--n", str(n), "--m", str(m))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[2:] == notes
+
     def test_family_json(self):
         proc = run_cli("family", "--kind", "line", "--n", "4", "--m", "2", "--out", "json")
         payload = json.loads(proc.stdout)
@@ -763,6 +778,34 @@ class TestCli:
         ideal_file.write_text(format_ideal(cycle_path_ideal(4, 2)))
         cert = tmp_path / name
         return run_cli("sdepth", "--ideal-file", str(ideal_file), "--certificate", str(cert)), cert
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_unwritable_scan_certificate_is_input_error(self, tmp_path, jobs):
+        # A row's certificate path that is a directory fails at the write,
+        # in whichever process computed the row.
+        cert = tmp_path / "thm14-n4-m2.cert"
+        cert.mkdir()
+        proc = run_cli(
+            "scan", "--check", "thm14", "--n-max", "4", "--jobs", jobs, "--cert-dir", str(tmp_path)
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [proc.stderr.strip()]
+        assert proc.stderr.startswith(f"error: cannot write {cert}: ")
+
+    def test_certificate_syntax_error_names_its_line(self, tmp_path):
+        ideal_file = tmp_path / "j42.txt"
+        ideal_file.write_text(format_ideal(cycle_path_ideal(4, 2)))
+        cert = tmp_path / "bad.cert"
+        cert.write_text("1 ; {x1}\nx1 ; {x2}\nx2*y ; {x3}\n")
+        proc = run_cli(
+            "verify-decomp", "--ideal-file", str(ideal_file), "--decomp-file", str(cert), "--k", "1"
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: certificate line 3: unexpected character 'y' (at position 3)\n"
+        )
 
     def test_cert_dir_naming_a_file_is_input_error(self, tmp_path):
         taken = tmp_path / "taken"

@@ -6,7 +6,6 @@ import pickle
 import pytest
 
 from sdepthlab import (
-    FamilyInstance,
     HomologyStats,
     Monomial,
     ScanRow,
@@ -25,7 +24,7 @@ from sdepthlab import (
 
 
 FROZEN_TYPES = (
-    "BettiTable", "CharacteristicPoset", "ComponentReport", "FamilyInstance", "FormulaRecord",
+    "BettiTable", "CharacteristicPoset", "ComponentReport", "FormulaRecord",
     "Monomial", "MonomialIdeal", "Prop16Report", "QuotientPresentation", "ScanRow",
     "SdepthResult", "SimplicialComplex", "StanleyDecomposition", "VerificationReport",
 )
@@ -42,7 +41,6 @@ def frozen():
         "Monomial": (ideal.gens[0], "exponents"),
         "MonomialIdeal": (ideal, "gens"),
         "QuotientPresentation": (pair, "denominator"),
-        "FamilyInstance": (FamilyInstance(5, 2, "cycle"), "kind"),
         "FormulaRecord": (formula_table(5, 2), "phi"),
         "ScanRow": (ScanRow(5, 2, "thm14", 2, 2, 2, 2, 2, 2, "ok", 0), "status"),
         "ComponentReport": (report.components[0], "component_depth"),
@@ -106,7 +104,6 @@ def test_repr_names_every_field():
     assert repr(parse_ideal("n=2: x1")) == (
         "MonomialIdeal(ambient=2, gens=(Monomial(exponents=(1, 0)),))"
     )
-    assert repr(FamilyInstance(5, 2, "line")) == "FamilyInstance(n=5, m=2, kind='line')"
     assert repr(SearchStats()) == (
         "SearchStats(levels=[], placements=0, stranded_prunes=0, moment_prunes=0,"
         " table_hits=0, stored_states=0, table_clears=0, table_peak_bytes=0,"
@@ -120,7 +117,7 @@ def test_repr_names_every_field():
 
 def test_len_counts_elements_and_intervals():
     poset = build_poset(ring_quotient(parse_ideal("n=2: x1*x2")))
-    assert len(poset) == 3 == len(poset.codes)
+    assert len(poset) == 3 == len(poset.rho)
     certificate = sdepth_of_pair(ring_quotient(cycle_path_ideal(5, 2))).certificate
     assert len(certificate) == len(certificate.intervals) > 0
 
