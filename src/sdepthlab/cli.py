@@ -26,7 +26,7 @@ from .solver import (
     build_poset,
     check_limits,
     parse_certificate,
-    sdepth_of_pair,
+    sdepth_of_poset,
     verify_decomposition,
 )
 
@@ -140,11 +140,10 @@ def _cmd_sdepth(args) -> int:
     pair = _load_pair(args)
     if args.certificate:
         _check_writable(args.certificate)
+    poset = build_poset(pair, cap=args.max_poset)  # a capped build prints no stats line either
     stats = SearchStats() if args.stats else None
     try:
-        result = sdepth_of_pair(
-            pair, time_limit_s=args.time_limit_s, max_poset=args.max_poset, stats=stats
-        )
+        result = sdepth_of_poset(poset, time_limit_s=args.time_limit_s, stats=stats)
     finally:
         # Also when the search hits the time limit: the counts show how far it got.
         if stats is not None:

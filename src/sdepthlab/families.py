@@ -57,7 +57,8 @@ def quotient_module_bound(n: int, m: int) -> int:
     The module splits into m-1 wrap-window components, each contributing its
     residual quotient's depth plus the m window variables; the smallest of
     these is phi(n-m-2, m) + m (``harness.prop16_structure_check`` derives it
-    for n <= 12).  This equals psi(n, m) + 1 as an exact integer identity.
+    for every n <= ``MAX_AMBIENT``).  This equals psi(n, m) + 1 as an exact
+    integer identity.
     """
     return line_depth_formula(n - m - 2, m) + m
 

@@ -30,7 +30,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .errors import InputError
-from .ideals import MonomialIdeal, Record, box_upset, set_bits, submasks
+from .ideals import Counters, MonomialIdeal, box_upset, set_bits, submasks
 
 
 class SimplicialComplex(NamedTuple):
@@ -169,11 +169,12 @@ def _modp_rank(rows: list[dict[int, int]]) -> int:
     return len(pivots)
 
 
-def _ranks_of(faces: list[int]) -> tuple[tuple[int, ...], int, int]:
+def _ranks_of(faces: list[int], counts: HomologyStats) -> tuple[int, ...]:
     """Reduced homology ranks of the complex whose faces are ``faces`` (each
-    size ascending by value, every facet present), the number of boundaries
-    ranked over F_2 and the number ranked again by exact elimination.  See
-    ``homology_ranks`` for the F_2 pass, the fallback rule and the checks.
+    size ascending by value, every facet present).  Adds to ``counts`` the
+    faces, the boundaries ranked over F_2 and those ranked again by exact
+    elimination.  See ``homology_ranks`` for the F_2 pass, the fallback rule
+    and the checks.
     """
     by_size: list[list[int]] = []
     for mask in faces:
@@ -200,12 +201,13 @@ def _ranks_of(faces: list[int]) -> tuple[tuple[int, ...], int, int]:
                 rest ^= bit
             rows.append(row)
         boundary_rank[s] = _gf2_rank(rows)
+    counts.faces += len(faces)
+    counts.boundaries += top
 
     gf2_ranks = [sizes[s] - boundary_rank[s] - boundary_rank[s + 1] for s in range(top + 1)]
     if any(r < 0 for r in gf2_ranks):
         raise AssertionError("negative F_2 homology rank: rank computation is broken")
 
-    fallbacks = 0
     for s in range(1, top + 1):
         if not (gf2_ranks[s - 1] and gf2_ranks[s]):
             continue
@@ -217,7 +219,7 @@ def _ranks_of(faces: list[int]) -> tuple[tuple[int, ...], int, int]:
             for pos, j in enumerate(vertices):
                 matrix[below[mask & ~(1 << j)]][col] = -1 if pos % 2 else 1
         exact = _integer_rank(matrix)
-        fallbacks += 1
+        counts.fallbacks += 1
         if exact < boundary_rank[s]:
             raise AssertionError("rank over F_2 exceeds rank over Q: rank computation is broken")
         if exact < _modp_rank(matrix):
@@ -231,7 +233,7 @@ def _ranks_of(faces: list[int]) -> tuple[tuple[int, ...], int, int]:
         raise AssertionError("Euler count mismatch: rank computation is broken")
     if any(r < 0 for r in ranks):
         raise AssertionError("negative homology rank: rank computation is broken")
-    return tuple(ranks), top, fallbacks
+    return tuple(ranks)
 
 
 def homology_ranks(complex_: SimplicialComplex) -> tuple[int, ...]:
@@ -251,7 +253,7 @@ def homology_ranks(complex_: SimplicialComplex) -> tuple[int, ...]:
     over F_p for a fixed large prime p, the Euler count matches the face
     numbers, and no rational homology rank is negative.
     """
-    return _ranks_of(complex_.faces())[0]
+    return _ranks_of(complex_.faces(), HomologyStats())
 
 
 class BettiTable(NamedTuple):
@@ -272,7 +274,7 @@ class BettiTable(NamedTuple):
         return self.n - self.projective_dimension()
 
 
-class HomologyStats(Record):
+class HomologyStats(Counters):
     """Counters of ``hochster_betti``, filled in when a caller passes one.
 
     ``subsets`` counts the vertex subsets F and ``lcm_skips`` those skipped
@@ -288,30 +290,6 @@ class HomologyStats(Record):
     _fields = (
         "subsets", "lcm_skips", "joins", "collapses", "duals", "faces", "boundaries", "fallbacks"
     )
-
-    def __init__(
-        self,
-        subsets: int = 0,
-        lcm_skips: int = 0,
-        joins: int = 0,
-        collapses: int = 0,
-        duals: int = 0,
-        faces: int = 0,
-        boundaries: int = 0,
-        fallbacks: int = 0,
-    ) -> None:
-        self.subsets = subsets
-        self.lcm_skips = lcm_skips
-        self.joins = joins
-        self.collapses = collapses
-        self.duals = duals
-        self.faces = faces
-        self.boundaries = boundaries
-        self.fallbacks = fallbacks
-
-    def format(self) -> str:
-        """One line: ``subsets=... lcm_skips=... fallbacks=...``."""
-        return " ".join(map("{}={}".format, self._fields, self._values()))
 
 
 def _join_ranks(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -362,7 +340,7 @@ def _dominated(fmask: int, inside: list[int], upset: int) -> int:
     return 0
 
 
-def _dual_ranks(fmask: int, inner: int) -> tuple[tuple[int, ...], int, int]:
+def _dual_ranks(fmask: int, inner: int, counts: HomologyStats) -> tuple[int, ...]:
     """``_ranks_of`` for the restriction to a nonempty F that is not a face,
     through its upper Koszul complex.
 
@@ -373,8 +351,8 @@ def _dual_ranks(fmask: int, inner: int) -> tuple[tuple[int, ...], int, int]:
     """
     # F - N = F ^ N for N inside F, so descending N lists the faces of K^F
     # ascending by value.
-    dual, ranked, exact = _ranks_of([fmask - nf for nf in reversed(set_bits(inner))])
-    return (0,) * (fmask.bit_count() - len(dual)) + dual[::-1], ranked, exact
+    dual = _ranks_of([fmask - nf for nf in reversed(set_bits(inner))], counts)
+    return (0,) * (fmask.bit_count() - len(dual)) + dual[::-1]
 
 
 def hochster_betti(ideal: MonomialIdeal, stats: HomologyStats | None = None) -> BettiTable:
@@ -420,7 +398,7 @@ def hochster_betti(ideal: MonomialIdeal, stats: HomologyStats | None = None) -> 
     upset = box_upset(sum(1 << nf for nf in set(nonfaces)), (1,) * n)
     ranks_at: dict[int, tuple[int, ...]] = {}
     entries: dict[tuple[int, tuple[int, ...]], int] = {}
-    joins = collapses = duals = faces = boundaries = fallbacks = 0
+    counts = HomologyStats(subsets=1 << n, lcm_skips=(1 << n) - len(lattice))
     for fmask in lattice:
         size = fmask.bit_count()
         inside = [nf for nf in nonfaces if nf | fmask == fmask]
@@ -435,31 +413,24 @@ def hochster_betti(ideal: MonomialIdeal, stats: HomologyStats | None = None) -> 
                     apart.append(group)
             apart.append(merged)
             groups = apart
-        ranked = exact = 0
         if len(groups) > 1:
             ranks = ranks_at[groups[0]]
             for group in groups[1:]:
                 ranks = _join_ranks(ranks, ranks_at[group])
-            joins += 1
+            counts.joins += 1
         elif not fmask:
-            ranks, ranked, exact = _ranks_of([0])
-            faces += 1
+            ranks = _ranks_of([0], counts)
         elif vbit := _dominated(fmask, inside, upset):
             ranks = ranks_at.get(fmask ^ vbit, ())
-            collapses += 1
+            counts.collapses += 1
         else:
             below = submasks(fmask)
             inner = upset & below
-            count = inner.bit_count()
-            if (1 << size) - count > count:
-                ranks, ranked, exact = _dual_ranks(fmask, inner)
-                duals += 1
-                faces += count
+            if (1 << size) > 2 * inner.bit_count():
+                ranks = _dual_ranks(fmask, inner, counts)
+                counts.duals += 1
             else:
-                ranks, ranked, exact = _ranks_of(set_bits(below & ~upset))
-                faces += (1 << size) - count
-        boundaries += ranked
-        fallbacks += exact
+                ranks = _ranks_of(set_bits(below & ~upset), counts)
         ranks_at[fmask] = ranks
         fvars = tuple(j + 1 for j in range(n) if fmask >> j & 1)
         for degree_plus_one, rank in enumerate(ranks):
@@ -474,14 +445,8 @@ def hochster_betti(ideal: MonomialIdeal, stats: HomologyStats | None = None) -> 
     if entries.get((0, ())) != 1:
         raise AssertionError("the index-0 entry of the empty degree must be 1")
     if stats is not None:
-        stats.subsets += 1 << n
-        stats.lcm_skips += (1 << n) - len(lattice)
-        stats.joins += joins
-        stats.collapses += collapses
-        stats.duals += duals
-        stats.faces += faces
-        stats.boundaries += boundaries
-        stats.fallbacks += fallbacks
+        for field, count in zip(counts._fields, counts._values()):
+            setattr(stats, field, getattr(stats, field) + count)
     return BettiTable(n, entries)
 
 

@@ -6,7 +6,8 @@ minimal generating set in a canonical order, so ideal equality is plain value
 equality and formatted output is byte-stable.
 
 ``Record`` and ``FrozenRecord`` give the package's classes value equality, a
-``Name(field=value, ...)`` repr and, when frozen, a hash and no assignment.
+``Name(field=value, ...)`` repr and, when frozen, a hash and no assignment;
+``Counters`` builds and prints the opt-in stats records of both engines.
 They stand in for ``dataclasses``, whose import and class builds every scan
 process would otherwise pay for at start-up.
 """
@@ -78,6 +79,38 @@ class FrozenRecord(Record):
 
     def __reduce__(self) -> tuple:
         return type(self), self._values()
+
+
+class Counters(Record):
+    """A mutable record of counts, each field given by position or keyword.
+
+    A field not given gets a fresh value from its factory in ``_defaults``,
+    ``int`` (0) unless the class names another.  A field given twice, an
+    unknown name or more values than fields raises TypeError.
+    """
+
+    _defaults: dict[str, type] = {}
+
+    def __init__(self, *values: object, **named: object) -> None:
+        name = type(self).__qualname__
+        if len(values) > len(self._fields):
+            raise TypeError(f"{name}() takes {len(self._fields)} values, got {len(values)}")
+        for field, value in zip(self._fields, values):
+            if field in named:
+                raise TypeError(f"{name}() got multiple values for {field!r}")
+            named[field] = value
+        for field in self._fields:
+            value = named.pop(field) if field in named else self._defaults.get(field, int)()
+            setattr(self, field, value)
+        if named:
+            raise TypeError(f"{name}() got an unknown field {next(iter(named))!r}")
+
+    def format(self) -> str:
+        """One line of ``name=value`` pairs, each list joined with commas."""
+        return " ".join(
+            f"{field}={','.join(map(str, value)) if isinstance(value, list) else value}"
+            for field, value in zip(self._fields, self._values())
+        )
 
 
 class Monomial(FrozenRecord):

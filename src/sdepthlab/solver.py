@@ -102,10 +102,10 @@ from .errors import (
 )
 from .ideals import (
     MAX_EXPONENT,
+    Counters,
     FrozenRecord,
     Monomial,
     QuotientPresentation,
-    Record,
     box_steps,
     box_upset,
     parse_monomial,
@@ -371,7 +371,7 @@ def singleton_decomposition(poset: CharacteristicPoset) -> StanleyDecomposition:
     return _decomposition(poset, ((i, i) for i in range(len(poset))))
 
 
-class SearchStats(Record):
+class SearchStats(Counters):
     """Counters of the partition search, filled in when a caller passes one.
 
     ``levels`` lists the levels searched, in order.  ``sdepth_of_poset``
@@ -399,33 +399,7 @@ class SearchStats(Record):
         "levels", "placements", "stranded_prunes", "moment_prunes", "table_hits",
         "stored_states", "table_clears", "table_peak_bytes", "candidate_tops",
     )
-
-    def __init__(
-        self,
-        levels: list[int] | None = None,
-        placements: int = 0,
-        stranded_prunes: int = 0,
-        moment_prunes: int = 0,
-        table_hits: int = 0,
-        stored_states: int = 0,
-        table_clears: int = 0,
-        table_peak_bytes: int = 0,
-        candidate_tops: int = 0,
-    ) -> None:
-        self.levels = [] if levels is None else levels
-        self.placements = placements
-        self.stranded_prunes = stranded_prunes
-        self.moment_prunes = moment_prunes
-        self.table_hits = table_hits
-        self.stored_states = stored_states
-        self.table_clears = table_clears
-        self.table_peak_bytes = table_peak_bytes
-        self.candidate_tops = candidate_tops
-
-    def format(self) -> str:
-        """One line: ``levels=6,5 placements=... table_peak_bytes=...``."""
-        counts = " ".join(map("{}={}".format, self._fields[1:], self._values()[1:]))
-        return f"levels={','.join(map(str, self.levels))} {counts}"
+    _defaults = {"levels": list}
 
 
 def exists_partition(

@@ -741,6 +741,15 @@ class TestCli:
         assert search.startswith("search: levels=7 ")
         assert limit.startswith("resource limit:")
 
+    def test_sdepth_stats_when_the_poset_cap_is_hit(self, tmp_path):
+        # The build stops at the cap before any search, so there is no search line.
+        ideal_file = tmp_path / "c12-3.txt"
+        ideal_file.write_text(format_ideal(cycle_path_ideal(12, 3)))
+        proc = run_cli("sdepth", "--ideal-file", str(ideal_file), "--max-poset", "10", "--stats")
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr == "resource limit: multidegree box has 4096 cells, cap is 10\n"
+
     def test_depth_with_betti(self, tmp_path):
         ideal_file = tmp_path / "i42.txt"
         ideal_file.write_text(format_ideal(line_path_ideal(4, 2)))

@@ -309,9 +309,9 @@ class TestHomologyStats:
             gf2_calls.append(len(rows))
             return gf2_rank(rows)
 
-        def counted_ranks(faces):
+        def counted_ranks(faces, counts):
             faces_ranked.append(len(faces))
-            return ranks_of(faces)
+            return ranks_of(faces, counts)
 
         monkeypatch.setattr(homology, "_gf2_rank", counted_gf2)
         monkeypatch.setattr(homology, "_ranks_of", counted_ranks)
@@ -336,6 +336,22 @@ class TestHomologyStats:
             subsets=16, lcm_skips=12, joins=0, collapses=0, duals=2, faces=4, boundaries=0,
             fallbacks=0,
         )
+
+    def test_a_call_that_raises_adds_nothing(self, monkeypatch):
+        # Cycle (10,3) ranks six boundaries; the third rank fails.
+        gf2_rank, calls = homology._gf2_rank, []
+
+        def failing_gf2(rows):
+            calls.append(rows)
+            if len(calls) == 3:
+                raise AssertionError("planted rank failure")
+            return gf2_rank(rows)
+
+        monkeypatch.setattr(homology, "_gf2_rank", failing_gf2)
+        stats = HomologyStats(faces=7)
+        with pytest.raises(AssertionError, match="planted"):
+            hochster_betti(cycle_path_ideal(10, 3), stats=stats)
+        assert stats == HomologyStats(faces=7)
 
     def test_rp2_reports_one_fallback(self, tmp_path, capsys):
         ideal_file = tmp_path / "rp2.txt"
@@ -647,8 +663,9 @@ class TestLatticeRoutes:
             faces = set_bits(below & ~upset)
             assert faces == sorted(m for m in reference_faces(cx) if m & fmask == m)
             expected = nonzero(reference_ranks(cx.restrict(fmask)))
-            assert nonzero(homology._ranks_of(faces)[0]) == expected
-            assert nonzero(homology._dual_ranks(fmask, below & upset)[0]) == expected
+            counts = HomologyStats()
+            assert nonzero(homology._ranks_of(faces, counts)) == expected
+            assert nonzero(homology._dual_ranks(fmask, below & upset, counts)) == expected
 
     @settings(max_examples=150, deadline=None)
     @given(squarefree_ideals())

@@ -3,12 +3,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import relabel
 from sdepthlab import (
+    HomologyStats,
     IdealSyntaxError,
     InputError,
     InvalidPresentationError,
     Monomial,
     MonomialIdeal,
     QuotientPresentation,
+    SearchStats,
     add_generators,
     colon,
     constant,
@@ -281,3 +283,14 @@ def test_monomial_guards():
 @example(1 << 2**20 - 1 | 1 << 2**19 | 1)  # three bits over 2^20 digits
 def test_set_bits_matches_a_scan_of_every_digit(mask):
     assert set_bits(mask) == [i for i, c in enumerate(reversed(bin(mask))) if c == "1"]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: HomologyStats(1, subsets=2),
+    lambda: SearchStats([5], levels=[6]),
+    lambda: HomologyStats(nodes=1),
+    lambda: HomologyStats(*range(9)),
+], ids=["given-twice", "levels-twice", "unknown-name", "too-many-values"])
+def test_counters_reject_what_a_constructor_would(build):
+    with pytest.raises(TypeError):
+        build()
