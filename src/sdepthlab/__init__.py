@@ -17,7 +17,6 @@ from .families import (
     is_equality_case,
     line_depth_formula,
     line_path_ideal,
-    proof_tower,
     quotient_module_bound,
 )
 from .harness import (

@@ -5,6 +5,8 @@ standard output could not be written (silently when the reader closed it, with
 one ``error: cannot write standard output`` line on stderr for any other
 OSError there), 2 when a scan or verification found a violation, 3 for input
 errors, 4 when a resource cap or time limit was hit at the command level.
+With ``--stats``, an ``sdepth`` run that searched no level prints no
+``search:`` line: a bad limit, a capped poset build.
 """
 
 from __future__ import annotations
@@ -24,9 +26,8 @@ from .solver import (
     DEFAULT_TIME_LIMIT_S,
     SearchStats,
     build_poset,
-    check_limits,
     parse_certificate,
-    sdepth_of_poset,
+    sdepth_of_pair,
     verify_decomposition,
 )
 
@@ -136,17 +137,16 @@ def _check_writable(path: str) -> None:
 
 
 def _cmd_sdepth(args) -> int:
-    check_limits(args.time_limit_s, args.max_poset)  # no stats line for a search never run
     pair = _load_pair(args)
     if args.certificate:
         _check_writable(args.certificate)
-    poset = build_poset(pair, cap=args.max_poset)  # a capped build prints no stats line either
     stats = SearchStats() if args.stats else None
     try:
-        result = sdepth_of_poset(poset, time_limit_s=args.time_limit_s, stats=stats)
+        result = sdepth_of_pair(pair, time_limit_s=args.time_limit_s,
+                                max_poset=args.max_poset, stats=stats)
     finally:
         # Also when the search hits the time limit: the counts show how far it got.
-        if stats is not None:
+        if stats is not None and stats.levels:
             print(f"search: {stats.format()}", file=sys.stderr)
     if result.infeasible_at is not None:
         certified = f"partition at {result.value}, none at {result.infeasible_at}"

@@ -5,15 +5,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import InputError
-from .ideals import (
-    MAX_AMBIENT,
-    MonomialIdeal,
-    add_generators,
-    colon,
-    minimalize,
-    monomial,
-    variable,
-)
+from .ideals import MAX_AMBIENT, MonomialIdeal, minimalize, monomial
 
 
 def _check_bounds(n: int, m: int) -> None:
@@ -116,23 +108,3 @@ def formula_table(n: int, m: int) -> FormulaRecord:
     if rec.depth_line != rec.phi or rec.depth_cycle != rec.psi:
         raise AssertionError(f"n - pd disagrees with phi/psi at (n, m) = ({n}, {m})")
     return rec
-
-
-def proof_tower(n: int, m: int) -> list[tuple[MonomialIdeal, MonomialIdeal]]:
-    """Colon/extension tower over the cycle ideal.
-
-    Starting from L_0 = cycle ideal, returns pairs (L_k, U_k) for k = 0..m-1
-    where U_k = (L_k, x_{n-k}) and L_{k+1} = (L_k : x_{n-k}).  Every ideal is
-    computed by the colon and extension operations, never transcribed from a
-    closed-form generator list.
-    """
-    if not (3 <= m + 1 < n):
-        raise InputError(f"tower needs 3 <= m+1 < n, got (n, m) = ({n}, {m})")
-    tower = []
-    level = cycle_path_ideal(n, m)
-    for k in range(m):
-        x = variable(n, n - k)
-        tower.append((level, add_generators(level, [x])))
-        level = colon(level, x)
-    return tower
-

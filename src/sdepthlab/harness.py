@@ -1,10 +1,12 @@
 """Verification scans over the ideal families, with deterministic emitters.
 
-Each scan row records a single (n, m) instance of one configured check.  A row
-may only carry status ``violation`` when every quantity in the violated claim
-was computed exactly; searches that run out of budget become ``unknown``.
-Row outputs are merged in (n, m, check) order, so the emitted tables do not
-depend on how many processes computed them.
+Each scan row records a single (n, m) instance of one configured check.  Every
+claim the scans assert is Stanley's inequality with a closed-form bracket,
+depth = bound_lo <= sdepth <= bound_hi, and one function, ``row`` in
+``_compute_rows``, sets every status from it: ``violation`` only when a
+computed value breaks the claim, ``unknown`` when a requested sdepth hit a
+resource limit, ``ok`` otherwise.  Row outputs are merged in (n, m, check)
+order, so the emitted tables do not depend on how many processes computed them.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import os
 import time
 from typing import NamedTuple
 
-from .errors import InputError, PosetCapExceededError, TimeLimitExceededError
+from .errors import InputError, ResourceCapError
 from .families import (
     cycle_path_ideal,
     formula_table,
@@ -43,9 +45,6 @@ from .solver import (
 )
 
 CHECKS = ("thm14", "cor15", "prop16", "conjecture", "formulas")
-
-# Default for a row's sdepth cell when the check does not ask for the value.
-_NOT_REQUESTED = object()
 
 # A work index travels to the scan's processes as one record of this size.
 _CLAIM_BYTES = 4
@@ -97,40 +96,41 @@ def write_certificate(path: str, decomposition: StanleyDecomposition) -> None:
 def _compute_rows(args: tuple) -> list[ScanRow]:
     """Rows of one (n, m) instance.
 
-    Each check computes only the quantities it needs and states whether its
-    asserted claim holds on the values that were computed; ``row`` turns that
-    into the status and stamps the milliseconds since the previous row.
+    Each check computes only its own quantities and passes them, with its
+    bounds, to ``row``, the one evaluator of every claim.  ``row`` computes a
+    requested sdepth itself, sets the status and stamps the milliseconds since
+    the previous row.  An asserted row is a ``violation`` when its depth is not
+    ``bound_lo``, its sdepth lies outside [``bound_lo``, ``bound_hi``] (None
+    is no upper bound) or its structure check failed.  A row whose sdepth hit
+    the time limit or the poset cap is otherwise ``unknown``: a missing value
+    is never evidence against a claim.  The ``conjecture`` and
+    ``cor15-printed-cond`` rows assert nothing and are never a violation.
     """
     check, n, m, time_limit_s, max_poset, cert_dir = args
     started = time.monotonic()
     rec = formula_table(n, m)
     cycle = cycle_path_ideal(n, m)
-    cert_path = None if cert_dir is None else os.path.join(cert_dir, f"{check}-n{n}-m{m}.cert")
 
-    def sdepth_of(pair):
-        # None when the search hits the time limit or the poset cap: the value
-        # is then unknown, which is never evidence against a claim.  The
-        # solver has verified the certificate that is stored.
-        try:
-            result = sdepth_of_pair(pair, time_limit_s=time_limit_s, max_poset=max_poset)
-        except (TimeLimitExceededError, PosetCapExceededError):
-            return None
-        if cert_path is not None:
-            write_certificate(cert_path, result.certificate)
-        return result.value
-
-    def row(label, holds, bound_lo, bound_hi, *, depth=None, sdepth=_NOT_REQUESTED):
-        # A requested sdepth that is missing makes the row unknown; only a
-        # computed value that breaks the claim makes it a violation.
+    def row(label, bound_lo, bound_hi, *, depth=None, pair=None, structure_ok=True):
         nonlocal started
-        if not holds:
+        sdepth, status = None, "ok"
+        if pair is not None:
+            try:
+                result = sdepth_of_pair(pair, time_limit_s=time_limit_s, max_poset=max_poset)
+            except ResourceCapError:
+                status = "unknown"
+            else:
+                sdepth = result.value
+                if cert_dir is not None:  # the solver has verified the certificate
+                    write_certificate(os.path.join(cert_dir, f"{check}-n{n}-m{m}.cert"),
+                                      result.certificate)
+        if label not in ("conjecture", "cor15-printed-cond") and (
+            not structure_ok
+            or depth not in (None, bound_lo)
+            or sdepth is not None
+            and (sdepth < bound_lo or bound_hi is not None and sdepth > bound_hi)
+        ):
             status = "violation"
-        elif sdepth is None:
-            status = "unknown"
-        else:
-            status = "ok"
-        if sdepth is _NOT_REQUESTED:
-            sdepth = None
         now = time.monotonic()
         out = ScanRow(n, m, label, rec.psi, rec.phi, sdepth, depth, bound_lo, bound_hi,
                       status, int((now - started) * 1000))
@@ -138,40 +138,31 @@ def _compute_rows(args: tuple) -> list[ScanRow]:
         return out
 
     if check == "thm14":
-        depth = depth_squarefree(cycle)
-        sdepth = sdepth_of(ring_quotient(cycle))
-        holds = depth == rec.psi and (sdepth is None or rec.psi <= sdepth <= rec.phi)
-        return [row(check, holds, rec.psi, rec.phi, depth=depth, sdepth=sdepth)]
+        return [row(check, rec.psi, rec.phi, depth=depth_squarefree(cycle),
+                    pair=ring_quotient(cycle))]
 
     if check == "cor15":
         depth = depth_squarefree(cycle)
         if not is_equality_case(n, m):
             # Bracket conditions as printed select exactly the non-equality
-            # instances, where the formulas force depth = psi < phi; reported
-            # as informational rows rather than asserted.
-            return [row("cor15-printed-cond", True, rec.psi, rec.phi, depth=depth)]
-        sdepth = sdepth_of(ring_quotient(cycle))
-        holds = depth == rec.phi and sdepth in (None, rec.phi)
-        return [row(check, holds, rec.phi, rec.phi, depth=depth, sdepth=sdepth)]
+            # instances, where the formulas force depth = psi < phi.
+            return [row("cor15-printed-cond", rec.psi, rec.phi, depth=depth)]
+        return [row(check, rec.phi, rec.phi, depth=depth, pair=ring_quotient(cycle))]
 
     if check == "prop16":
-        bound = quotient_module_bound(n, m)
-        sdepth = sdepth_of(QuotientPresentation(cycle, line_path_ideal(n, m)))
         report = prop16_structure_check(n, m)
-        holds = report.ok and (sdepth is None or sdepth >= bound)
-        return [row(check, holds, bound, None, depth=report.derived_depth, sdepth=sdepth)]
+        return [row(check, quotient_module_bound(n, m), None, depth=report.derived_depth,
+                    pair=QuotientPresentation(cycle, line_path_ideal(n, m)),
+                    structure_ok=report.ok)]
 
     if check == "conjecture":
         # Open statement: agreement with phi is recorded, never asserted.
-        sdepth = sdepth_of(ring_quotient(cycle))
-        return [row(check, True, rec.phi, rec.phi, sdepth=sdepth)]
+        return [row(check, rec.phi, rec.phi, pair=ring_quotient(cycle))]
 
     if check == "formulas":
-        depth_line = depth_squarefree(line_path_ideal(n, m))
-        line_row = row("formulas-line", depth_line == rec.phi, rec.phi, rec.phi, depth=depth_line)
-        depth_cycle = depth_squarefree(cycle)
-        return [line_row,
-                row("formulas-cycle", depth_cycle == rec.psi, rec.psi, rec.psi, depth=depth_cycle)]
+        line_row = row("formulas-line", rec.phi, rec.phi,
+                       depth=depth_squarefree(line_path_ideal(n, m)))
+        return [line_row, row("formulas-cycle", rec.psi, rec.psi, depth=depth_squarefree(cycle))]
 
     raise InputError(f"unknown check {check!r}")
 

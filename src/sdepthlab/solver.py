@@ -833,7 +833,8 @@ def sdepth_of_pair(
     max_poset: int = DEFAULT_POSET_CAP,
     stats: SearchStats | None = None,
 ) -> SdepthResult:
-    """Build the poset of the presentation and compute its invariant."""
+    """Check the limits, then build the poset of the presentation and compute its invariant."""
+    check_limits(time_limit_s, max_poset)
     poset = build_poset(pair, cap=max_poset)
     return sdepth_of_poset(poset, time_limit_s=time_limit_s, stats=stats)
 

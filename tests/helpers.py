@@ -11,10 +11,14 @@ from sdepthlab import (
     MonomialIdeal,
     StanleyDecomposition,
     VerificationReport,
+    add_generators,
+    colon,
+    cycle_path_ideal,
     exists_partition,
     minimalize,
     monomial,
     sr_complex,
+    variable,
 )
 from sdepthlab.ideals import MAX_AMBIENT
 
@@ -272,6 +276,25 @@ def v_ideal(n: int, m: int, k: int, j: int) -> MonomialIdeal:
     for i in range(2, n - m - k + 1):
         gens.append(monomial(ambient, range(i, i + m)))
     return minimalize(gens, ambient)
+
+
+def proof_tower(n: int, m: int) -> list[tuple[MonomialIdeal, MonomialIdeal]]:
+    """Colon/extension tower over the cycle ideal.
+
+    Starting from L_0 = cycle ideal, returns pairs (L_k, U_k) for k = 0..m-1
+    where U_k = (L_k, x_{n-k}) and L_{k+1} = (L_k : x_{n-k}).  Every ideal is
+    computed by the colon and extension operations, never transcribed from a
+    closed-form generator list.
+    """
+    if not (3 <= m + 1 < n):
+        raise InputError(f"tower needs 3 <= m+1 < n, got (n, m) = ({n}, {m})")
+    tower = []
+    level = cycle_path_ideal(n, m)
+    for k in range(m):
+        x = variable(n, n - k)
+        tower.append((level, add_generators(level, [x])))
+        level = colon(level, x)
+    return tower
 
 
 def reference_faces(complex_) -> list[int]:

@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import relabel, v_ideal
+from helpers import proof_tower, relabel, v_ideal
 from sdepthlab import (
     InputError,
     add_generators,
@@ -14,7 +14,6 @@ from sdepthlab import (
     line_path_ideal,
     minimalize,
     monomial,
-    proof_tower,
     ring_quotient,
     sdepth_of_pair,
     variable,

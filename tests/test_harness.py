@@ -7,21 +7,26 @@ import signal
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from sdepthlab import (
     InputError,
+    PosetCapExceededError,
     ScanRow,
+    TimeLimitExceededError,
     cycle_path_ideal,
     emit_csv,
     emit_json,
     emit_md,
     format_ideal,
+    formula_table,
     line_path_ideal,
     member,
     monomial,
     prop16_structure_check,
+    quotient_module_bound,
     run_scan,
 )
 from sdepthlab import cli, harness
@@ -527,6 +532,97 @@ class TestUnknownRows:
                 assert printed and emit_csv(printed) == emit_csv(uncapped)
 
 
+class TestRowClaims:
+    """Every asserted row claims depth = bound_lo <= sdepth <= bound_hi.
+
+    The computed quantities are replaced one at a time, so each row's status
+    is seen to follow from that one claim alone.
+    """
+
+    # (check, n, m, bound_lo, bound_hi) of one row of each asserted check.
+    ASSERTED = [
+        ("thm14", 4, 2, formula_table(4, 2).psi, formula_table(4, 2).phi),
+        ("cor15", 5, 2, formula_table(5, 2).phi, formula_table(5, 2).phi),
+        ("prop16", 5, 2, quotient_module_bound(5, 2), None),
+        ("formulas-line", 5, 2, formula_table(5, 2).phi, formula_table(5, 2).phi),
+        ("formulas-cycle", 5, 2, formula_table(5, 2).psi, formula_table(5, 2).psi),
+    ]
+    SEARCHED = [case for case in ASSERTED if not case[0].startswith("formulas")]
+
+    @staticmethod
+    def row(label, n, m):
+        check = label.partition("-")[0]
+        rows = run_scan(check, n_max=n, m_min=m, m_max=m, jobs=1)
+        (out,) = [r for r in rows if (r.n, r.m, r.check) == (n, m, label)]
+        return out
+
+    @staticmethod
+    def sdepth_is(monkeypatch, value):
+        # A row that stores no certificate reads only the value of a result.
+        result = SimpleNamespace(value=value)
+        monkeypatch.setattr(harness, "sdepth_of_pair", lambda pair, **kw: result)
+
+    @pytest.mark.parametrize("label, n, m, lo, hi", ASSERTED)
+    def test_depth_off_the_lower_bound(self, monkeypatch, label, n, m, lo, hi):
+        if label == "prop16":
+            structure = prop16_structure_check
+
+            def shifted(n, m):
+                report = structure(n, m)
+                return report._replace(derived_depth=report.derived_depth + 1)
+
+            monkeypatch.setattr(harness, "prop16_structure_check", shifted)
+        else:
+            depth = harness.depth_squarefree
+            monkeypatch.setattr(harness, "depth_squarefree", lambda ideal: depth(ideal) + 1)
+        out = self.row(label, n, m)
+        assert (out.depth, out.bound_lo, out.status) == (lo + 1, lo, "violation")
+
+    @pytest.mark.parametrize("label, n, m, lo, hi", SEARCHED)
+    def test_sdepth_below_the_lower_bound(self, monkeypatch, label, n, m, lo, hi):
+        self.sdepth_is(monkeypatch, lo - 1)
+        out = self.row(label, n, m)
+        assert (out.sdepth, out.depth, out.status) == (lo - 1, lo, "violation")
+
+    @pytest.mark.parametrize("label, n, m, lo, hi", SEARCHED)
+    def test_sdepth_above_the_upper_bound(self, monkeypatch, label, n, m, lo, hi):
+        value = (lo if hi is None else hi) + 1
+        self.sdepth_is(monkeypatch, value)
+        out = self.row(label, n, m)
+        # prop16 asserts only the lower side.
+        assert (out.sdepth, out.status) == (value, "ok" if hi is None else "violation")
+
+    def test_structure_problem(self, monkeypatch):
+        structure = prop16_structure_check
+        monkeypatch.setattr(harness, "prop16_structure_check",
+                            lambda n, m: structure(n, m)._replace(ok=False))
+        out = self.row("prop16", 5, 2)
+        assert (out.depth, out.sdepth, out.status) == (out.bound_lo, out.bound_lo, "violation")
+
+    @pytest.mark.parametrize("error", [TimeLimitExceededError, PosetCapExceededError])
+    @pytest.mark.parametrize("label, n, m", [
+        ("thm14", 4, 2), ("cor15", 5, 2), ("prop16", 5, 2), ("conjecture", 10, 2),
+    ])
+    def test_limit_makes_unknown(self, monkeypatch, error, label, n, m):
+        def capped(pair, **kw):
+            raise error("limit")
+
+        monkeypatch.setattr(harness, "sdepth_of_pair", capped)
+        out = self.row(label, n, m)
+        assert (out.sdepth, out.status) == (None, "unknown")
+
+    @pytest.mark.parametrize("value", [0, 99])
+    def test_conjecture_asserts_nothing(self, monkeypatch, value):
+        self.sdepth_is(monkeypatch, value)
+        out = self.row("conjecture", 10, 2)
+        assert (out.sdepth, out.bound_lo, out.status) == (value, formula_table(10, 2).phi, "ok")
+
+    def test_printed_condition_asserts_nothing(self, monkeypatch):
+        monkeypatch.setattr(harness, "depth_squarefree", lambda ideal: 99)
+        out = self.row("cor15-printed-cond", 4, 2)
+        assert (out.depth, out.sdepth, out.status) == (99, None, "ok")
+
+
 class TestStructureCheck:
     def test_four_two_single_element(self):
         report = prop16_structure_check(4, 2)
@@ -889,6 +985,14 @@ class TestCli:
         assert out == ""
         assert err.startswith("error: ") and "must be at least" in err
         assert err.count("\n") == 1
+
+    def test_sdepth_reads_the_ideal_before_the_limits(self, tmp_path, capsys):
+        missing = tmp_path / "missing.txt"
+        args = ["sdepth", "--ideal-file", str(missing), "--time-limit-s", "-1", "--stats"]
+        assert cli.main(args) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot read {missing}") and err.count("\n") == 1
 
     def test_scan_jobs_below_one_is_input_error(self):
         proc = run_cli("scan", "--check", "thm14", "--n-max", "5", "--jobs", "-3")

@@ -623,6 +623,15 @@ class TestTimeLimit:
         sdepth_of_pair(cycle_quotient(9, 6), time_limit_s=None)
         assert limits == [None, None]
 
+    @pytest.mark.parametrize("limits", [dict(time_limit_s=-1), dict(max_poset=0)])
+    def test_pair_limits_checked_before_the_build(self, monkeypatch, limits):
+        def unreachable(*args, **kw):
+            raise AssertionError("the poset was built")
+
+        monkeypatch.setattr(solver, "build_poset", unreachable)
+        with pytest.raises(InputError, match="must be at least"):
+            sdepth_of_pair(cycle_quotient(5, 2), **limits)
+
 
 class TestSearchStats:
     """Exact counts of deterministic searches.
