@@ -15,6 +15,7 @@ process would otherwise pay for at start-up.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from itertools import repeat
 from math import prod
 from typing import Iterable
@@ -281,13 +282,17 @@ def member(ideal: MonomialIdeal, u: Monomial) -> bool:
     return any(g.divides(u) for g in ideal.gens)
 
 
-def box_steps(bound: tuple[int, ...]) -> list[tuple[int, int]]:
+# A bound's masks take n bits per cell of its box, 2.6 MB for (1,) * 20, so
+# only the last few bounds are kept: a scan or a build meets one or two.
+@lru_cache(maxsize=8)
+def box_steps(bound: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """(weight, below) for each coordinate j of the box [0, bound].
 
     A set of cells is an int with one bit per cell, indexed by mixed-radix
     code (radix bound_j + 1, x1 least significant).  ``weight`` is the code
     step of coordinate j and ``below`` the set of cells whose coordinate j is
     below bound_j, the cells from which one step along j stays in the box.
+    Each bound's steps are computed once and shared.
     """
     size = prod(b + 1 for b in bound)
     steps = []
@@ -301,7 +306,7 @@ def box_steps(bound: tuple[int, ...]) -> list[tuple[int, int]]:
             span *= 2
         steps.append((weight, below))
         weight = period
-    return steps
+    return tuple(steps)
 
 
 def box_upset(cells: int, bound: tuple[int, ...]) -> int:

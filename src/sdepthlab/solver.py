@@ -55,7 +55,11 @@ x1 up; the poset keeps one byte per part per element, its part code, and
 neither codes nor exponent tuples.  An element's exponents are one table row
 per part byte, in tables that depend only on the bound and are shared by every
 poset with that bound; rho, one byte per element, is a sum of per-part counts
-read once at the build.
+read once at the build.  A list of elements is decoded in bulk (``decode``):
+its part bytes are gathered and each part is mapped once through the bound's
+tables, to exponents, codes and box sizes, with no Python code per element.
+The search decodes the tops of a level this way, and a certificate's bottoms
+and variable sets are read off the same way; the lists live for one call.
 
 The search asks the order its questions as int bitsets indexed by element
 (``order_bitsets``): for each coordinate and threshold, one translation of a
@@ -76,9 +80,12 @@ Every certificate the solver reports is checked again by
 poset as the bitset ``cells`` that the build computes, indexed by code, and
 decodes the cells it names by its own arithmetic on the weights.  It builds
 each interval's cells as one int per row of the box: the bottom's bit, shifted
-along each raised coordinate.  An interval passes when its cells lie in
-``cells`` and miss the union of those before it; exact cover is the union
-equal to ``cells`` at the end.
+along each raised coordinate.  One pass checks each interval's ambient,
+variables, bound and rho, ORs its cells into a union and adds up their
+counts.  The intervals partition the poset exactly when the union equals
+``cells`` and the counts sum to its size, since sizes sum to the size of a
+union exactly when no two sets meet.  Only a certificate that this pass
+rejects is gone through again one interval at a time, to name each failure.
 """
 
 from __future__ import annotations
@@ -89,7 +96,7 @@ import time
 from bisect import bisect_right
 from functools import lru_cache, reduce
 from itertools import compress, repeat
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 from math import comb, prod
 from operator import add, and_, eq, getitem, le, lt, mul, or_, sub
 
@@ -334,19 +341,29 @@ class StanleyDecomposition(FrozenRecord):
 
 
 def _decomposition(
-    poset: CharacteristicPoset, pairs: Iterable[tuple[int, int]]
+    poset: CharacteristicPoset, bottoms: Sequence[int], tops: Sequence[int]
 ) -> StanleyDecomposition:
-    """The intervals between (bottom, top) element indices; equal variable sets share a frozenset."""
-    g, exponents = poset.g, poset.exponents
-    variables = range(1, poset.n + 1)
+    """The intervals from each of ``bottoms`` to the matching one of ``tops``, element indices.
+
+    A top's variable set is its variables at the bound, one table lookup per
+    part byte (``_part_tables``); with more than one part, the parts' sets
+    are joined once per distinct tuple of them.  Equal sets share one
+    frozenset.
+    """
+    _, exps, _, _ = decode(poset, bottoms)
+    sets = [
+        map(at_bound.__getitem__, part)
+        for part, (_, _, at_bound) in zip(gather_parts(poset.parts, tops), _part_tables(poset.g))
+    ]
+    if len(sets) == 1:
+        zsets = sets[0]
+    else:
+        keys = list(zip(*sets))
+        joined = {key: frozenset().union(*key) for key in set(keys)}
+        zsets = map(joined.__getitem__, keys)
     # Every exponent of the poset lies in [0, g], and ``build_poset`` keeps g
     # under the cap, so the monomial constructor's checks can be skipped.
-    shared: dict[frozenset[int], frozenset[int]] = {}
-    intervals = []
-    for bottom, top in pairs:
-        zvars = frozenset(compress(variables, map(eq, exponents(top), g)))
-        intervals.append((Monomial.trusted(exponents(bottom)), shared.setdefault(zvars, zvars)))
-    return StanleyDecomposition(poset.n, tuple(intervals))
+    return StanleyDecomposition(poset.n, tuple(zip(map(Monomial.trusted, exps), zsets)))
 
 
 def check_limits(time_limit_s: float | None = None, cap: int = 1) -> None:
@@ -368,7 +385,8 @@ def _check_level(poset: CharacteristicPoset, k: int) -> None:
 
 def singleton_decomposition(poset: CharacteristicPoset) -> StanleyDecomposition:
     """Every element as its own interval; always a valid partition."""
-    return _decomposition(poset, ((i, i) for i in range(len(poset))))
+    every = range(len(poset))
+    return _decomposition(poset, every, every)
 
 
 class SearchStats(Counters):
@@ -435,7 +453,7 @@ def exists_partition(
     intervals = _search(poset, k, deadline, stats)
     if intervals is None:
         return None
-    return _decomposition(poset, intervals)
+    return _decomposition(poset, *zip(*intervals))
 
 
 def order_bitsets(
@@ -485,6 +503,57 @@ def gather_parts(parts: Sequence[bytes], order: Sequence[int]) -> list[bytes]:
     return [bytes(map(part.__getitem__, order)) for part in parts]
 
 
+def decode(
+    poset: CharacteristicPoset, order: Sequence[int]
+) -> tuple[list[bytes], Iterator[tuple[int, ...]], Iterator[int], Iterator[int]]:
+    """The part bytes, exponents, codes and boxes |[e, g]| of the elements ``order`` lists.
+
+    The part bytes are ``gather_parts``'s.  The other three are iterators in
+    ``order``'s order, to be read at most once: each maps every part's bytes
+    once through a table of the bound (``_part_tables``) and adds or
+    multiplies the parts' values in C, so no Python code runs per element.
+    """
+    parts = gather_parts(poset.parts, order)
+    exps = codes = boxes = None
+    for part, rows, (weight, factors, _) in zip(parts, poset._tables, _part_tables(poset.g)):
+        part_exps = map(rows.__getitem__, part)
+        part_codes = iter(part) if weight == 1 else map(weight.__mul__, part)
+        part_boxes = map(factors.__getitem__, part)
+        if exps is None:
+            exps, codes, boxes = part_exps, part_codes, part_boxes
+        else:
+            exps = map(add, exps, part_exps)
+            codes = map(add, codes, part_codes)
+            boxes = map(mul, boxes, part_boxes)
+    return parts, exps, codes, boxes
+
+
+@lru_cache(maxsize=64)
+def _part_tables(
+    g: tuple[int, ...]
+) -> tuple[tuple[int, tuple[int, ...], tuple[frozenset[int], ...]], ...]:
+    """(weight, factors, at_bound) of each part of a code on the bound g.
+
+    ``weight`` is the part's place value in a code.  For each part code c,
+    ``factors[c]`` is prod(g_j - c_j + 1) over the part's coordinates, its
+    factor of |[e, g]|, and ``at_bound[c]`` the set of its variables x_j with
+    c_j = g_j.  The tables grow one coordinate at a time in ``_code_parts``'s
+    row order, and each step raises each distinct set once, so equal sets
+    are one frozenset.
+    """
+    out, weight, first = [], 1, 1
+    for radix, exps, _ in _code_parts(g):
+        rows = [(1, frozenset())]
+        for v, b in enumerate(exps[-1], first):  # the last row is the part's bound
+            raised = {z: z | {v} for z in {z for _, z in rows}}
+            rows = [(f * (b - x + 1), raised[z] if x == b else z) for x in range(b + 1) for f, z in rows]
+        factors, at_bound = zip(*rows)
+        out.append((weight, factors, at_bound))
+        weight *= radix
+        first += len(exps[-1])
+    return tuple(out)
+
+
 def up_set(ge: list[list[int]], e: tuple[int, ...]) -> int:
     """The points at or above exponents e, from the ``ge`` columns."""
     return reduce(and_, map(getitem, ge, e))
@@ -504,13 +573,13 @@ def ranked_tops(poset: CharacteristicPoset, tops: int) -> list[int]:
     one order is (box of [e, t], code of t) order.  On a squarefree bound
     |[t, g]| = 2^(n - rho(t)) and the order is element order.
     """
-    g_up, weights, exponents = [gj + 1 for gj in poset.g], poset.weights, poset.exponents
-
-    def key(t):
-        e = exponents(t)
-        return -prod(map(sub, g_up, e)), sum(map(mul, e, weights))
-
-    return sorted(set_bits(tops), key=key)
+    order = set_bits(tops)
+    _, _, codes, boxes = decode(poset, order)
+    # One int per top: its code less its box times the box of the bound, which
+    # exceeds every code, so the ints ascend in (-|[t, g]|, code) order.
+    size = prod(gj + 1 for gj in poset.g)
+    keys = list(map(sub, codes, map(size.__mul__, boxes)))
+    return list(map(order.__getitem__, sorted(range(len(order)), key=keys.__getitem__)))
 
 
 def candidate_ranks(
@@ -605,7 +674,11 @@ def _search(poset, k, deadline, stats):
             return [(i, i) for i in range(size)]
         top_of = ranked_tops(poset, tops)
         ge, le = order_bitsets(poset.parts, g)
-        top_ge, top_le = order_bitsets(gather_parts(poset.parts, top_of), g)
+        top_parts, decoded, _, _ = decode(poset, top_of)
+        top_ge, top_le = order_bitsets(top_parts, g)
+        # The tops' exponents by element, decoded once for the watchers, the
+        # tops' own tables and the cells of the candidates that name them.
+        top_exps = dict(zip(top_of, decoded))
         ranks_above: list[int | None] = [None] * size
 
         # watchers[r] is the bitset of the lows whose current witness (an
@@ -632,7 +705,7 @@ def _search(poset, k, deadline, stats):
             nonlocal listed
             found = tables[ei]
             if found is None:
-                e = exponents(ei)
+                e = top_exps[ei] if rho[ei] == k else exponents(ei)
                 above = ranks_above[ei]
                 if above is None:
                     above = ranks_above[ei] = up_set(top_ge, e)
@@ -688,7 +761,7 @@ def _search(poset, k, deadline, stats):
         for r in range(len(top_of) - 1, -1, -1):
             if not unwatched:
                 break
-            watchers[r] = down_set(le, exponents(top_of[r])) & unwatched
+            watchers[r] = down_set(le, top_exps[top_of[r]]) & unwatched
             unwatched ^= watchers[r]
         if unwatched:
             stranded += 1
@@ -714,18 +787,21 @@ def _search(poset, k, deadline, stats):
                         top = cands[pos] = more[0]
                         cands += more[1:]
                         cells_of += repeat(None, len(more) - 1)
-                    t = exponents(top)
+                    t = top_exps[top]
                     cells = cells_of[pos] = (
                         up & down_set(le, t), ranks_above[ei] & down_set(top_le, t)
                     )
                 bits, covered = cells
                 if bits & mask:
                     continue
-                if mask | bits in failed:
+                # The table is empty until a subtree fails, so a search that
+                # never backtracks hashes no covered set.
+                state = mask | bits
+                if failed and state in failed:
                     hits += 1
                     continue
 
-                mask |= bits
+                mask = state
                 taken |= covered
                 placements += 1
                 if mask == full:
@@ -860,13 +936,107 @@ def verify_decomposition(
     The check reads only the certificate and the poset's bound, weights and
     cells, and decodes the cells it names by its own arithmetic on the
     weights, sharing no code with the search.  Sets of cells are bitsets
-    indexed by code, cut into rows of at most ``ROW_CELLS`` cells: a row holds
-    the cells that agree beyond the first few coordinates.  An interval's cells
-    are its bottom's bit, shifted along each raised coordinate, in each row
-    that the raised coordinates past the row reach.  An interval is accepted
-    when its cells lie in the poset's cells and miss those of the intervals
-    before it, and exact cover is one comparison at the end.  Cells are listed
-    one by one only for an interval that fails, to name each failure.
+    indexed by code, cut into rows of at most ``ROW_CELLS`` cells
+    (``_cell_rows``).  One pass (``_exact_cover``) checks each interval's
+    ambient, variables, bound and rho, ORs its cells into the rows and adds
+    up their counts: the intervals partition the poset exactly when the union
+    is the poset's cells and the counts sum to its size.  Only a certificate
+    that this pass rejects is checked again one interval at a time
+    (``_verify_each_interval``), to name each failure.
+    """
+    _check_level(poset, k)
+    if decomposition.n == poset.n:
+        least = _exact_cover(poset, decomposition.intervals, k)
+        if least is not None:
+            return VerificationReport(True, (), least)
+    return _verify_each_interval(poset, decomposition, k)
+
+
+def _cell_rows(poset: CharacteristicPoset) -> tuple[int, int, list[int]]:
+    """(split, width, rows): the poset's cells as rows of ``width`` cells, lowest first.
+
+    The first ``split`` coordinates run within a row, the rest across rows.
+    A bitset of up to ROW_CELLS bits costs about as much to AND, OR or shift
+    as the interpreter's own work per operation, so a box of that many cells
+    is one row.
+    """
+    n, g, weights = poset.n, poset.g, poset.weights
+    sizes = weights + (weights[-1] * (g[-1] + 1),)
+    split = bisect_right(sizes, ROW_CELLS) - 1
+    width = sizes[split]
+    digits = format(poset.cells, f"0{sizes[n]}b")
+    return split, width, [int(digits[a:a + width], 2) for a in range(0, sizes[n], width)][::-1]
+
+
+def _exact_cover(
+    poset: CharacteristicPoset, intervals: Sequence[tuple[Monomial, frozenset[int]]], k: int
+) -> int | None:
+    """The least rho of the intervals' tops if they partition the poset at level k, else None.
+
+    Each variable set is checked for range and its coordinates listed once.
+    Per interval the pass checks the bottom's ambient and bound and the top's
+    rho, then ORs the interval's cells into the rows and adds their count,
+    prod(g_j - e_j + 1) over its raised coordinates, to a total.  The union
+    is the poset's cells when every interval lies inside it and every element
+    is covered, and then the intervals are pairwise disjoint exactly when the
+    counts sum to the size of the union.
+    """
+    n, g, weights = poset.n, poset.g, poset.weights
+    split, width, cell_rows = _cell_rows(poset)
+    in_range = frozenset(range(1, n + 1))
+    union = [0] * len(cell_rows)
+    raised_of: dict[frozenset[int], list[int]] = {}
+    total, least = 0, n
+    for bottom, zvars in intervals:
+        e = bottom.exponents
+        raised = raised_of.get(zvars)
+        if raised is None:
+            if not in_range >= zvars:
+                return None
+            raised = raised_of[zvars] = sorted(v - 1 for v in zvars)
+        if len(e) != n or not all(map(le, e, g)):
+            return None
+        # The top's rho: the bottom's coordinates at the bound, and the raised
+        # ones below it, each of which spreads the cells along its coordinate.
+        r = sum(map(eq, e, g))
+        row, at = divmod(sum(map(mul, e, weights)), width)
+        within, rows, count = 1 << at, [row], 1
+        for j in raised:
+            steps = g[j] - e[j]
+            if steps:
+                r += 1
+                count *= steps + 1
+                w = weights[j]
+                if j < split:
+                    for _ in range(steps):
+                        within |= within << w
+                else:
+                    w //= width
+                    rows = [below + step for step in range(0, (steps + 1) * w, w) for below in rows]
+        if r < k:
+            return None
+        least = min(least, r)
+        total += count
+        for row in rows:
+            union[row] |= within
+    if union != cell_rows or total != poset.cells.bit_count():
+        return None
+    return least
+
+
+def _verify_each_interval(
+    poset: CharacteristicPoset,
+    decomposition: StanleyDecomposition,
+    k: int,
+) -> VerificationReport:
+    """``verify_decomposition``'s report, found one interval at a time.
+
+    An interval's cells are its bottom's bit, shifted along each raised
+    coordinate, in each row that the raised coordinates past the row reach.
+    An interval is accepted when its cells lie in the poset's cells and miss
+    those of the intervals before it, and exact cover is one comparison at
+    the end.  Cells are listed one by one only for an interval that fails,
+    to name each failure.
     """
     _check_level(poset, k)
     if decomposition.n != poset.n:
@@ -875,15 +1045,7 @@ def verify_decomposition(
     n, g, weights = poset.n, poset.g, poset.weights
     variables = range(1, n + 1)
     in_range = frozenset(variables)
-    # The first `split` coordinates run within a row, the rest across rows.
-    # A bitset of up to ROW_CELLS bits costs about as much to AND, OR or
-    # shift as the interpreter's own work per operation, so a box of that
-    # many cells is one row.
-    sizes = weights + (weights[-1] * (g[-1] + 1),)
-    split = bisect_right(sizes, ROW_CELLS) - 1
-    width = sizes[split]
-    digits = format(poset.cells, f"0{sizes[n]}b")
-    cell_rows = [int(digits[a:a + width], 2) for a in range(0, sizes[n], width)][::-1]
+    split, width, cell_rows = _cell_rows(poset)
     covered = [0] * len(cell_rows)
 
     def spread(e, free):

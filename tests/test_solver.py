@@ -1,10 +1,12 @@
+import functools
 import gc
 import hashlib
 import subprocess
 import sys
 import time
 import tracemalloc
-from math import comb
+from math import comb, prod
+from operator import le
 
 import pytest
 from hypothesis import example, given, reject, settings, strategies as st
@@ -850,14 +852,29 @@ class TestPartBytes:
         points = rows(poset)
         expected = reference_order_bitsets(points, poset.g)
         assert solver.order_bitsets(poset.parts, poset.g) == expected
+        sizes = [prod(gj - x + 1 for x, gj in zip(e, poset.g)) for e in points]
         for k in range(max(poset.rho) + 1):
-            tops = sum(1 << t for t, r in enumerate(poset.rho) if r >= k)
-            top_of = solver.ranked_tops(poset, tops)
-            found = solver.order_bitsets(solver.gather_parts(poset.parts, top_of), poset.g)
-            assert found == reference_order_bitsets([points[t] for t in top_of], poset.g), k
-        # exponents(i) reads back every element as box enumeration lists it.
+            # The ranks of the tops of rho >= k, and of the search's tops,
+            # rho = k, when there are any.
+            at_least = sum(1 << t for t, r in enumerate(poset.rho) if r >= k)
+            exactly = sum(1 << t for t, r in enumerate(poset.rho) if r == k)
+            for tops in filter(None, (at_least, exactly)):
+                top_of = solver.ranked_tops(poset, tops)
+                assert top_of == sorted(
+                    set_bits(tops), key=lambda t: (-sizes[t], encode(poset, points[t]))
+                ), k
+                found = solver.order_bitsets(solver.gather_parts(poset.parts, top_of), poset.g)
+                assert found == reference_order_bitsets([points[t] for t in top_of], poset.g), k
+        # exponents(i) reads back every element as box enumeration lists it,
+        # and the bulk decode reads them all back as exponents(i) does.
         expected = reference_poset(pair, g_override)[2]
-        assert [poset.exponents(i) for i in range(len(poset))] == list(expected)
+        assert list(points) == list(expected)
+        order = list(range(len(poset) - 1, -1, -2))
+        parts, exps, codes_of, boxes = solver.decode(poset, order)
+        assert parts == solver.gather_parts(poset.parts, order)
+        assert list(exps) == [poset.exponents(i) for i in order]
+        assert list(codes_of) == [encode(poset, points[i]) for i in order]
+        assert list(boxes) == [sizes[i] for i in order]
 
     @pytest.mark.parametrize("g, radices", [
         ((1,) * 11, [256, 8]),
@@ -997,21 +1014,50 @@ def tampered_certificates(draw):
     """(poset, certificate, k): the search's certificate at level k, and 0 to 3
     mutations of it or of k, in the order drawn."""
     poset = draw(small_presentations())
-    n = poset.n
-    k = draw(st.integers(min_value=0, max_value=n))
+    k = draw(st.integers(min_value=0, max_value=poset.n))
     found = exists_partition(poset, k)
     if found is None:
         k, found = 0, exists_partition(poset, 0)
+    return tamper(draw, poset, found, k)
+
+
+@functools.lru_cache(maxsize=None)
+def two_row_certificate():
+    """The cycle (14,3) poset and its certificate at level 7: a box of 2^14
+    cells, two rows of ROW_CELLS, so that an interval can span both."""
+    poset = build_poset(cycle_quotient(14, 3))
+    return poset, exists_partition(poset, 7)
+
+
+@st.composite
+def tampered_two_row_certificates(draw):
+    """(poset, certificate, k): the cycle (14,3) certificate at level 7 and 0
+    to 3 mutations of it or of k."""
+    poset, found = two_row_certificate()
+    return tamper(draw, poset, found, 7)
+
+
+def tamper(draw, poset, found, k):
+    """(poset, certificate, k) after 0 to 3 mutations of the certificate
+    ``found`` or of k, drawn with ``draw``."""
+    n = poset.n
     intervals, ambient = list(found.intervals), n
     for kind in draw(st.lists(st.sampled_from(MUTATIONS), max_size=3)):
         if kind == "decomposition ambient":
             ambient = n + 1
             continue
         if kind == "k above min_rho":
-            certificate = StanleyDecomposition(n, tuple(intervals))
-            min_rho = reference_verification(poset, certificate, k).min_rho
-            if min_rho is not None and min_rho < n:
-                k = min_rho + 1
+            # min_rho counts the tops of the intervals with their bottom and
+            # variables in range.
+            in_range = frozenset(range(1, n + 1))
+            rhos = [
+                sum(x == gj or j in zvars for j, x, gj in zip(range(1, n + 1), bottom.exponents, poset.g))
+                for bottom, zvars in intervals
+                if len(bottom.exponents) == n and zvars <= in_range
+                and all(map(le, bottom.exponents, poset.g))
+            ]
+            if rhos and min(rhos) < n:
+                k = min(rhos) + 1
             continue
         if not intervals:
             continue
@@ -1056,6 +1102,29 @@ class TestVerification:
         default, solver.ROW_CELLS = solver.ROW_CELLS, row_cells
         try:
             assert verify_decomposition(poset, certificate, k) == expected
+        finally:
+            solver.ROW_CELLS = default
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(
+        st.tuples(tampered_certificates(), st.sampled_from((1, 4, solver.ROW_CELLS))),
+        st.tuples(tampered_two_row_certificates(), st.just(solver.ROW_CELLS)),
+    ))
+    def test_one_pass_matches_each_interval(self, drawn):
+        # The one pass accepts exactly the certificates that the check of
+        # one interval at a time accepts, with its min_rho; what it rejects
+        # gets that check's report.  Rows of 1 or 4 cells split the small
+        # boxes, and the cycle (14,3) box is two rows at the default.
+        (poset, certificate, k), row_cells = drawn
+        default, solver.ROW_CELLS = solver.ROW_CELLS, row_cells
+        try:
+            named = solver._verify_each_interval(poset, certificate, k)
+            assert verify_decomposition(poset, certificate, k) == named
+            least = None
+            if certificate.n == poset.n:
+                least = solver._exact_cover(poset, certificate.intervals, k)
+            assert (least is not None) == named.ok
+            assert least == (named.min_rho if named.ok else None)
         finally:
             solver.ROW_CELLS = default
 
