@@ -52,14 +52,17 @@ degree d or more, one masked shift per coordinate.  The poset's cells of each
 degree, read off in turn, list the elements in (degree, code) order with no
 sort.  A code is cut into parts of at most 256 codes, runs of coordinates from
 x1 up; the poset keeps one byte per part per element, its part code, and
-neither codes nor exponent tuples.  An element's exponents are one table row
-per part byte, in tables that depend only on the bound and are shared by every
-poset with that bound; rho, one byte per element, is a sum of per-part counts
-read once at the build.  A list of elements is decoded in bulk (``decode``):
-its part bytes are gathered and each part is mapped once through the bound's
-tables, to exponents, codes and box sizes, with no Python code per element.
-The search decodes the tops of a level this way, and a certificate's bottoms
-and variable sets are read off the same way; the lists live for one call.
+neither codes nor exponent tuples.  Each part has one record of tables,
+indexed by part code, that depends only on the bound and is shared by every
+poset with that bound (``_parts_of``): the part's place value, exponents,
+count of coordinates at the bound, factor of the box size, variables at the
+bound and order columns.  An element's exponents are one table row per part
+byte; rho, one byte per element, is a sum of per-part counts read once at the
+build.  A list of elements is decoded in bulk (``decode``): its part bytes are
+gathered and each part is mapped once through its tables, to exponents, codes
+and box sizes, with no Python code per element.  The search decodes the tops
+of a level this way, and a certificate's bottoms and variable sets are read
+off the same way; the lists live for one call.
 
 The search asks the order its questions as int bitsets indexed by element
 (``order_bitsets``): for each coordinate and threshold, one translation of a
@@ -80,12 +83,14 @@ Every certificate the solver reports is checked again by
 poset as the bitset ``cells`` that the build computes, indexed by code, and
 decodes the cells it names by its own arithmetic on the weights.  It builds
 each interval's cells as one int per row of the box: the bottom's bit, shifted
-along each raised coordinate.  One pass checks each interval's ambient,
-variables, bound and rho, ORs its cells into a union and adds up their
-counts.  The intervals partition the poset exactly when the union equals
+along each raised coordinate.  One pass (``_cover``) checks each interval's
+ambient, variables, bound and rho, ORs its cells into a union and adds up
+their counts.  The intervals partition the poset exactly when the union equals
 ``cells`` and the counts sum to its size, since sizes sum to the size of a
 union exactly when no two sets meet.  Only a certificate that this pass
-rejects is gone through again one interval at a time, to name each failure.
+rejects goes through the same pass again with a list of failures, which then
+places each interval only where it lies in the poset and misses the cells
+before it, and names each failure.
 """
 
 from __future__ import annotations
@@ -95,10 +100,10 @@ import sys
 import time
 from bisect import bisect_right
 from functools import lru_cache, reduce
-from itertools import compress, repeat
+from itertools import repeat
 from typing import Iterator, NamedTuple, Sequence
 from math import comb, prod
-from operator import add, and_, eq, getitem, le, lt, mul, or_, sub
+from operator import add, and_, eq, getitem, le, mul, or_, sub
 
 from .errors import (
     IdealSyntaxError,
@@ -140,9 +145,9 @@ class CharacteristicPoset(FrozenRecord):
     (``weights``), listed ascending by (total degree, code); that listing is
     the linear extension used everywhere.  ``cells`` is the same set as one int
     with bit c set for each code c, the membership test.  ``parts`` holds, for
-    each part of a code (``_code_parts``), the part code of every element as
-    one ``bytes``, element i's at position i, which ``exponents(i)`` reads
-    back through the bound's tables (the one slot that is not a field).
+    each part of a code, the part code of every element as one ``bytes``,
+    element i's at position i, which ``exponents(i)`` reads back through the
+    bound's part tables (``_parts_of``, the one slot that is not a field).
     ``rho`` has one byte per element, the count of its coordinates that
     equal the bound g.  ``maximal_rho`` is the least rho of a maximal element:
     every element lies below a maximal one and rho is monotone, so some element
@@ -163,7 +168,7 @@ class CharacteristicPoset(FrozenRecord):
         maximal_rho: int,
     ) -> None:
         self._init(n, g, weights, cells, parts, rho, maximal_rho)
-        object.__setattr__(self, "_tables", tuple(exps for _, exps, _ in _code_parts(g)))
+        object.__setattr__(self, "_tables", _parts_of(g))
 
     def __len__(self) -> int:
         return len(self.rho)
@@ -171,8 +176,8 @@ class CharacteristicPoset(FrozenRecord):
     def exponents(self, i: int) -> tuple[int, ...]:
         """The exponents of element i, one table row per part byte."""
         out: tuple[int, ...] = ()
-        for part, exps in zip(self.parts, self._tables):
-            out += exps[part[i]]
+        for part, table in zip(self.parts, self._tables):
+            out += table.exps[part[i]]
         return out
 
 
@@ -258,16 +263,39 @@ def build_poset(
     return poset
 
 
+class _Part(NamedTuple):
+    """The tables of one part of a code on a bound, indexed by part code c.
+
+    ``weight`` is the part's place value in a code and ``radix`` its count
+    of part codes.  ``exps[c]`` lists c's exponents, its first coordinate
+    least significant; ``rho`` is a 256-byte translation table from c to its
+    count of coordinates at the bound; ``factors[c]`` is prod(g_j - c_j + 1)
+    over the part's coordinates, its factor of |[e, g]|; ``at_bound[c]`` is
+    the set of its variables x_j with c_j = g_j, one frozenset per distinct
+    set; ``columns[j][x - 1]``, for the part's j-th coordinate and x in
+    1..g_j, is a 256-byte translation table from c to "1" when that
+    coordinate is x or more and to "0" otherwise.
+    """
+
+    weight: int
+    radix: int
+    exps: tuple[tuple[int, ...], ...]
+    rho: bytes
+    factors: tuple[int, ...]
+    at_bound: tuple[frozenset[int], ...]
+    columns: tuple[tuple[bytes, ...], ...]
+
+
 @lru_cache(maxsize=64)
-def _code_parts(g: tuple[int, ...]) -> tuple[tuple[int, tuple, tuple], ...]:
-    """(radix, exps, rho) of each part of a code on the bound g.
+def _parts_of(g: tuple[int, ...]) -> tuple[_Part, ...]:
+    """The tables of each part of a code on the bound g, x1's part first.
 
     A part is a run of coordinates from x1 up whose radix product is at most
     256, so a part code is one byte, as every bound is at most
     ``MAX_EXPONENT``; a code is the mixed-radix number of its part codes, x1's
-    part least significant.
-    ``exps[c]`` and ``rho[c]`` are the exponents of the part code c, its first
-    coordinate least significant, and its count of coordinates at the bound.
+    part least significant.  The rows grow one coordinate at a time, and
+    each step raises each distinct variable set once, so equal sets are one
+    frozenset.
     """
     runs: list[list[int]] = []
     for j, gj in enumerate(g):
@@ -275,14 +303,26 @@ def _code_parts(g: tuple[int, ...]) -> tuple[tuple[int, tuple, tuple], ...]:
             runs[-1].append(j)
         else:
             runs.append([j])
-    parts = []
+    parts, weight = [], 1
     for run in runs:
-        rows = [((), 0)]
+        rows = [((), 0, 1, frozenset())]
         for j in run:
             gj = g[j]
-            rows = [(e + (x,), r + (x == gj)) for x in range(gj + 1) for e, r in rows]
-        exps, rho = zip(*rows)
-        parts.append((len(rows), exps, rho))
+            raised = {z: z | {j + 1} for z in {z for *_, z in rows}}
+            rows = [
+                (e + (x,), r + (x == gj), f * (gj - x + 1), raised[z] if x == gj else z)
+                for x in range(gj + 1)
+                for e, r, f, z in rows
+            ]
+        exps, rho, factors, at_bound = zip(*rows)
+        columns = tuple(
+            tuple(bytes(b"01"[d >= x] for d in digits).ljust(256, b"0") for x in range(1, g[j] + 1))
+            for j, digits in zip(run, zip(*exps))
+        )
+        parts.append(_Part(
+            weight, len(rows), exps, bytes(rho).ljust(256, b"\0"), factors, at_bound, columns
+        ))
+        weight *= len(rows)
     return tuple(parts)
 
 
@@ -293,19 +333,17 @@ def _split_codes(codes: Sequence[int], g: tuple[int, ...]) -> tuple[tuple[bytes,
     first part takes no division and the last no remainder.  A part's counts
     of coordinates at the bound are one translation of its bytes.
     """
-    tables = _code_parts(g)
-    box = prod(radix for radix, _, _ in tables)
+    tables = _parts_of(g)
     parts, rho = [], None
-    weight = 1
-    for radix, _, rho_of in tables:
+    for table in tables:
+        weight, radix = table.weight, table.radix
         digits = codes if weight == 1 else map(weight.__rfloordiv__, codes)
-        if weight * radix < box:
+        if table is not tables[-1]:
             digits = map(radix.__rmod__, digits)
         part = bytes(digits)
-        counts = part.translate(bytes(rho_of).ljust(256, b"\0"))
+        counts = part.translate(table.rho)
         parts.append(part)
         rho = counts if rho is None else map(add, rho, counts)
-        weight *= radix
     return tuple(parts), bytes(rho)
 
 
@@ -346,14 +384,14 @@ def _decomposition(
     """The intervals from each of ``bottoms`` to the matching one of ``tops``, element indices.
 
     A top's variable set is its variables at the bound, one table lookup per
-    part byte (``_part_tables``); with more than one part, the parts' sets
+    part byte (``_Part.at_bound``); with more than one part, the parts' sets
     are joined once per distinct tuple of them.  Equal sets share one
     frozenset.
     """
     _, exps, _, _ = decode(poset, bottoms)
     sets = [
-        map(at_bound.__getitem__, part)
-        for part, (_, _, at_bound) in zip(gather_parts(poset.parts, tops), _part_tables(poset.g))
+        map(table.at_bound.__getitem__, part)
+        for part, table in zip(decode(poset, tops)[0], poset._tables)
     ]
     if len(sets) == 1:
         zsets = sets[0]
@@ -466,41 +504,18 @@ def order_bitsets(
     ``ge[j][x]`` is the set of points with e_j >= x and ``le[j][x]`` the set
     with e_j <= x, for x in 0..g_j; ``ge[j][0]`` is every point.  Each
     ``ge[j][x]`` with x > 0 is one translation of the reversed part bytes
-    into binary digits, with a table of the bound (``_column_tables``), so no
+    into binary digits, with a table of the bound (``_Part.columns``), so no
     Python code runs per point.
     """
     full = (1 << len(parts[0])) - 1
     ge, le = [], []
-    for part, columns in zip(parts, _column_tables(g)):
+    for part, table in zip(parts, _parts_of(g)):
         text = part[::-1]
-        for tables in columns:
+        for tables in table.columns:
             at_least = [full] + [int(text.translate(table), 2) for table in tables]
             ge.append(at_least)
             le.append([full ^ above for above in at_least[1:]] + [full])
     return ge, le
-
-
-@lru_cache(maxsize=64)
-def _column_tables(g: tuple[int, ...]) -> tuple[tuple[tuple[bytes, ...], ...], ...]:
-    """Per part of a code on the bound g, per coordinate j in it, the 256-byte
-    translation tables for x = 1..g_j: each maps a part code to "1" when its
-    coordinate j is x or more and to "0" otherwise.
-    """
-    out = []
-    for _, exps, _ in _code_parts(g):
-        columns = []
-        for digits in zip(*exps):
-            columns.append(tuple(
-                bytes(b"01"[d >= x] for d in digits).ljust(256, b"0")
-                for x in range(1, max(digits) + 1)
-            ))
-        out.append(tuple(columns))
-    return tuple(out)
-
-
-def gather_parts(parts: Sequence[bytes], order: Sequence[int]) -> list[bytes]:
-    """The part bytes of the points ``order`` lists, in that order."""
-    return [bytes(map(part.__getitem__, order)) for part in parts]
 
 
 def decode(
@@ -508,17 +523,18 @@ def decode(
 ) -> tuple[list[bytes], Iterator[tuple[int, ...]], Iterator[int], Iterator[int]]:
     """The part bytes, exponents, codes and boxes |[e, g]| of the elements ``order`` lists.
 
-    The part bytes are ``gather_parts``'s.  The other three are iterators in
-    ``order``'s order, to be read at most once: each maps every part's bytes
-    once through a table of the bound (``_part_tables``) and adds or
-    multiplies the parts' values in C, so no Python code runs per element.
+    The part bytes are gathered in ``order``'s order, one ``bytes`` per part.
+    The other three are iterators in that order, to be read at most once:
+    each maps every part's bytes once through a table of the bound
+    (``_parts_of``) and adds or multiplies the parts' values in C, so no
+    Python code runs per element.
     """
-    parts = gather_parts(poset.parts, order)
+    parts = [bytes(map(part.__getitem__, order)) for part in poset.parts]
     exps = codes = boxes = None
-    for part, rows, (weight, factors, _) in zip(parts, poset._tables, _part_tables(poset.g)):
-        part_exps = map(rows.__getitem__, part)
-        part_codes = iter(part) if weight == 1 else map(weight.__mul__, part)
-        part_boxes = map(factors.__getitem__, part)
+    for part, table in zip(parts, poset._tables):
+        part_exps = map(table.exps.__getitem__, part)
+        part_codes = iter(part) if table.weight == 1 else map(table.weight.__mul__, part)
+        part_boxes = map(table.factors.__getitem__, part)
         if exps is None:
             exps, codes, boxes = part_exps, part_codes, part_boxes
         else:
@@ -526,32 +542,6 @@ def decode(
             codes = map(add, codes, part_codes)
             boxes = map(mul, boxes, part_boxes)
     return parts, exps, codes, boxes
-
-
-@lru_cache(maxsize=64)
-def _part_tables(
-    g: tuple[int, ...]
-) -> tuple[tuple[int, tuple[int, ...], tuple[frozenset[int], ...]], ...]:
-    """(weight, factors, at_bound) of each part of a code on the bound g.
-
-    ``weight`` is the part's place value in a code.  For each part code c,
-    ``factors[c]`` is prod(g_j - c_j + 1) over the part's coordinates, its
-    factor of |[e, g]|, and ``at_bound[c]`` the set of its variables x_j with
-    c_j = g_j.  The tables grow one coordinate at a time in ``_code_parts``'s
-    row order, and each step raises each distinct set once, so equal sets
-    are one frozenset.
-    """
-    out, weight, first = [], 1, 1
-    for radix, exps, _ in _code_parts(g):
-        rows = [(1, frozenset())]
-        for v, b in enumerate(exps[-1], first):  # the last row is the part's bound
-            raised = {z: z | {v} for z in {z for _, z in rows}}
-            rows = [(f * (b - x + 1), raised[z] if x == b else z) for x in range(b + 1) for f, z in rows]
-        factors, at_bound = zip(*rows)
-        out.append((weight, factors, at_bound))
-        weight *= radix
-        first += len(exps[-1])
-    return tuple(out)
 
 
 def up_set(ge: list[list[int]], e: tuple[int, ...]) -> int:
@@ -936,66 +926,91 @@ def verify_decomposition(
     The check reads only the certificate and the poset's bound, weights and
     cells, and decodes the cells it names by its own arithmetic on the
     weights, sharing no code with the search.  Sets of cells are bitsets
-    indexed by code, cut into rows of at most ``ROW_CELLS`` cells
-    (``_cell_rows``).  One pass (``_exact_cover``) checks each interval's
-    ambient, variables, bound and rho, ORs its cells into the rows and adds
-    up their counts: the intervals partition the poset exactly when the union
-    is the poset's cells and the counts sum to its size.  Only a certificate
-    that this pass rejects is checked again one interval at a time
-    (``_verify_each_interval``), to name each failure.
+    indexed by code, cut into rows of at most ``ROW_CELLS`` cells.  One pass
+    (``_cover``) checks each interval's ambient, variables, bound and rho,
+    ORs its cells into the rows and adds up their counts: the intervals
+    partition the poset exactly when the union is the poset's cells and the
+    counts sum to its size.  Only a certificate that this pass rejects goes
+    through the pass again with a list, to name each failure.
     """
     _check_level(poset, k)
-    if decomposition.n == poset.n:
-        least = _exact_cover(poset, decomposition.intervals, k)
-        if least is not None:
-            return VerificationReport(True, (), least)
-    return _verify_each_interval(poset, decomposition, k)
+    if decomposition.n != poset.n:
+        return VerificationReport(False, (f"ambient mismatch: {decomposition.n} vs {poset.n}",), None)
+    least = _cover(poset, decomposition.intervals, k)
+    if least is not None:
+        return VerificationReport(True, (), least)
+    failures: list[str] = []
+    least = _cover(poset, decomposition.intervals, k, failures)
+    return VerificationReport(not failures, tuple(failures), least)
 
 
-def _cell_rows(poset: CharacteristicPoset) -> tuple[int, int, list[int]]:
-    """(split, width, rows): the poset's cells as rows of ``width`` cells, lowest first.
+def _cover(
+    poset: CharacteristicPoset,
+    intervals: Sequence[tuple[Monomial, frozenset[int]]],
+    k: int,
+    failures: list[str] | None = None,
+) -> int | None:
+    """The least rho of the intervals' tops if they partition the poset at level k.
 
-    The first ``split`` coordinates run within a row, the rest across rows.
-    A bitset of up to ROW_CELLS bits costs about as much to AND, OR or shift
-    as the interpreter's own work per operation, so a box of that many cells
-    is one row.
+    Per interval the pass checks the bottom's ambient, its variables' range
+    and the bottom's bound, then ORs the interval's cells into the rows and
+    adds their count, prod(g_j - e_j + 1) over its raised coordinates, to a
+    total; each variable set's coordinates are listed once.  The union is the
+    poset's cells when every interval lies inside it and every element is
+    covered, and then the intervals are pairwise disjoint exactly when the
+    counts sum to the size of the union.
+
+    Without ``failures`` the pass returns None at the first failed check.
+    With a list it goes on past each failure and appends a line that names
+    it, and returns the least rho of the tops whose bottom passed the
+    checks, or None.  It then adds to the union only the cells inside the
+    poset, and names each cell of an interval that lies outside it or was
+    covered before.
     """
+    # The poset's cells as rows of ``width`` cells, lowest first: the first
+    # ``split`` coordinates run within a row, the rest across rows.  A bitset
+    # of up to ROW_CELLS bits costs about as much to AND, OR or shift as the
+    # interpreter's own work per operation, so a box of that many cells is
+    # one row.
     n, g, weights = poset.n, poset.g, poset.weights
     sizes = weights + (weights[-1] * (g[-1] + 1),)
     split = bisect_right(sizes, ROW_CELLS) - 1
     width = sizes[split]
     digits = format(poset.cells, f"0{sizes[n]}b")
-    return split, width, [int(digits[a:a + width], 2) for a in range(0, sizes[n], width)][::-1]
-
-
-def _exact_cover(
-    poset: CharacteristicPoset, intervals: Sequence[tuple[Monomial, frozenset[int]]], k: int
-) -> int | None:
-    """The least rho of the intervals' tops if they partition the poset at level k, else None.
-
-    Each variable set is checked for range and its coordinates listed once.
-    Per interval the pass checks the bottom's ambient and bound and the top's
-    rho, then ORs the interval's cells into the rows and adds their count,
-    prod(g_j - e_j + 1) over its raised coordinates, to a total.  The union
-    is the poset's cells when every interval lies inside it and every element
-    is covered, and then the intervals are pairwise disjoint exactly when the
-    counts sum to the size of the union.
-    """
-    n, g, weights = poset.n, poset.g, poset.weights
-    split, width, cell_rows = _cell_rows(poset)
+    cell_rows = [int(digits[a:a + width], 2) for a in range(0, sizes[n], width)][::-1]
     in_range = frozenset(range(1, n + 1))
     union = [0] * len(cell_rows)
     raised_of: dict[frozenset[int], list[int]] = {}
-    total, least = 0, n
-    for bottom, zvars in intervals:
+    total, least = 0, n + 1  # above every rho: no top yet
+    # With a list: the placed intervals' (index, rows, bits), and the first
+    # interval to cover each cell, to name a double cover.  ``owner`` is
+    # filled from placed[:scanned], and extended to every placed interval
+    # only when the current one covers a cell twice.
+    placed: list[tuple[int, list[int], int]] = []
+    owner: dict[int, int] = {}
+    scanned = 0
+
+    def exponents(cell):
+        return tuple(cell // w % (gj + 1) for w, gj in zip(weights, g))
+
+    for i, (bottom, zvars) in enumerate(intervals):
         e = bottom.exponents
         raised = raised_of.get(zvars)
-        if raised is None:
-            if not in_range >= zvars:
+        if len(e) != n:
+            failure = "bottom ambient mismatch"
+        elif raised is None and not in_range >= zvars:
+            failure = "variable index out of range"
+        elif not all(map(le, e, g)):
+            failure = f"bottom {bottom} exceeds the bound"
+        else:
+            failure = None
+        if failure is not None:
+            if failures is None:
                 return None
+            failures.append(f"{_label(i, bottom, zvars)}: {failure}")
+            continue
+        if raised is None:
             raised = raised_of[zvars] = sorted(v - 1 for v in zvars)
-        if len(e) != n or not all(map(le, e, g)):
-            return None
         # The top's rho: the bottom's coordinates at the bound, and the raised
         # ones below it, each of which spreads the cells along its coordinate.
         r = sum(map(eq, e, g))
@@ -1013,136 +1028,59 @@ def _exact_cover(
                 else:
                     w //= width
                     rows = [below + step for step in range(0, (steps + 1) * w, w) for below in rows]
-        if r < k:
-            return None
-        least = min(least, r)
+        if r < least:
+            least = r
         total += count
-        for row in rows:
-            union[row] |= within
-    if union != cell_rows or total != poset.cells.bit_count():
-        return None
-    return least
-
-
-def _verify_each_interval(
-    poset: CharacteristicPoset,
-    decomposition: StanleyDecomposition,
-    k: int,
-) -> VerificationReport:
-    """``verify_decomposition``'s report, found one interval at a time.
-
-    An interval's cells are its bottom's bit, shifted along each raised
-    coordinate, in each row that the raised coordinates past the row reach.
-    An interval is accepted when its cells lie in the poset's cells and miss
-    those of the intervals before it, and exact cover is one comparison at
-    the end.  Cells are listed one by one only for an interval that fails,
-    to name each failure.
-    """
-    _check_level(poset, k)
-    if decomposition.n != poset.n:
-        return VerificationReport(False, (f"ambient mismatch: {decomposition.n} vs {poset.n}",), None)
-
-    n, g, weights = poset.n, poset.g, poset.weights
-    variables = range(1, n + 1)
-    in_range = frozenset(variables)
-    split, width, cell_rows = _cell_rows(poset)
-    covered = [0] * len(cell_rows)
-
-    def spread(e, free):
-        # The cells from bottom e along the coordinates `free`: the rows they
-        # meet, ascending, and their bits within each row.
-        row, at = divmod(sum(map(mul, e, weights)), width)
-        within, rows = 1 << at, [row]
-        for j in compress(range(n), free):
-            w = weights[j]
-            if j < split:
-                for _ in range(g[j] - e[j]):
-                    within |= within << w
-            else:
-                w //= width
-                rows = [r + step for step in range(0, (g[j] - e[j] + 1) * w, w) for r in rows]
-        return rows, within
-
-    def exponents(cell):
-        return tuple(cell // w % (gj + 1) for w, gj in zip(weights, g))
-
-    intervals = decomposition.intervals
-    failures: list[str] = []
-    rhos: list[int] = []
-    placed: list[int] = []
-    # The first interval to cover each cell, to name a double cover: filled
-    # from the intervals placed[:scanned], and extended to those before the
-    # current one only when it covers a cell twice.
-    owner: dict[int, int] = {}
-    scanned = 0
-
-    for i, (bottom, zvars) in enumerate(intervals):
-        # The interval's label is formatted only when a failure names it.
-        e = bottom.exponents
-        if len(e) != n:
-            failures.append(f"{_label(i, bottom, zvars)}: bottom ambient mismatch")
+        if failures is None:
+            if r < k:
+                return None
+            for row in rows:
+                union[row] |= within
             continue
-        if not in_range.issuperset(zvars):
-            failures.append(f"{_label(i, bottom, zvars)}: variable index out of range")
-            continue
-        if not all(map(le, e, g)):
-            failures.append(f"{_label(i, bottom, zvars)}: bottom {bottom} exceeds the bound")
-            continue
-        # The top meets the bound on the raised coordinates, those in zvars,
-        # and wherever the bottom does; the box spans the raised coordinates
-        # where the bottom is below the bound (at_bound < raised).
-        raised = list(map(zvars.__contains__, variables))
-        at_bound = list(map(eq, e, g))
-        r = sum(map(or_, raised, at_bound))
-        rhos.append(r)
         if r < k:
             failures.append(f"{_label(i, bottom, zvars)}: top has rho {r} < {k}")
-        rows, within = spread(e, map(lt, at_bound, raised))
-        placed.append(i)
+        # The union holds only cells of the poset, so ``free`` is the cells
+        # that join it; the others, outside the poset or covered before, are
+        # listed in code order, each named.
         for row in rows:
-            if covered[row] & within or cell_rows[row] & within != within:
-                break
-        else:
-            for row in rows:
-                covered[row] |= within
-            continue
-
-        for row in rows:
-            for at in set_bits(within):
-                cell = row * width + at
-                if not cell_rows[row] >> at & 1:
-                    outside = Monomial(exponents(cell))
-                    failures.append(f"{_label(i, bottom, zvars)}: cell {outside} is outside the poset")
-                elif covered[row] >> at & 1:
-                    for j in placed[scanned:-1]:
-                        before, zvars_j = intervals[j]
-                        e_j = before.exponents
-                        free = map(lt, map(eq, e_j, g), map(zvars_j.__contains__, variables))
-                        rows_j, within_j = spread(e_j, free)
+            free = within & (cell_rows[row] ^ union[row])
+            if free != within:
+                for at in set_bits(within ^ free):
+                    cell = row * width + at
+                    if not cell_rows[row] >> at & 1:
+                        outside = Monomial(exponents(cell))
+                        failures.append(f"{_label(i, bottom, zvars)}: cell {outside} is outside the poset")
+                        continue
+                    for j, rows_j, within_j in placed[scanned:]:
                         for row_j in rows_j:
                             for at_j in set_bits(within_j):
                                 owner.setdefault(row_j * width + at_j, j)
-                    scanned = len(placed) - 1
+                    scanned = len(placed)
                     failures.append(
                         f"double cover of {Monomial(exponents(cell))} by intervals "
                         f"{owner[cell] + 1} and {i + 1}"
                     )
-                else:
-                    covered[row] |= 1 << at
+            union[row] |= free
+        placed.append((i, rows, within))
 
-    if covered != cell_rows:
+    if failures is None:
+        return least if union == cell_rows and total == poset.cells.bit_count() else None
+    if union != cell_rows:
         # The first uncovered element is the missing cell of least (degree,
-        # code): a cell's degree is its row's plus that of its bit in the row.
-        at_degree = [sum(exponents(at)) for at in range(width)]
-        row_degree = [sum(exponents(row * width)) for row in range(len(cell_rows))]
+        # code): a cell's degree is its row's plus that of its bit in the
+        # row, read only for the rows and bits that hold a missing cell.
+        gaps = [
+            (sum(exponents(row * width)), row * width, want & ~have)
+            for row, (have, want) in enumerate(zip(union, cell_rows))
+            if have != want
+        ]
+        bits = set_bits(reduce(or_, [gap for _, _, gap in gaps]))
+        at_degree = dict(zip(bits, [sum(exponents(at)) for at in bits]))
         first = min(
-            (row_degree[row] + at_degree[at], row * width + at)
-            for row, (have, want) in enumerate(zip(covered, cell_rows))
-            for at in set_bits(want & ~have)
+            (degree + at_degree[at], start + at) for degree, start, gap in gaps for at in set_bits(gap)
         )[1]
         failures.append(f"uncovered element {Monomial(exponents(first))}")
-
-    return VerificationReport(not failures, tuple(failures), min(rhos, default=None))
+    return least if least <= n else None
 
 
 def _label(i: int, bottom: Monomial, zvars: frozenset[int]) -> str:

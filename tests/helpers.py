@@ -406,8 +406,8 @@ def reference_betti(ideal: MonomialIdeal) -> dict[tuple[int, tuple[int, ...]], i
 def reference_verification(poset, decomposition, k) -> VerificationReport:
     """``verify_decomposition`` cell by cell, as it was before its bitset rows.
 
-    Every interval's cells are listed as codes, checked against
-    ``element_index(poset)`` and a dict from each covered code to the first interval
+    Every interval's cells are listed as codes, checked against the set of
+    the poset's codes and a dict from each covered code to the first interval
     that covered it; the first element of ``codes(poset)`` that no interval
     covered is reported as uncovered.  The failures and their wording are the
     package's.
@@ -420,7 +420,8 @@ def reference_verification(poset, decomposition, k) -> VerificationReport:
     def label(i, bottom, zvars):
         return f"interval {i + 1} [{bottom} ; {{{', '.join(f'x{v}' for v in sorted(zvars))}}}]"
 
-    n, g, weights, index = poset.n, poset.g, poset.weights, element_index(poset)
+    n, g, weights, listing = poset.n, poset.g, poset.weights, codes(poset)
+    index = set(listing)
     variables = range(1, n + 1)
     in_range = frozenset(variables)
     failures: list[str] = []
@@ -464,7 +465,7 @@ def reference_verification(poset, decomposition, k) -> VerificationReport:
             else:
                 seen[c] = i
 
-    missing = next(filterfalse(seen.__contains__, codes(poset)), None)
+    missing = next(filterfalse(seen.__contains__, listing), None)
     if missing is not None:
         failures.append(f"uncovered element {Monomial(decode(poset, missing))}")
 

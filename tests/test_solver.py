@@ -6,7 +6,7 @@ import sys
 import time
 import tracemalloc
 from math import comb, prod
-from operator import le
+from operator import eq, le
 
 import pytest
 from hypothesis import example, given, reject, settings, strategies as st
@@ -824,7 +824,7 @@ class TestOrderBitsets:
         for k in range(max(poset.rho) + 1):
             tops = sum(1 << t for t, r in enumerate(poset.rho) if r >= k)
             top_of = solver.ranked_tops(poset, tops)
-            top_ge, _ = solver.order_bitsets(solver.gather_parts(poset.parts, top_of), poset.g)
+            top_ge, _ = solver.order_bitsets(solver.decode(poset, top_of)[0], poset.g)
             for i, e in enumerate(rows(poset)):
                 ranks = solver.candidate_ranks(top_ge, poset.g, e, solver.up_set(top_ge, e))
                 found = [top_of[r] for r in set_bits(ranks)]
@@ -863,7 +863,7 @@ class TestPartBytes:
                 assert top_of == sorted(
                     set_bits(tops), key=lambda t: (-sizes[t], encode(poset, points[t]))
                 ), k
-                found = solver.order_bitsets(solver.gather_parts(poset.parts, top_of), poset.g)
+                found = solver.order_bitsets(solver.decode(poset, top_of)[0], poset.g)
                 assert found == reference_order_bitsets([points[t] for t in top_of], poset.g), k
         # exponents(i) reads back every element as box enumeration lists it,
         # and the bulk decode reads them all back as exponents(i) does.
@@ -871,7 +871,7 @@ class TestPartBytes:
         assert list(points) == list(expected)
         order = list(range(len(poset) - 1, -1, -2))
         parts, exps, codes_of, boxes = solver.decode(poset, order)
-        assert parts == solver.gather_parts(poset.parts, order)
+        assert parts == [bytes(part[i] for i in order) for part in poset.parts]
         assert list(exps) == [poset.exponents(i) for i in order]
         assert list(codes_of) == [encode(poset, points[i]) for i in order]
         assert list(boxes) == [sizes[i] for i in order]
@@ -885,7 +885,26 @@ class TestPartBytes:
         ((30, 1), [62]),
     ])
     def test_parts_group_coordinates_from_x1(self, g, radices):
-        assert [radix for radix, _, _ in solver._code_parts(g)] == radices
+        tables = solver._parts_of(g)
+        assert [table.radix for table in tables] == radices
+        # Each part's place value is the product of the radices before it,
+        # and the last part's place value times its radix is the box size.
+        assert [table.weight for table in tables] == [prod(radices[:p]) for p in range(len(radices))]
+        assert tables[-1].weight * tables[-1].radix == prod(gj + 1 for gj in g)
+        # Each part code's rho, box factor and variable set follow from its
+        # row of exponents, on the part's run of coordinates from x1 up.
+        first = 0
+        for table in tables:
+            bound = g[first:first + len(table.exps[0])]
+            assert len(table.exps) == table.radix
+            for c, e in enumerate(table.exps):
+                assert table.rho[c] == sum(map(eq, e, bound)), (c, e)
+                assert table.factors[c] == prod(gj - x + 1 for x, gj in zip(e, bound)), (c, e)
+                assert table.at_bound[c] == {
+                    first + j + 1 for j, (x, gj) in enumerate(zip(e, bound)) if x == gj
+                }, (c, e)
+            first += len(bound)
+        assert first == len(g)
 
     def test_build_retains_under_20_bytes_per_element(self):
         # The bound's tables are shared by every poset with that bound.
@@ -1111,20 +1130,22 @@ class TestVerification:
         st.tuples(tampered_two_row_certificates(), st.just(solver.ROW_CELLS)),
     ))
     def test_one_pass_matches_each_interval(self, drawn):
-        # The one pass accepts exactly the certificates that the check of
-        # one interval at a time accepts, with its min_rho; what it rejects
-        # gets that check's report.  Rows of 1 or 4 cells split the small
-        # boxes, and the cycle (14,3) box is two rows at the default.
+        # The pass without a list accepts exactly the certificates that the
+        # naming pass finds no failure in, with its min_rho, and the report
+        # is the cell-by-cell reference's, failure texts included.  Rows of
+        # 1 or 4 cells split the small boxes, and the cycle (14,3) box is two
+        # rows at the default.
         (poset, certificate, k), row_cells = drawn
         default, solver.ROW_CELLS = solver.ROW_CELLS, row_cells
         try:
-            named = solver._verify_each_interval(poset, certificate, k)
-            assert verify_decomposition(poset, certificate, k) == named
-            least = None
             if certificate.n == poset.n:
-                least = solver._exact_cover(poset, certificate.intervals, k)
-            assert (least is not None) == named.ok
-            assert least == (named.min_rho if named.ok else None)
+                least = solver._cover(poset, certificate.intervals, k)
+                failures = []
+                named = solver._cover(poset, certificate.intervals, k, failures)
+                assert (least is not None) == (not failures)
+                assert least == (None if failures else named)
+            expected = reference_verification(poset, certificate, k)
+            assert verify_decomposition(poset, certificate, k) == expected
         finally:
             solver.ROW_CELLS = default
 
