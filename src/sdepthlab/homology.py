@@ -248,10 +248,13 @@ def homology_ranks(complex_: SimplicialComplex) -> tuple[int, ...]:
     of size s is then the rational one plus d_s + d_(s+1), all nonnegative, so
     if it is zero, both boundaries next to it have d = 0.  Only a boundary
     whose two neighbouring F_2 groups are both nonzero is ranked again by
-    signed integer elimination.  Four checks raise on every call: no F_2
-    homology rank is negative, no exact rank is below its rank over F_2 or
-    over F_p for a fixed large prime p, the Euler count matches the face
-    numbers, and no rational homology rank is negative.
+    signed integer elimination.  Three checks can fail, and raise on every
+    call: no F_2 homology rank is negative, no exact rank is below its rank
+    over F_2 or over F_p for a fixed large prime p, and no rational homology
+    rank is negative.  The Euler count is compared with the face numbers too,
+    but each rank is a face number less two boundary ranks, so the
+    alternating sums agree for any boundary ranks and that comparison cannot
+    fail.
     """
     return _ranks_of(complex_.faces(), HomologyStats())
 

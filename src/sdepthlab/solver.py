@@ -34,6 +34,7 @@ Herzog, Vladoiu and Zheng (J. Algebra 322, 2009):
   candidate fails.
 - Singletons above k.  rho is monotone, so no interval topped at rho k holds
   an element of rho > k: in the partition found each is its own interval.
+  With no element of rho < k, ``exists_partition`` returns all singletons.
 - Order.  Each branch element is the lowest uncovered one, so the placed
   intervals ascend by bottom index, and merging the singletons in by bottom
   index gives the unreduced search's list.
@@ -42,8 +43,8 @@ Herzog, Vladoiu and Zheng (J. Algebra 322, 2009):
   k <= maximal_rho every low has such a top, as rho rises by at most 1 per unit
   step towards a maximal element.  On a squarefree bound whose tops all sit
   at one degree, the degree counts must also split into Boolean intervals
-  (``beta_profile``); that test runs at the root only, as no placement of
-  the search can make it fail.
+  (``beta_profile``); ``exists_partition`` runs that test before the search,
+  as no placement of the search can make it fail.
 
 The elements come from bitmask passes over the box, indexed by code: the cells
 of each ideal are the upward closure of its generators' cells (``box_upset``),
@@ -421,34 +422,28 @@ def _check_level(poset: CharacteristicPoset, k: int) -> None:
         raise InputError(f"k must be in 0..{poset.n}, got {k}")
 
 
-def singleton_decomposition(poset: CharacteristicPoset) -> StanleyDecomposition:
-    """Every element as its own interval; always a valid partition."""
-    every = range(len(poset))
-    return _decomposition(poset, every, every)
-
-
 class SearchStats(Counters):
     """Counters of the partition search, filled in when a caller passes one.
 
-    ``levels`` lists the levels searched, in order.  ``sdepth_of_poset``
-    starts at ``maximal_rho``, so value + 1 is listed when its own search
-    refuted it and not when it exceeds ``maximal_rho``.  A placement covers the
-    cells of one interval.  A stranded prune rejects the covered set a
-    placement made, or the root, because some uncovered element has no top
-    left; a moment prune rejects the root because its degree counts cannot be
-    split into intervals, a test that never fails below the root.  A table hit
-    is a placement skipped because its covered set is stored as one whose
-    subtree holds no partition; ``stored_states`` counts those stores,
-    ``table_clears`` the times the table reached its byte budget, and
-    ``table_peak_bytes`` the most it held, in the budget's units.
-    ``candidate_tops`` counts the tops the search took out of the rank
-    bitsets into its candidate tables, one table per element it branched on:
-    a table takes its first candidate when it is built and the rest only once
-    a frame has tried that one.  The elements of rho above the level are
-    covered as singletons before the search starts, so neither placements nor
-    candidate tops count them.  Each search adds its counts once, when it
-    returns or hits the time limit, so a record passed to ``sdepth_of_poset``
-    sums over the levels it tried.
+    ``levels`` lists the levels tried, in order; ``sdepth_of_poset`` lists
+    value + 1 unless it exceeds ``maximal_rho``.  Three outcomes need no
+    search: a level above ``maximal_rho``; a moment prune, a level whose
+    degree counts cannot be split into intervals, the only one counted; and a
+    level with no element of rho below it, settled by singletons.  A placement
+    covers the cells of one interval.  A stranded prune rejects the covered
+    set a placement made, or the root, because some uncovered element has no
+    top left.  A table hit is a placement skipped because its covered set is
+    stored as one whose subtree holds no partition; ``stored_states`` counts
+    those stores, ``table_clears`` the times the table reached its byte
+    budget, and ``table_peak_bytes`` the most it held, in the budget's units.
+    ``candidate_tops`` counts the tops the search took out of the rank bitsets
+    into its candidate tables, one table per element it branched on: a table
+    takes its first candidate when it is built and the rest only once a frame
+    has tried that one.  The elements of rho above the level are covered as
+    singletons before the search starts, so neither placements nor candidate
+    tops count them.  Each search adds its counts once, when it returns or
+    hits the time limit, so a record passed to ``sdepth_of_poset`` sums over
+    the levels it tried.
     """
 
     _fields = (
@@ -469,29 +464,44 @@ def exists_partition(
 
     Returns a partition when one exists and None when none exists; raises
     TimeLimitExceededError when the budget runs out, which is a distinct
-    outcome from infeasibility.  A level above ``maximal_rho`` is refuted
-    before any search, and adds only itself to ``stats.levels``: a maximal
-    element of smaller rho tops every interval that contains it.  A ``stats``
-    record, when given, gets this search's counts added.
+    outcome from infeasibility.  A ``stats`` record, when given, gets k and
+    this search's counts added.  Three outcomes need no search, in this
+    order: a level above ``maximal_rho`` is refuted, as a maximal element of
+    smaller rho tops every interval that contains it, and so is one whose
+    degree counts have no ``beta_profile``, a moment prune; a level with no
+    element of rho below k is settled by singletons.
 
-    The search runs on the rho = k layer (module docstring): each interval of
-    the partition returned is a singleton of rho >= k or has a top of rho
-    exactly k, and it is the partition that a search over every canonical top
-    of rho >= k would meet first.
+    Any other level is searched on its rho = k layer (module docstring): each
+    interval of the partition returned is a singleton of rho >= k or has a top
+    of rho exactly k, and it is the partition that a search over every
+    canonical top of rho >= k would meet first.
     """
     _check_level(poset, k)
     check_limits(time_limit_s)
-    if stats is not None:
-        stats.levels.append(k)
-    if k == 0:
-        return singleton_decomposition(poset)
+    stats = SearchStats() if stats is None else stats
+    stats.levels.append(k)
     if k > poset.maximal_rho:
         return None
+    # Degree-moment test.  On a bound of zeros and ones rho is degree plus
+    # the count z of coordinates pinned at zero.  When max(rho) = k, every
+    # interval top sits at the poset's maximal degree kappa = k - z, so the
+    # degree counts, those of rho = z + d, must have a ``beta_profile``.
+    # The test never fails below the root, so it runs before the search only:
+    # a placement at the lowest uncovered element, of degree d0, takes one
+    # Boolean interval of height s0 = kappa - d0, whose profile is the unit
+    # vector at s0.  The recursion is linear and the profile's entry at s0
+    # is the uncovered count at d0, at least 1, so it stays >= 0.
+    rho, z = poset.rho, poset.g.count(0)
+    if max(poset.g) <= 1 and max(rho) == k:
+        if beta_profile([rho.count(d) for d in range(z, k + 1)], k - z) is None:
+            stats.moment_prunes += 1
+            return None
+    if min(rho) >= k:
+        every = range(len(rho))
+        return _decomposition(poset, every, every)
     deadline = None if time_limit_s is None else time.monotonic() + time_limit_s
     intervals = _search(poset, k, deadline, stats)
-    if intervals is None:
-        return None
-    return _decomposition(poset, *zip(*intervals))
+    return None if intervals is None else _decomposition(poset, *zip(*intervals))
 
 
 def order_bitsets(
@@ -629,24 +639,9 @@ def _search(poset, k, deadline, stats):
     empty_bytes = sys.getsizeof(failed)
     entry_bytes = sys.getsizeof(full) + _SET_SLOT_BYTES
     capacity = max(1, (FAILED_STATES_BYTES - empty_bytes) // entry_bytes)
-    placements = stranded = moment = hits = stored = clears = peak = listed = 0
+    placements = stranded = hits = stored = clears = peak = listed = 0
 
     try:
-        # Degree-moment test.  On a bound of zeros and ones rho is degree plus
-        # the count z of coordinates pinned at zero.  When max(rho) = k, every
-        # interval top sits at the poset's maximal degree kappa = k - z, so the
-        # degree counts, those of rho = z + d, must have a ``beta_profile``.
-        # The test never fails below the root, so it runs here only: a
-        # placement at the lowest uncovered element, of degree d0, takes one
-        # Boolean interval of height s0 = kappa - d0, whose profile is the unit
-        # vector at s0.  The recursion is linear and the profile's entry at s0
-        # is the uncovered count at d0, at least 1, so it stays >= 0.
-        z = g.count(0)
-        if max(g) <= 1 and max(rho) == k:
-            if beta_profile([rho.count(d) for d in range(z, k + 1)], k - z) is None:
-                moment += 1
-                return None
-
         # The level is searched on its rho = k layer (module docstring): the
         # elements of rho above k, ``high``, are covered as singletons from the
         # start, and the tops are the elements of rho exactly k; each set is
@@ -660,8 +655,6 @@ def _search(poset, k, deadline, stats):
         rho_text = rho[::-1]
         high = int(rho_text.translate(b"0" * (k + 1) + b"1" * (255 - k)), 2)
         tops = int(rho_text.translate(b"0" * k + b"1" + b"0" * (255 - k)), 2)
-        if high == full:
-            return [(i, i) for i in range(size)]
         top_of = ranked_tops(poset, tops)
         ge, le = order_bitsets(poset.parts, g)
         top_parts, decoded, _, _ = decode(poset, top_of)
@@ -830,16 +823,14 @@ def _search(poset, k, deadline, stats):
 
         return None
     finally:
-        if stats is not None:
-            stats.placements += placements
-            stats.stranded_prunes += stranded
-            stats.moment_prunes += moment
-            stats.table_hits += hits
-            stats.stored_states += stored
-            stats.table_clears += clears
-            peak = empty_bytes + max(peak, len(failed)) * entry_bytes
-            stats.table_peak_bytes = max(stats.table_peak_bytes, peak)
-            stats.candidate_tops += listed
+        stats.placements += placements
+        stats.stranded_prunes += stranded
+        stats.table_hits += hits
+        stats.stored_states += stored
+        stats.table_clears += clears
+        peak = empty_bytes + max(peak, len(failed)) * entry_bytes
+        stats.table_peak_bytes = max(stats.table_peak_bytes, peak)
+        stats.candidate_tops += listed
 
 
 class SdepthResult(NamedTuple):
@@ -847,8 +838,8 @@ class SdepthResult(NamedTuple):
 
     ``infeasible_at`` is value + 1, the level at which no partition exists,
     or None when the value is the ambient size and no higher level exists.
-    That level was refuted either by its own search or because it exceeds
-    the poset's ``maximal_rho``.
+    That level was refuted either by ``exists_partition`` or because it
+    exceeds the poset's ``maximal_rho``.
     """
 
     value: int
@@ -865,17 +856,16 @@ def sdepth_of_poset(
 ) -> SdepthResult:
     """Largest k admitting a partition, by scanning the levels downwards.
 
-    The scan starts at ``maximal_rho`` and stops at the first level where the
-    search finds a partition; level 0 always has one.  A level above
-    ``maximal_rho`` is refuted by a maximal element of smaller rho, which
-    tops every interval that contains it.  So value + 1 is refuted either by
-    its own search or because it exceeds ``maximal_rho``, and the result ships
-    that refutation and a certificate at the value.  Low levels are the
-    costly ones to search, and the scan never visits a level below the value.
-    The certificate is verified with a check that raises AssertionError under
-    ``python -O`` too.  ``time_limit_s`` bounds the whole scan: each level
-    gets the time the levels before it left.  A ``stats`` record, when given,
-    sums the counts of every level searched.
+    The scan starts at ``maximal_rho``, above which ``exists_partition``
+    refutes every level, and stops at the first level where it finds a
+    partition; level 0 always has one.  So value + 1 is refuted either by
+    ``exists_partition`` or because it exceeds ``maximal_rho``, and the
+    result ships that refutation and a certificate at the value.  Low levels
+    are the costly ones to search, and the scan never visits a level below
+    the value.  The certificate is verified with a check that raises
+    AssertionError under ``python -O`` too.  ``time_limit_s`` bounds the
+    whole scan: each level gets the time the levels before it left.  A
+    ``stats`` record, when given, sums the counts of every level tried.
     """
     check_limits(time_limit_s)
     deadline = None if time_limit_s is None else time.monotonic() + time_limit_s

@@ -207,9 +207,11 @@ def test_criterion_08_oracle_unit_suite():
     simplex = homology_ranks(sr_complex(parse_ideal("n=3: x1*x2*x3")).restrict(0b011))
     if any(simplex):
         failures.append(f"full simplex ranks {simplex}")
-    # The Euler identity is asserted inside every rank computation, so the
-    # sweeps below (and every oracle call made by criteria 1-6 in this run)
-    # fail loudly on any inconsistency.  depth + pd = n is checked per call.
+    # Every rank computation raises when an F_2 or a rational homology rank
+    # is negative or an exact boundary rank falls below its rank over F_2 or
+    # F_p, so the sweeps below (and every oracle call made by criteria 1-6 in
+    # this run) fail loudly on those.  Its Euler comparison is an identity of
+    # the ranks it computes and cannot fail; the formulas are the check here.
     checked = 0
     for n in range(2, 11):
         for m in range(2, n + 1):
@@ -224,7 +226,7 @@ def test_criterion_08_oracle_unit_suite():
                 if depth_squarefree(cycle_path_ideal(n, m)) != rec.psi:
                     failures.append(f"cycle oracle off at ({n},{m})")
                 checked += 1
-    report(8, "homology oracle units + Euler + formulas", failures, f"{checked} oracle runs")
+    report(8, "homology oracle units + rank checks + formulas", failures, f"{checked} oracle runs")
 
 
 def test_criterion_09_solver_completeness():

@@ -67,6 +67,10 @@ def cycle_quotient(n, m):
     return ring_quotient(cycle_path_ideal(n, m))
 
 
+def cycle_line_module(n, m):
+    return QuotientPresentation(cycle_path_ideal(n, m), line_path_ideal(n, m))
+
+
 def principal_poset(text, n):
     return build_poset(ring_quotient(parse_ideal(f"n={n}: {text}")))
 
@@ -680,10 +684,22 @@ class TestSearchStats:
             placements=25_358, stranded_prunes=5_826, moment_prunes=0,
             table_hits=208, stored_states=19_441, table_clears=0, candidate_tops=127,
         )),
+        # Nine elements, of rho 6 and 7: level 7 is refuted by its degree
+        # counts, and level 6, with no element below it, is settled by
+        # singletons without the search, which would place its five elements
+        # of rho 6 one at a time.
+        (cycle_line_module(8, 6), 7, False, dict(
+            placements=0, stranded_prunes=0, moment_prunes=1,
+            table_hits=0, stored_states=0, table_clears=0, table_peak_bytes=0, candidate_tops=0,
+        )),
+        (cycle_line_module(8, 6), 6, True, dict(
+            placements=0, stranded_prunes=0, moment_prunes=0,
+            table_hits=0, stored_states=0, table_clears=0, table_peak_bytes=0, candidate_tops=0,
+        )),
     ], ids=[
         "cycle-9-3-level-5", "line-6-3-squared-level-4", "cycle-11-9-level-9",
         "cycle-11-9-level-8", "cycle-8-7-squared-level-6", "cycle-8-7-squared-level-5",
-        "cycle-13-2-level-5",
+        "cycle-13-2-level-5", "cycle-line-8-6-level-7", "cycle-line-8-6-level-6",
     ])
     def test_pinned_counts(self, pair, k, feasible, counts):
         # Each search takes well under a second; the limit turns a weakened
@@ -704,12 +720,23 @@ class TestSearchStats:
         counts = (stats.placements, stats.stranded_prunes, stats.candidate_tops)
         assert counts == (6_719, 2_136, 444)
 
-    def test_no_search_below_level_one_or_above_max_rho(self):
+    def test_no_search_below_level_one_or_above_max_rho(self, monkeypatch):
+        # The levels that need no search never enter it: level 0 and any
+        # level with no element of rho below it (singletons), a level above
+        # maximal_rho, and one whose degree counts refute it.
+        def unreachable(*args):
+            raise AssertionError("the level was searched")
+
+        monkeypatch.setattr(solver, "_search", unreachable)
         poset = build_poset(cycle_quotient(5, 2))
         stats = SearchStats()
-        exists_partition(poset, 0, stats=stats)
-        exists_partition(poset, poset.maximal_rho + 1, stats=stats)
+        assert len(exists_partition(poset, 0, stats=stats)) == len(poset)
+        assert exists_partition(poset, poset.maximal_rho + 1, stats=stats) is None
         assert stats == SearchStats(levels=[0, poset.maximal_rho + 1])
+        assert exists_partition(build_poset(cycle_quotient(11, 9)), 9) is None
+        module = build_poset(cycle_line_module(8, 6))
+        assert min(module.rho) == 6
+        assert len(exists_partition(module, 6)) == len(module)
 
 
 def counts_of_heights(heights):
@@ -924,7 +951,7 @@ class TestPartBytes:
         # Squared ideals: the variable sets of their certificates repeat.
         for certificate in [
             sdepth_of_pair(ring_quotient(square(cycle_path_ideal(7, 3)))).certificate,
-            solver.singleton_decomposition(principal_poset("x1^2*x2^2*x3", 3)),
+            exists_partition(principal_poset("x1^2*x2^2*x3", 3), 0),
         ]:
             shared = {}
             for _, zvars in certificate.intervals:
