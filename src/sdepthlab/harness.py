@@ -370,8 +370,6 @@ class Prop16Report(NamedTuple):
     problems: tuple[str, ...]
     components: tuple[ComponentReport, ...]
     derived_depth: int | None
-    claimed_depth: int
-    derived_equals_claimed: bool | None
 
 
 def prop16_structure_check(n: int, m: int) -> Prop16Report:
@@ -387,13 +385,13 @@ def prop16_structure_check(n: int, m: int) -> Prop16Report:
     non-faces that are consecutive runs: one truncated run at the left edge
     plus full-length runs, whenever those fit inside the ambient.  The derived
     depth is the minimum over components of the residual quotient depth plus
-    the window size; it is compared with the claimed depth
-    ``quotient_module_bound(n, m)`` = phi(n-m-2, m) + m = psi + 1.  The check
-    enumerates the 2^n cells at once, for every n up to ``MAX_AMBIENT``.
+    the window size.  The report passes no verdict on it: the ``prop16`` scan
+    row compares it with ``quotient_module_bound(n, m)``, as it does every
+    claim.  The check enumerates the 2^n cells at once, for every n up to
+    ``MAX_AMBIENT``.
     """
     if not (2 <= m < n <= MAX_AMBIENT):
         raise InputError(f"need 2 <= m < n <= {MAX_AMBIENT}, got (n, m) = ({n}, {m})")
-    claimed = quotient_module_bound(n, m)
 
     box, full = (1,) * n, (1 << n) - 1
     steps = box_steps(box)
@@ -476,6 +474,4 @@ def prop16_structure_check(n: int, m: int) -> Prop16Report:
         problems=tuple(problems),
         components=tuple(components),
         derived_depth=derived,
-        claimed_depth=claimed,
-        derived_equals_claimed=None if derived is None else derived == claimed,
     )

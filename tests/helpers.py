@@ -1,5 +1,7 @@
 """Independent oracles shared by the unit and acceptance tests."""
 
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, compress, filterfalse, product, repeat
 from math import prod
@@ -21,6 +23,13 @@ from sdepthlab import (
     variable,
 )
 from sdepthlab.ideals import MAX_AMBIENT
+
+
+def run_optimized(code: str) -> str:
+    """Run ``code`` under python -O, which strips assert statements."""
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def rows(poset) -> tuple[tuple[int, ...], ...]:

@@ -20,6 +20,7 @@ from sdepthlab import (
     line_path_ideal,
     parse_ideal,
     prop16_structure_check,
+    quotient_module_bound,
     ring_quotient,
     run_scan,
     sdepth_of_pair,
@@ -159,11 +160,11 @@ def test_criterion_06_quotient_module_bound():
             rep = prop16_structure_check(n, m)
             if not rep.ok:
                 failures.append(f"structure check fails at ({n},{m}): {rep.problems[:1]}")
-            bound = formula_table(n, m).psi + 1
-            if rep.derived_depth != bound or rep.claimed_depth != bound:
+            bound = quotient_module_bound(n, m)
+            if rep.derived_depth != bound or bound != formula_table(n, m).psi + 1:
                 failures.append(
-                    f"({n},{m}): derived depth {rep.derived_depth}, claimed"
-                    f" {rep.claimed_depth}, psi+1 = {bound}"
+                    f"({n},{m}): derived depth {rep.derived_depth}, bound {bound},"
+                    f" psi+1 = {formula_table(n, m).psi + 1}"
                 )
     anchor = sdepth_of_pair(
         QuotientPresentation(cycle_path_ideal(5, 2), line_path_ideal(5, 2))
@@ -210,8 +211,7 @@ def test_criterion_08_oracle_unit_suite():
     # Every rank computation raises when an F_2 or a rational homology rank
     # is negative or an exact boundary rank falls below its rank over F_2 or
     # F_p, so the sweeps below (and every oracle call made by criteria 1-6 in
-    # this run) fail loudly on those.  Its Euler comparison is an identity of
-    # the ranks it computes and cannot fail; the formulas are the check here.
+    # this run) fail loudly on those; the formulas are the check here.
     checked = 0
     for n in range(2, 11):
         for m in range(2, n + 1):

@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import proof_tower, relabel, v_ideal
+from helpers import proof_tower, relabel, run_optimized, v_ideal
 from sdepthlab import (
     InputError,
     add_generators,
@@ -14,6 +14,7 @@ from sdepthlab import (
     line_path_ideal,
     minimalize,
     monomial,
+    quotient_module_bound,
     ring_quotient,
     sdepth_of_pair,
     variable,
@@ -102,6 +103,26 @@ class TestFormulas:
                 rec = formula_table(n, m)
                 assert rec.depth_line == rec.phi
                 assert rec.depth_cycle == rec.psi
+
+    def test_quotient_module_bound_is_psi_plus_one(self):
+        for n in range(3, 21):
+            for m in range(2, n):
+                assert quotient_module_bound(n, m) == cycle_depth_formula(n, m) + 1
+
+    def test_cross_check_raises_under_optimize(self):
+        # A phi off by one no longer matches n - pd_line.
+        out = run_optimized("\n".join([
+            "import sdepthlab.families as families",
+            "line = families.line_depth_formula",
+            "families.line_depth_formula = lambda n, m: line(n, m) + 1",
+            "try:",
+            "    families.formula_table(7, 3)",
+            "except AssertionError as exc:",
+            "    print('raised:', exc)",
+            "else:",
+            "    print('returned')",
+        ]))
+        assert out == "raised: n - pd disagrees with phi/psi at (n, m) = (7, 3)\n", out
 
     def test_equality_case_characterization(self):
         for n in range(2, 21):

@@ -632,7 +632,7 @@ class TestStructureCheck:
         assert component.forced_var == 3
         assert component.residual_count == 1
         assert component.minimal_nonfaces == ((2,),)
-        assert report.derived_depth == report.claimed_depth == 2
+        assert report.derived_depth == quotient_module_bound(4, 2) == 2
 
     def test_five_two_anchor(self):
         report = prop16_structure_check(5, 2)
@@ -640,8 +640,7 @@ class TestStructureCheck:
         component = report.components[0]
         assert component.residual_count == 2
         assert component.minimal_nonfaces == ((2,),)
-        assert report.derived_depth == 3
-        assert report.derived_equals_claimed
+        assert report.derived_depth == quotient_module_bound(5, 2) == 3
 
     def test_seven_three_first_component(self):
         report = prop16_structure_check(7, 3)
@@ -653,15 +652,15 @@ class TestStructureCheck:
         assert second.wrap_window == (1, 2, 7)
         assert second.forced_var == 6
         assert second.minimal_nonfaces == ((3,),)
-        assert report.derived_depth == 5
-        assert report.claimed_depth == 5
-        assert report.derived_equals_claimed is True
+        assert report.derived_depth == quotient_module_bound(7, 3) == 5
 
     def test_reports_match_the_pinned_digest(self):
-        # Recorded with the frozenset enumeration that the masks replaced.
+        # The values were recorded with the frozenset enumeration that the
+        # masks replaced; the digest is of those reports without the claimed
+        # depth and its comparison, which the scan's claim rule makes instead.
         reports = [prop16_structure_check(n, m) for n in range(3, 13) for m in range(2, n)]
         assert hashlib.sha256(repr(reports).encode()).hexdigest() == (
-            "bdd73f244a404f4e6b83d770755108cf17cb155329962af182edb0f7e8e3cd11"
+            "a338fd0b4a5cdfd9dbed3ae18399a052b9f23641f5965c9923911258c8d8a9f5"
         )
 
     def test_structure_holds_across_grid(self):
@@ -678,7 +677,7 @@ class TestStructureCheck:
                     c.component_depth for c in report.components
                 )
                 assert report.derived_depth == cycle_depth_formula(n, m) + 1
-                assert report.derived_equals_claimed is True
+                assert report.derived_depth == quotient_module_bound(n, m)
 
     def test_bounds(self):
         with pytest.raises(InputError):

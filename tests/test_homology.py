@@ -1,6 +1,4 @@
 import hashlib
-import subprocess
-import sys
 from functools import reduce
 from itertools import combinations
 from operator import or_
@@ -8,7 +6,13 @@ from operator import or_
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import fraction_rank, reference_betti, reference_faces, reference_ranks
+from helpers import (
+    fraction_rank,
+    reference_betti,
+    reference_faces,
+    reference_ranks,
+    run_optimized,
+)
 from sdepthlab import (
     HomologyStats,
     InputError,
@@ -57,13 +61,6 @@ def counting_integer_rank(monkeypatch):
 
     monkeypatch.setattr(homology, "_integer_rank", counted)
     return calls
-
-
-def run_optimized(code: str) -> str:
-    """Run ``code`` under python -O, which strips assert statements."""
-    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
 
 
 @st.composite
@@ -177,8 +174,8 @@ class TestHomologyRanks:
 
     def test_exact_rank_below_gf2_rank_raises_under_optimize(self):
         # RP^2_6 needs the exact fallback on its top boundary; an exact rank
-        # of 0 there passes the Euler and nonnegativity checks, so only the
-        # check that the F_2 rank is at most the rational rank can catch it.
+        # of 0 there leaves every homology rank nonnegative, so only the check
+        # that the F_2 rank is at most the rational rank can catch it.
         out = run_optimized("\n".join([
             "import sdepthlab.homology as homology",
             "from sdepthlab import parse_ideal, sr_complex",
@@ -260,6 +257,23 @@ class TestHomologyRanks:
             "    print('returned')",
         ]))
         assert out.startswith("raised: rank over F_p exceeds rank over Q"), out
+
+    def test_negative_rational_rank_raises_under_optimize(self):
+        # An exact fallback rank far above the true one passes the checks
+        # against the ranks over F_2 and F_p, and drives a rational homology
+        # rank negative.
+        out = run_optimized("\n".join([
+            "import sdepthlab.homology as homology",
+            "from sdepthlab import parse_ideal, sr_complex",
+            "homology._integer_rank = lambda rows: 10**6",
+            "try:",
+            f"    homology.homology_ranks(sr_complex(parse_ideal({RP2_TEXT!r})))",
+            "except AssertionError as exc:",
+            "    print('raised:', exc)",
+            "else:",
+            "    print('returned')",
+        ]))
+        assert out == "raised: negative homology rank: rank computation is broken\n", out
 
     def test_rp2_needs_one_exact_fallback(self, monkeypatch):
         ideal = parse_ideal(RP2_TEXT)
@@ -423,6 +437,31 @@ class TestBettiTable:
 
     def test_line_four_two(self):
         assert hochster_betti(line_path_ideal(4, 2)).projective_dimension() == 2
+
+    @pytest.mark.parametrize("patch, message", [
+        # The empty degree's one face ranked as two cells of homology.
+        (["ranks_of = homology._ranks_of",
+          "homology._ranks_of = lambda faces, counts: ("
+          "(2,) if faces == [0] else ranks_of(faces, counts))"],
+         "the index-0 entry of the empty degree must be 1"),
+        # Every F collapsed onto F less its lowest vertex, a generator's
+        # support included, so no index-1 entry is left.
+        (["homology._dominated = lambda fmask, inside, upset: fmask & -fmask"],
+         "index-1 table entries must be the generator supports"),
+    ], ids=["index-0", "index-1"])
+    def test_wrong_entry_raises_under_optimize(self, patch, message):
+        out = run_optimized("\n".join([
+            "import sdepthlab.homology as homology",
+            "from sdepthlab import cycle_path_ideal",
+            *patch,
+            "try:",
+            "    homology.hochster_betti(cycle_path_ideal(5, 2))",
+            "except AssertionError as exc:",
+            "    print('raised:', exc)",
+            "else:",
+            "    print('returned')",
+        ]))
+        assert out == f"raised: {message}\n", out
 
     def test_cycle_six_two(self):
         assert hochster_betti(cycle_path_ideal(6, 2)).projective_dimension() == 4
