@@ -47,23 +47,30 @@ Herzog, Vladoiu and Zheng (J. Algebra 322, 2009):
   as no placement of the search can make it fail.
 
 The elements come from bitmask passes over the box, indexed by code: the cells
-of each ideal are the upward closure of its generators' cells (``box_upset``),
-and the box cells of degree d + 1 or more are those one step above a cell of
-degree d or more, one masked shift per coordinate.  The poset's cells of each
-degree, read off in turn, list the elements in (degree, code) order with no
-sort.  A code is cut into parts of at most 256 codes, runs of coordinates from
-x1 up; the poset keeps one byte per part per element, its part code, and
-neither codes nor exponent tuples.  Each part has one record of tables,
+of each ideal are the upward closure of its generators' cells (``box_upset``).
+A code is cut into parts of at most 256 codes, runs of coordinates from x1 up;
+the poset keeps one byte per part per element, its part code, and neither
+codes nor exponent tuples.  The cells are read one row at a time, a row being
+the cells that share every part code but the first, and only rows that hold a
+cell are visited.  A row's digits, read in the first part's (degree, code)
+order, give its part codes cut into runs of one degree; the row's other part
+codes and its offsets of degree and rho are constants of the row, so each run
+becomes its part bytes and rho with a few operations on ``bytes``.  The runs
+of each degree are kept in row order, so reading the degrees in turn lists
+the elements in (degree, code) order with no sort.  The maximal cells come
+from one masked shift per coordinate, which also checks, exactly, that the
+set is box-convex (``_maximal_cells``).  Each part has one record of tables,
 indexed by part code, that depends only on the bound and is shared by every
 poset with that bound (``_parts_of``): the part's place value, exponents,
-count of coordinates at the bound, factor of the box size, variables at the
-bound and order columns.  An element's exponents are one table row per part
-byte; rho, one byte per element, is a sum of per-part counts read once at the
-build.  A list of elements is decoded in bulk (``decode``): its part bytes are
-gathered and each part is mapped once through its tables, to exponents, codes
-and box sizes, with no Python code per element.  The search decodes the tops
-of a level this way, and a certificate's bottoms and variable sets are read
-off the same way; the lists live for one call.
+count of coordinates at the bound (plus each offset a row can add), factor of
+the box size, variables at the bound, order columns, degrees and (degree,
+code) order.  An element's exponents are one table row per part byte; rho,
+one byte per element, is a sum of per-part counts read once at the build.  A
+list of elements is decoded in bulk (``decode``): its part bytes are gathered
+and each part is mapped once through its tables, to exponents, codes and box
+sizes, with no Python code per element.  The search decodes the tops of a
+level this way, and a certificate's bottoms and variable sets are read off the
+same way; the lists live for one call.
 
 The search asks the order its questions as int bitsets indexed by element
 (``order_bitsets``): for each coordinate and threshold, one translation of a
@@ -101,10 +108,10 @@ import sys
 import time
 from bisect import bisect_right
 from functools import lru_cache, reduce
-from itertools import repeat
+from itertools import accumulate, compress, repeat
 from typing import Iterator, NamedTuple, Sequence
 from math import comb, prod
-from operator import add, and_, eq, getitem, le, mul, or_, sub
+from operator import add, and_, eq, getitem, itemgetter, le, mul, or_, sub
 
 from .errors import (
     IdealSyntaxError,
@@ -134,6 +141,9 @@ DEFAULT_TIME_LIMIT_S = 300.0
 # table is emptied when the next entry would exceed the budget.
 FAILED_STATES_BYTES = 32 * 2**20
 _SET_SLOT_BYTES = 128
+
+# Maps the digits "0" and "1" to the byte values 0 and 1.
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 # The most cells in one row of the bitsets that ``verify_decomposition`` checks.
 ROW_CELLS = 1 << 13
@@ -208,60 +218,68 @@ def build_poset(
     box = prod(gj + 1 for gj in g)
     if box > cap:
         raise PosetCapExceededError(f"multidegree box has {box} cells, cap is {cap}")
-    weights = tuple(prod(gj + 1 for gj in g[:j]) for j in range(n))
+    weights = tuple(accumulate([gj + 1 for gj in g[:-1]], mul, initial=1))
 
     # The elements are the box cells of the numerator less those of the
-    # denominator.  ``firsts`` holds the numerator's generator cells by degree.
-    firsts: dict[int, int] = {}
-    for m in pair.numerator.gens:
-        d = m.degree()
-        firsts[d] = firsts.get(d, 0) | 1 << sum(map(mul, m.exponents, weights))
-    den = sum(1 << sum(map(mul, m.exponents, weights)) for m in pair.denominator.gens)
-    num = sum(firsts.values())
-    upper = box_upset(num, g)
-    cells = upper & ~box_upset(den, g)
+    # denominator.
+    def cells_of(ideal):
+        return sum(1 << sum(map(mul, m.exponents, weights)) for m in ideal.gens)
+
+    upper = box_upset(cells_of(pair.numerator), g)
+    cells = upper & ~box_upset(cells_of(pair.denominator), g)
     if not cells:
         raise InvalidPresentationError("the presentation has an empty poset")
+    maximal = _maximal_cells(cells, upper, g)
 
-    # The codes in (degree, code) order, one degree at a time, from the least
-    # degree of a numerator generator.  The numerator's cells of degree d + 1
-    # or more are the generator cells of degree d + 1 or more and the cells
-    # one step above a numerator cell of degree d or more, one masked shift
-    # per coordinate; each degree's codes are listed ascending.
-    steps = box_steps(g)
-    codes: list[int] = []
-    degree = min(firsts)
-    later = num ^ firsts[degree]  # the generator cells above `degree`
-    at_least, rest = upper, cells
-    while rest:
-        nxt = later
-        for weight, below in steps:
-            nxt |= (at_least & below) << weight
-        degree += 1
-        later ^= firsts.get(degree, 0)
-        higher = rest & nxt
-        codes += set_bits(rest ^ higher)
-        at_least, rest = nxt, higher
+    # One pass over the rows of the box that hold a cell.  A row is the codes
+    # that share every part code but the first, so its cells are one run of
+    # ``width`` digits, and its other part codes and its offsets of degree and
+    # rho are constants of the row.  The row's digits, read in the first
+    # part's (degree, code) order (``_Part.ranked``), give its codes cut into
+    # runs of one degree, each ascending by code.  Each degree keeps its runs
+    # in row order, so reading the degrees in turn lists the elements in
+    # (degree, code) order with no sort.
+    first, *rest = _parts_of(g)
+    width = first.radix
+    text = format(cells, f"0{box}b")[::-1].encode().translate(_BIT_VALUES)
+    tops = format(maximal, f"0{box}b")[::-1].encode().translate(_BIT_VALUES)
+    # itemgetter of one index returns the item, not a 1-tuple; a box of one
+    # cell is a row of one digit, already in order.
+    in_degree_order = itemgetter(*first.ranked) if width > 1 else bytes
+    by_degree: list[list[tuple[bytes, bytes, list[bytes]]]] = [[] for _ in range(sum(g) + 1)]
+    maximal_rho = n
+    start = text.find(1) // width * width
+    while start >= 0:
+        end = start + width
+        q, degree, offset, others = start // width, 0, 0, []
+        for table in rest:
+            q, c = divmod(q, table.radix)
+            degree += table.degrees[c]
+            offset += table.rho[0][c]
+            others.append(bytes((c,)))
+        rho_of = first.rho[offset]
+        codes = bytes(compress(first.ranked, in_degree_order(text[start:end])))
+        degrees, rhos = codes.translate(first.degrees), codes.translate(rho_of)
+        at = 0
+        while at < len(codes):
+            part_degree = degrees[at]
+            end_run = degrees.rfind(part_degree) + 1
+            by_degree[degree + part_degree].append((codes[at:end_run], rhos[at:end_run], others))
+            at = end_run
+        maximal_rho = min((maximal_rho, *compress(rho_of, tops[start:end])))
+        start = text.find(1, end) // width * width
 
-    parts, rho = _split_codes(codes, g)
-
-    # The set is box-convex, so a cell is maximal when no cell one step above
-    # it along any coordinate is in the set.
-    above = 0
-    for weight, below in steps:
-        above |= (cells >> weight) & below
-
-    poset = CharacteristicPoset(
+    firsts, rhos, others = zip(*(run for runs in by_degree for run in runs))
+    sizes = list(map(len, firsts))
+    return CharacteristicPoset(
         n=n,
         g=g,
         weights=weights,
         cells=cells,
-        parts=parts,
-        rho=rho,
-        maximal_rho=min(_split_codes(set_bits(cells & ~above), g)[1]),
+        parts=(b"".join(firsts), *(b"".join(map(mul, column, sizes)) for column in zip(*others))),
+        rho=b"".join(rhos),
+        maximal_rho=maximal_rho,
     )
-    _assert_box_convex_sample(poset)
-    return poset
 
 
 class _Part(NamedTuple):
@@ -269,22 +287,26 @@ class _Part(NamedTuple):
 
     ``weight`` is the part's place value in a code and ``radix`` its count
     of part codes.  ``exps[c]`` lists c's exponents, its first coordinate
-    least significant; ``rho`` is a 256-byte translation table from c to its
-    count of coordinates at the bound; ``factors[c]`` is prod(g_j - c_j + 1)
-    over the part's coordinates, its factor of |[e, g]|; ``at_bound[c]`` is
-    the set of its variables x_j with c_j = g_j, one frozenset per distinct
-    set; ``columns[j][x - 1]``, for the part's j-th coordinate and x in
-    1..g_j, is a 256-byte translation table from c to "1" when that
-    coordinate is x or more and to "0" otherwise.
+    least significant; ``rho[k]``, for k in 0..n, is a 256-byte translation
+    table from c to its count of coordinates at the bound plus k;
+    ``factors[c]`` is prod(g_j - c_j + 1) over the part's coordinates, its
+    factor of |[e, g]|; ``at_bound[c]`` is the set of its variables x_j with
+    c_j = g_j, one frozenset per distinct set; ``columns[j][x - 1]``, for the
+    part's j-th coordinate and x in 1..g_j, is a 256-byte translation table
+    from c to "1" when that coordinate is x or more and to "0" otherwise;
+    ``degrees`` is a 256-byte translation table from c to the sum of its
+    exponents; ``ranked`` lists the part codes ascending by (degree, code).
     """
 
     weight: int
     radix: int
     exps: tuple[tuple[int, ...], ...]
-    rho: bytes
+    rho: tuple[bytes, ...]
     factors: tuple[int, ...]
     at_bound: tuple[frozenset[int], ...]
     columns: tuple[tuple[bytes, ...], ...]
+    degrees: bytes
+    ranked: bytes
 
 
 @lru_cache(maxsize=64)
@@ -316,50 +338,40 @@ def _parts_of(g: tuple[int, ...]) -> tuple[_Part, ...]:
                 for e, r, f, z in rows
             ]
         exps, rho, factors, at_bound = zip(*rows)
+        rho_plus = tuple(bytes(r + k for r in rho).ljust(256, b"\0") for k in range(len(g) + 1))
+        degrees = bytes(map(sum, exps))
         columns = tuple(
             tuple(bytes(b"01"[d >= x] for d in digits).ljust(256, b"0") for x in range(1, g[j] + 1))
             for j, digits in zip(run, zip(*exps))
         )
+        ranked = bytes(sorted(range(len(rows)), key=degrees.__getitem__))
         parts.append(_Part(
-            weight, len(rows), exps, bytes(rho).ljust(256, b"\0"), factors, at_bound, columns
+            weight, len(rows), exps, rho_plus, factors, at_bound, columns,
+            degrees.ljust(256, b"\0"), ranked,
         ))
         weight *= len(rows)
     return tuple(parts)
 
 
-def _split_codes(codes: Sequence[int], g: tuple[int, ...]) -> tuple[tuple[bytes, ...], bytes]:
-    """The part codes of ``codes`` on the bound g, one ``bytes`` per part, and their rho.
+def _maximal_cells(cells: int, upper: int, g: tuple[int, ...]) -> int:
+    """The maximal cells of ``cells``, cells of the box [0, g] within the up-set ``upper``.
 
-    A code's part code is its digit in the mixed radix of the parts, so the
-    first part takes no division and the last no remainder.  A part's counts
-    of coordinates at the bound are one translation of its bytes.
+    Raises AssertionError unless the set is down(set) ∩ ``upper``: that makes
+    it box-convex, as the meet of a down-set and an up-set, and with ``upper``
+    the set's own up-set it holds for every box-convex set.  One masked shift
+    per coordinate gives the cells one step below a cell of the set, and those
+    in ``upper`` must all be in the set.  That is exact: a cell of
+    down(set) ∩ ``upper`` outside the set has a unit-step path up to a cell of
+    the set, all of it in ``upper``, and the path's last cell outside the set
+    is one step below a cell of the set.  In a box-convex set a cell is
+    maximal when no cell one step above it is in the set.
     """
-    tables = _parts_of(g)
-    parts, rho = [], None
-    for table in tables:
-        weight, radix = table.weight, table.radix
-        digits = codes if weight == 1 else map(weight.__rfloordiv__, codes)
-        if table is not tables[-1]:
-            digits = map(radix.__rmod__, digits)
-        part = bytes(digits)
-        counts = part.translate(table.rho)
-        parts.append(part)
-        rho = counts if rho is None else map(add, rho, counts)
-    return tuple(parts), bytes(rho)
-
-
-def _assert_box_convex_sample(poset: CharacteristicPoset, limit: int = 12) -> None:
-    # The element set must be box-convex; spot-check a deterministic sample.
-    # Both ends lie in [0, g], so their midpoint does and has a code.
-    sample = list(map(poset.exponents, range(min(limit, len(poset)))))
-    cells, weights = poset.cells, poset.weights
-    for a in sample:
-        for b in sample:
-            if a is b or not all(map(le, a, b)):
-                continue
-            mid = ((x + y) // 2 for x, y in zip(a, b))
-            if not cells >> sum(map(mul, mid, weights)) & 1:
-                raise AssertionError("element set is not box-convex")
+    under = 0
+    for weight, below in box_steps(g):
+        under |= (cells >> weight) & below
+    if (under | cells) & upper != cells:
+        raise AssertionError("element set is not box-convex")
+    return cells & ~under
 
 
 class StanleyDecomposition(FrozenRecord):

@@ -163,10 +163,12 @@ def reference_poset(pair, g_override=None):
 
 def reference_maximal_rho(exps, rho) -> int:
     """The least rho among the points of ``exps`` with no other point above
-    them, by comparing exponent vectors coordinate by coordinate."""
+    them, by comparing exponent vectors coordinate by coordinate.  Another
+    point above e has a larger exponent sum, so only those are compared."""
+    sums = list(map(sum, exps))
     return min(
-        r for e, r in zip(exps, rho)
-        if not any(f != e and all(a <= b for a, b in zip(e, f)) for f in exps)
+        r for e, s, r in zip(exps, sums, rho)
+        if not any(t > s and all(a <= b for a, b in zip(e, f)) for f, t in zip(exps, sums))
     )
 
 

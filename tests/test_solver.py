@@ -30,6 +30,7 @@ from helpers import (
     reference_verification,
     relabel,
     rows,
+    run_optimized,
 )
 from sdepthlab import (
     InputError,
@@ -56,7 +57,7 @@ from sdepthlab import (
     verify_decomposition,
     zero_ideal,
 )
-from sdepthlab.ideals import set_bits
+from sdepthlab.ideals import box_upset, set_bits
 
 
 def mono(n, *factors):
@@ -161,8 +162,8 @@ class TestBuildPoset:
     ), None))
     # A raised bound, as in TestOrderBitsets.
     @example((ring_quotient(parse_ideal("n=3: x1^2*x2, x2*x3")), (3, 2, 2)))
-    # One element, at the corner of a box at the exponent cap: the degree
-    # pass runs through every degree of the box.
+    # One element, at the corner of a box at the exponent cap: one nonzero
+    # row among 29,791, its one cell at the first part's top degree.
     @example((QuotientPresentation(
         parse_ideal("n=4: x1^30*x2^30*x3^30*x4^30"), zero_ideal(4)
     ), None))
@@ -170,11 +171,28 @@ class TestBuildPoset:
     @example((QuotientPresentation(
         parse_ideal("n=2: x1, x2^3"), parse_ideal("n=2: x1^2, x1*x2")
     ), None))
-    # Numerator generators of degrees 1, 2 and 4: the degree pass starts at
-    # degree 1, and each later generator joins the cells of its own degree.
+    # Numerator generators of degrees 1, 2 and 4: no cell of degree 0 and
+    # each generator starts cells of its own degree.
     @example((QuotientPresentation(
         parse_ideal("n=3: x1, x2^2, x3^4"),
         parse_ideal("n=3: x1^2, x1*x2, x1*x3, x2^3, x2^2*x3, x3^5"),
+    ), None))
+    # Three code parts (x1..x8, x9..x16, x17): a row's other part codes are
+    # two bytes, and its offsets of degree and rho sum over both.  Numerator
+    # generators of degree 9 keep the poset at 510 elements, as the box
+    # enumeration and the maximal-element reference are the cost here.
+    @example((QuotientPresentation(
+        parse_ideal("n=17: x1*x2*x3*x4*x5*x6*x7*x9*x17, x7*x8*x10*x11*x12*x13*x14*x15*x16"),
+        parse_ideal("n=17: " + "*".join(f"x{j}" for j in range(1, 18))),
+    ), None))
+    # S/I^2 of cycle (7,3): the first part (x1..x5, 243 codes) spans 9 rows.
+    @example((ring_quotient(square(cycle_path_ideal(7, 3))), None))
+    # A module whose two rows are empty at different degrees: the x9 = 0 row
+    # holds x1 alone, the x9 = 1 row starts at x2*x3*x9, and no row has a
+    # cell of degree 2.
+    @example((QuotientPresentation(
+        parse_ideal("n=9: x1, x2*x3*x9"),
+        parse_ideal("n=9: x1*x2, x1*x3, x1*x4, x1*x5, x1*x6, x1*x7, x1*x8, x1*x9"),
     ), None))
     def test_matches_box_enumeration(self, case):
         pair, g_override = case
@@ -197,6 +215,22 @@ class TestBuildPoset:
         # The Lucas numbers L5 and L20; the n = 20 box has 2^20 cells.
         for n, count in [(5, 11), (20, 15_127)]:
             assert len(build_poset(cycle_quotient(n, 2))) == count
+
+    @pytest.mark.parametrize("ideal, size, maximal_rho, digest", [
+        (cycle_path_ideal(20, 3), 196_331, 10,
+         "13665c8e5eccaf2ea30c392546ecd5d1b506abce1cf1bef873a5001509383cbf"),
+        (line_path_ideal(20, 4), 547_337, 12,
+         "8ef87a7f225f797af2f84ea86089164286fe5c302c0947d3a92956f9884d8f4b"),
+    ])
+    def test_n20_posets_match_the_pinned_digest(self, ideal, size, maximal_rho, digest):
+        # The digests were taken from the per-degree build that enumerated
+        # each degree's cells over the whole box and split every code into
+        # part bytes.  Every part holds one byte per element, so the joined
+        # bytes name each part, rho and maximal_rho unambiguously.
+        poset = build_poset(ring_quotient(ideal))
+        assert (len(poset), len(poset.parts), poset.maximal_rho) == (size, 3, maximal_rho)
+        joined = b"".join(poset.parts) + poset.rho + bytes([poset.maximal_rho])
+        assert hashlib.sha256(joined).hexdigest() == digest
 
     def test_cycle_over_line_single_element(self):
         pair = QuotientPresentation(cycle_path_ideal(4, 2), line_path_ideal(4, 2))
@@ -238,13 +272,14 @@ class TestBuildPoset:
         )
         poset = solver.CharacteristicPoset(**fields)
         with pytest.raises(AssertionError, match="element set is not box-convex"):
-            solver._assert_box_convex_sample(poset)
+            solver._maximal_cells(poset.cells, box_upset(poset.cells, poset.g), poset.g)
         # The same check under python -O, which strips asserts.
         code = "\n".join([
             "import sdepthlab.solver as solver",
+            "from sdepthlab.ideals import box_upset",
             f"poset = solver.CharacteristicPoset(**{fields!r})",
             "try:",
-            "    solver._assert_box_convex_sample(poset)",
+            "    solver._maximal_cells(poset.cells, box_upset(poset.cells, poset.g), poset.g)",
             "except AssertionError as exc:",
             "    print('raised:', exc)",
             "else:",
@@ -253,6 +288,25 @@ class TestBuildPoset:
         proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "raised: element set is not box-convex\n", proc.stdout
+
+    def test_convexity_check_catches_a_hole_past_the_first_elements(self):
+        # x4*x6 lies between x4 and x2*x4*x6 in cycle (6,2)'s quotient, past
+        # its first 12 elements in (degree, code) order, where the check of a
+        # 12-element sample looked.
+        poset = build_poset(cycle_quotient(6, 2))
+        hole = element_index(poset)[encode(poset, (0, 0, 0, 1, 0, 1))]
+        assert hole >= 12
+        cells = poset.cells & ~(1 << codes(poset)[hole])
+        upper = box_upset(1, poset.g)
+        assert solver._maximal_cells(poset.cells, upper, poset.g)
+        with pytest.raises(AssertionError, match="element set is not box-convex"):
+            solver._maximal_cells(cells, upper, poset.g)
+        out = run_optimized("\n".join([
+            "import sdepthlab.solver as solver",
+            f"try:\n    solver._maximal_cells({cells}, {upper}, {poset.g})",
+            "except AssertionError as exc:\n    print('raised:', exc)",
+        ]))
+        assert out == "raised: element set is not box-convex\n", out
 
     def test_cap(self):
         from sdepthlab import PosetCapExceededError
@@ -925,11 +979,15 @@ class TestPartBytes:
             bound = g[first:first + len(table.exps[0])]
             assert len(table.exps) == table.radix
             for c, e in enumerate(table.exps):
-                assert table.rho[c] == sum(map(eq, e, bound)), (c, e)
+                for k in range(len(g) + 1):
+                    assert table.rho[k][c] == sum(map(eq, e, bound)) + k, (c, e, k)
+                assert table.degrees[c] == sum(e), (c, e)
                 assert table.factors[c] == prod(gj - x + 1 for x, gj in zip(e, bound)), (c, e)
                 assert table.at_bound[c] == {
                     first + j + 1 for j, (x, gj) in enumerate(zip(e, bound)) if x == gj
                 }, (c, e)
+            by_degree = sorted(range(table.radix), key=lambda c: (sum(table.exps[c]), c))
+            assert list(table.ranked) == by_degree
             first += len(bound)
         assert first == len(g)
 
