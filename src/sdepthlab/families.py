@@ -78,20 +78,11 @@ class FormulaRecord(NamedTuple):
 def formula_table(n: int, m: int) -> FormulaRecord:
     """Evaluate every closed formula at (n, m) and cross-check the invariants."""
     _check_bounds(n, m)
-    k = m + 1
     phi = line_depth_formula(n, m)
     psi = cycle_depth_formula(n, m)
-    p, d = divmod(n, k)
-
-    r = n % k
-    if r <= m - 1:
-        num = 2 * (n - r)
-    else:  # r == m
-        num = 2 * n - m + 1
-    if num % k:
-        raise AssertionError(f"pd_line numerator {num} is not divisible by {k}")
-    pd_line = num // k
-    pd_cycle = 2 * p + 1 if d != 0 else 2 * p
+    p, d = divmod(n, m + 1)
+    pd_line = 2 * p + (d == m)
+    pd_cycle = 2 * p + (d != 0)
 
     rec = FormulaRecord(
         n=n,

@@ -29,6 +29,7 @@ from .ideals import (
     QuotientPresentation,
     box_steps,
     box_upset,
+    ideal_cells,
     minimalize,
     monomial,
     ring_quotient,
@@ -377,7 +378,7 @@ def prop16_structure_check(n: int, m: int) -> Prop16Report:
 
     Sets of variables are int masks, bit j - 1 for x_j, and the module's
     squarefree multidegrees are the cells of the box [0, (1,)*n] in the
-    cycle's up-set but not the line's (``box_upset``).  Each must contain one
+    cycle's ideal but not the line's (``ideal_cells``).  Each must contain one
     of the m-1 windows that cross the n-to-1 seam, and is assigned to the
     smallest one it contains.  Per component the residual sets (window
     removed) must form a downward-closed family over the variables strictly
@@ -396,10 +397,6 @@ def prop16_structure_check(n: int, m: int) -> Prop16Report:
     box, full = (1,) * n, (1 << n) - 1
     steps = box_steps(box)
 
-    def upset(ideal):
-        cells = sum(1 << sum(1 << v - 1 for v in g.support()) for g in ideal.gens)
-        return box_upset(cells, box)
-
     def step_up(cells, mask):
         # The cells one step above ``cells`` along a variable of ``mask``.
         out = 0
@@ -411,7 +408,7 @@ def prop16_structure_check(n: int, m: int) -> Prop16Report:
     def variables(mask):
         return [j + 1 for j in set_bits(mask)]
 
-    unassigned = upset(cycle_path_ideal(n, m)) & ~upset(line_path_ideal(n, m))
+    unassigned = ideal_cells(cycle_path_ideal(n, m), box) & ~ideal_cells(line_path_ideal(n, m), box)
     problems = []
     components = []
     for t in range(1, m):

@@ -30,7 +30,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .errors import InputError
-from .ideals import Counters, MonomialIdeal, box_upset, set_bits, submasks
+from .ideals import Counters, MonomialIdeal, box_upset, ideal_cells, set_bits, submasks
 
 
 class SimplicialComplex(NamedTuple):
@@ -391,7 +391,7 @@ def hochster_betti(ideal: MonomialIdeal, stats: HomologyStats | None = None) -> 
         lattice |= {f | nf for f in lattice}
     lattice = sorted(lattice, key=lambda m: (m.bit_count(), m))
     # Bit m of ``upset`` is set when the mask m is a nonface.
-    upset = box_upset(sum(1 << nf for nf in set(nonfaces)), (1,) * n)
+    upset = ideal_cells(ideal, (1,) * n)
     ranks_at: dict[int, tuple[int, ...]] = {}
     entries: dict[tuple[int, tuple[int, ...]], int] = {}
     counts = HomologyStats(subsets=1 << n, lcm_skips=(1 << n) - len(lattice))

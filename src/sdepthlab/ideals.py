@@ -18,6 +18,7 @@ import re
 from functools import lru_cache
 from itertools import repeat
 from math import prod
+from operator import mul
 from typing import Iterable
 
 from .errors import IdealSyntaxError, InputError, InvalidPresentationError
@@ -322,6 +323,16 @@ def box_upset(cells: int, bound: tuple[int, ...]) -> int:
         for _ in range(b):
             cells |= (cells & below) << weight
     return cells
+
+
+def ideal_cells(ideal: MonomialIdeal, bound: tuple[int, ...]) -> int:
+    """The cells of the box [0, bound] that lie in ``ideal``, indexed as in ``box_steps``.
+
+    A generator's cell is the code of its exponents, so ``bound`` must
+    dominate every generator; ``box_upset`` closes those cells upwards.
+    """
+    weights = [weight for weight, _ in box_steps(bound)]
+    return box_upset(sum(1 << sum(map(mul, m.exponents, weights)) for m in ideal.gens), bound)
 
 
 _ONE = re.compile("1")

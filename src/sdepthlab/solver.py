@@ -47,7 +47,7 @@ Herzog, Vladoiu and Zheng (J. Algebra 322, 2009):
   as no placement of the search can make it fail.
 
 The elements come from bitmask passes over the box, indexed by code: the cells
-of each ideal are the upward closure of its generators' cells (``box_upset``).
+of each ideal are the upward closure of its generators' cells (``ideal_cells``).
 A code is cut into parts of at most 256 codes, runs of coordinates from x1 up;
 the poset keeps one byte per part per element, its part code, and neither
 codes nor exponent tuples.  The cells are read one row at a time, a row being
@@ -92,13 +92,11 @@ poset as the bitset ``cells`` that the build computes, indexed by code, and
 decodes the cells it names by its own arithmetic on the weights.  It builds
 each interval's cells as one int per row of the box: the bottom's bit, shifted
 along each raised coordinate.  One pass (``_cover``) checks each interval's
-ambient, variables, bound and rho, ORs its cells into a union and adds up
-their counts.  The intervals partition the poset exactly when the union equals
-``cells`` and the counts sum to its size, since sizes sum to the size of a
-union exactly when no two sets meet.  Only a certificate that this pass
-rejects goes through the same pass again with a list of failures, which then
-places each interval only where it lies in the poset and misses the cells
-before it, and names each failure.
+ambient, variables, bound and rho, and takes its cells out of the poset's
+cells that no interval has covered yet; a cell of the interval that is not
+among them lies outside the poset or was covered before, and is named.  The
+cells left at the end are the uncovered ones.  The certificate is valid
+exactly when the pass names no failure.
 """
 
 from __future__ import annotations
@@ -108,7 +106,7 @@ import sys
 import time
 from bisect import bisect_right
 from functools import lru_cache, reduce
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, compress, repeat, starmap
 from typing import Iterator, NamedTuple, Sequence
 from math import comb, prod
 from operator import add, and_, eq, getitem, itemgetter, le, mul, or_, sub
@@ -127,7 +125,7 @@ from .ideals import (
     Monomial,
     QuotientPresentation,
     box_steps,
-    box_upset,
+    ideal_cells,
     parse_monomial,
     set_bits,
 )
@@ -222,11 +220,8 @@ def build_poset(
 
     # The elements are the box cells of the numerator less those of the
     # denominator.
-    def cells_of(ideal):
-        return sum(1 << sum(map(mul, m.exponents, weights)) for m in ideal.gens)
-
-    upper = box_upset(cells_of(pair.numerator), g)
-    cells = upper & ~box_upset(cells_of(pair.denominator), g)
+    upper = ideal_cells(pair.numerator, g)
+    cells = upper & ~ideal_cells(pair.denominator, g)
     if not cells:
         raise InvalidPresentationError("the presentation has an empty poset")
     maximal = _maximal_cells(cells, upper, g)
@@ -929,18 +924,12 @@ def verify_decomposition(
     cells, and decodes the cells it names by its own arithmetic on the
     weights, sharing no code with the search.  Sets of cells are bitsets
     indexed by code, cut into rows of at most ``ROW_CELLS`` cells.  One pass
-    (``_cover``) checks each interval's ambient, variables, bound and rho,
-    ORs its cells into the rows and adds up their counts: the intervals
-    partition the poset exactly when the union is the poset's cells and the
-    counts sum to its size.  Only a certificate that this pass rejects goes
-    through the pass again with a list, to name each failure.
+    (``_cover``) checks each interval and names every failure; the
+    certificate is valid when it names none.
     """
     _check_level(poset, k)
     if decomposition.n != poset.n:
         return VerificationReport(False, (f"ambient mismatch: {decomposition.n} vs {poset.n}",), None)
-    least = _cover(poset, decomposition.intervals, k)
-    if least is not None:
-        return VerificationReport(True, (), least)
     failures: list[str] = []
     least = _cover(poset, decomposition.intervals, k, failures)
     return VerificationReport(not failures, tuple(failures), least)
@@ -950,24 +939,19 @@ def _cover(
     poset: CharacteristicPoset,
     intervals: Sequence[tuple[Monomial, frozenset[int]]],
     k: int,
-    failures: list[str] | None = None,
+    failures: list[str],
 ) -> int | None:
-    """The least rho of the intervals' tops if they partition the poset at level k.
+    """Check the intervals against the poset at level k, appending a line per failure.
 
     Per interval the pass checks the bottom's ambient, its variables' range
-    and the bottom's bound, then ORs the interval's cells into the rows and
-    adds their count, prod(g_j - e_j + 1) over its raised coordinates, to a
-    total; each variable set's coordinates are listed once.  The union is the
-    poset's cells when every interval lies inside it and every element is
-    covered, and then the intervals are pairwise disjoint exactly when the
-    counts sum to the size of the union.
-
-    Without ``failures`` the pass returns None at the first failed check.
-    With a list it goes on past each failure and appends a line that names
-    it, and returns the least rho of the tops whose bottom passed the
-    checks, or None.  It then adds to the union only the cells inside the
-    poset, and names each cell of an interval that lies outside it or was
-    covered before.
+    and the bottom's bound, and a bottom that fails one is named and skipped.
+    Otherwise it checks the top's rho and spreads the interval's cells; each
+    variable set's coordinates are listed once.  The pass keeps the poset's
+    cells that no interval has covered yet, and names each cell of an
+    interval that is not among them, as outside the poset or covered before,
+    in code order.  The cells left at the end name the first uncovered
+    element.  Returns the least rho of the tops whose bottom passed the
+    checks, or None when there is none.
     """
     # The poset's cells as rows of ``width`` cells, lowest first: the first
     # ``split`` coordinates run within a row, the rest across rows.  A bitset
@@ -980,20 +964,42 @@ def _cover(
     width = sizes[split]
     digits = format(poset.cells, f"0{sizes[n]}b")
     cell_rows = [int(digits[a:a + width], 2) for a in range(0, sizes[n], width)][::-1]
+    left = cell_rows.copy()  # the poset's cells that no interval has covered
     in_range = frozenset(range(1, n + 1))
-    union = [0] * len(cell_rows)
     raised_of: dict[frozenset[int], list[int]] = {}
-    total, least = 0, n + 1  # above every rho: no top yet
-    # With a list: the placed intervals' (index, rows, bits), and the first
-    # interval to cover each cell, to name a double cover.  ``owner`` is
-    # filled from placed[:scanned], and extended to every placed interval
-    # only when the current one covers a cell twice.
-    placed: list[tuple[int, list[int], int]] = []
+    least = n + 1  # above every rho: no top yet
+    # The indices of the placed intervals, and the first interval to cover
+    # each cell, to name a double cover.  ``owner`` is filled from
+    # placed[:scanned], and extended to every placed interval, its cells
+    # spread again, only when the current one covers a cell twice.  Keeping
+    # each interval's cells instead held every row bitset alive to the end
+    # and cost a valid cycle (20,3) certificate about a fifth more time.
+    placed: list[int] = []
     owner: dict[int, int] = {}
     scanned = 0
 
     def exponents(cell):
         return tuple(cell // w % (gj + 1) for w, gj in zip(weights, g))
+
+    def spread(e, raised):
+        # The top's rho, the bottom's coordinates at the bound and the raised
+        # ones below it, and the interval's rows and its cells within a row,
+        # the bottom's bit spread along each raised coordinate below the bound.
+        r = sum(map(eq, e, g))
+        row, at = divmod(sum(map(mul, e, weights)), width)
+        within, rows = 1 << at, [row]
+        for j in raised:
+            steps = g[j] - e[j]
+            if steps:
+                r += 1
+                w = weights[j]
+                if j < split:
+                    for _ in range(steps):
+                        within |= within << w
+                else:
+                    w //= width
+                    rows = [below + step for step in range(0, (steps + 1) * w, w) for below in rows]
+        return r, rows, within
 
     for i, (bottom, zvars) in enumerate(intervals):
         e = bottom.exponents
@@ -1007,45 +1013,17 @@ def _cover(
         else:
             failure = None
         if failure is not None:
-            if failures is None:
-                return None
             failures.append(f"{_label(i, bottom, zvars)}: {failure}")
             continue
         if raised is None:
             raised = raised_of[zvars] = sorted(v - 1 for v in zvars)
-        # The top's rho: the bottom's coordinates at the bound, and the raised
-        # ones below it, each of which spreads the cells along its coordinate.
-        r = sum(map(eq, e, g))
-        row, at = divmod(sum(map(mul, e, weights)), width)
-        within, rows, count = 1 << at, [row], 1
-        for j in raised:
-            steps = g[j] - e[j]
-            if steps:
-                r += 1
-                count *= steps + 1
-                w = weights[j]
-                if j < split:
-                    for _ in range(steps):
-                        within |= within << w
-                else:
-                    w //= width
-                    rows = [below + step for step in range(0, (steps + 1) * w, w) for below in rows]
+        r, rows, within = spread(e, raised)
         if r < least:
             least = r
-        total += count
-        if failures is None:
-            if r < k:
-                return None
-            for row in rows:
-                union[row] |= within
-            continue
         if r < k:
             failures.append(f"{_label(i, bottom, zvars)}: top has rho {r} < {k}")
-        # The union holds only cells of the poset, so ``free`` is the cells
-        # that join it; the others, outside the poset or covered before, are
-        # listed in code order, each named.
         for row in rows:
-            free = within & (cell_rows[row] ^ union[row])
+            free = within & left[row]
             if free != within:
                 for at in set_bits(within ^ free):
                     cell = row * width + at
@@ -1053,7 +1031,9 @@ def _cover(
                         outside = Monomial(exponents(cell))
                         failures.append(f"{_label(i, bottom, zvars)}: cell {outside} is outside the poset")
                         continue
-                    for j, rows_j, within_j in placed[scanned:]:
+                    for j in placed[scanned:]:
+                        bottom_j, zvars_j = intervals[j]
+                        _, rows_j, within_j = spread(bottom_j.exponents, raised_of[zvars_j])
                         for row_j in rows_j:
                             for at_j in set_bits(within_j):
                                 owner.setdefault(row_j * width + at_j, j)
@@ -1062,19 +1042,15 @@ def _cover(
                         f"double cover of {Monomial(exponents(cell))} by intervals "
                         f"{owner[cell] + 1} and {i + 1}"
                     )
-            union[row] |= free
-        placed.append((i, rows, within))
+            left[row] ^= free
+        placed.append(i)
 
-    if failures is None:
-        return least if union == cell_rows and total == poset.cells.bit_count() else None
-    if union != cell_rows:
-        # The first uncovered element is the missing cell of least (degree,
+    if any(left):
+        # The first uncovered element is the left cell of least (degree,
         # code): a cell's degree is its row's plus that of its bit in the
-        # row, read only for the rows and bits that hold a missing cell.
+        # row, read only for the rows and bits that hold a left cell.
         gaps = [
-            (sum(exponents(row * width)), row * width, want & ~have)
-            for row, (have, want) in enumerate(zip(union, cell_rows))
-            if have != want
+            (sum(exponents(row * width)), row * width, gap) for row, gap in enumerate(left) if gap
         ]
         bits = set_bits(reduce(or_, [gap for _, _, gap in gaps]))
         at_degree = dict(zip(bits, [sum(exponents(at)) for at in bits]))
@@ -1087,7 +1063,7 @@ def _cover(
 
 def _label(i: int, bottom: Monomial, zvars: frozenset[int]) -> str:
     """``interval i+1 [bottom ; {x_j, ...}]``: how a failure names the i-th interval."""
-    return f"interval {i + 1} [{bottom} ; {{{', '.join(f'x{v}' for v in sorted(zvars))}}}]"
+    return f"interval {i + 1} [{_line(bottom, zvars)}]"
 
 
 # ---------------------------------------------------------------------------
@@ -1098,12 +1074,13 @@ def _label(i: int, bottom: Monomial, zvars: frozenset[int]) -> str:
 _VAR_RE = re.compile(r"^x(\d+)$")
 
 
+def _line(bottom: Monomial, zvars: frozenset[int]) -> str:
+    """The certificate line of an interval, without its newline."""
+    return f"{bottom} ; {{{', '.join(f'x{v}' for v in sorted(zvars))}}}"
+
+
 def format_certificate(decomposition: StanleyDecomposition) -> str:
-    lines = []
-    for bottom, zvars in decomposition.intervals:
-        vars_text = ", ".join(f"x{v}" for v in sorted(zvars))
-        lines.append(f"{bottom} ; {{{vars_text}}}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(starmap(_line, decomposition.intervals)) + "\n"
 
 
 def parse_certificate(text: str, n: int) -> StanleyDecomposition:

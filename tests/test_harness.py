@@ -761,6 +761,28 @@ class TestCli:
         assert proc.returncode == 2
         assert "invalid" in proc.stdout
 
+    def test_verify_names_every_failure_kind(self, tmp_path, capsys):
+        # A hand-broken cycle (5,2) certificate at k = 2 that reaches every
+        # failure a certificate file can: a top of rho 1 (interval 4), a
+        # double cover (6), a bottom past the bound (7), a cell outside the
+        # poset (8) and an uncovered element.
+        ideal_file = tmp_path / "c52.txt"
+        ideal_file.write_text(format_ideal(cycle_path_ideal(5, 2)))
+        cert = tmp_path / "broken.cert"
+        cert.write_text(
+            "1 ; {x1, x3}\nx2 ; {x2, x4}\nx4 ; {x1, x4}\nx5 ; {x5}\n"
+            "x3*x5 ; {x3, x5}\nx2*x4 ; {x2, x4}\nx1^2 ; {}\nx1*x2 ; {}\n"
+        )
+        args = ["verify-decomp", "--ideal-file", str(ideal_file), "--decomp-file", str(cert)]
+        assert cli.main([*args, "--k", "2"]) == 2
+        assert capsys.readouterr().out == (
+            "invalid: interval 4 [x5 ; {x5}]: top has rho 1 < 2\n"
+            "invalid: double cover of x2*x4 by intervals 2 and 6\n"
+            "invalid: interval 7 [x1^2 ; {}]: bottom x1^2 exceeds the bound\n"
+            "invalid: interval 8 [x1*x2 ; {}]: cell x1*x2 is outside the poset\n"
+            "invalid: uncovered element x2*x5\n"
+        )
+
     def test_verify_level_out_of_range_is_input_error(self, tmp_path):
         ideal_file = tmp_path / "j42.txt"
         ideal_file.write_text(format_ideal(cycle_path_ideal(4, 2)))

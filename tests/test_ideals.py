@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -26,7 +28,7 @@ from sdepthlab import (
     variable,
     zero_ideal,
 )
-from sdepthlab.ideals import MAX_EXPONENT, set_bits
+from sdepthlab.ideals import MAX_EXPONENT, ideal_cells, set_bits
 
 
 def mono(n, *factors):
@@ -242,6 +244,17 @@ def test_colon_contains_ideal(gens, u):
     q = colon(ideal, u)
     for g in ideal.gens:
         assert member(q, g)
+
+
+@given(small_gen_lists, st.tuples(*[st.integers(3, 4)] * 3))
+def test_ideal_cells_are_the_members_in_the_box(gens, bound):
+    # Cell c of the box [0, bound] is the monomial whose exponents are the
+    # mixed-radix digits of c, x1's least significant.
+    ideal = minimalize(gens, 3)
+    cells = ideal_cells(ideal, bound)
+    for exps in product(*(range(b + 1) for b in bound)):
+        code = exps[0] + (bound[0] + 1) * (exps[1] + (bound[1] + 1) * exps[2])
+        assert (cells >> code & 1) == member(ideal, Monomial(exps))
 
 
 @given(small_gen_lists)
