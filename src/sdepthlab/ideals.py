@@ -84,27 +84,21 @@ class FrozenRecord(Record):
 
 
 class Counters(Record):
-    """A mutable record of counts, each field given by position or keyword.
+    """A mutable record of counts, each field given by keyword.
 
     A field not given gets a fresh value from its factory in ``_defaults``,
-    ``int`` (0) unless the class names another.  A field given twice, an
-    unknown name or more values than fields raises TypeError.
+    ``int`` (0) unless the class names another.  A value given by position or
+    an unknown name raises TypeError.
     """
 
     _defaults: dict[str, type] = {}
 
-    def __init__(self, *values: object, **named: object) -> None:
-        name = type(self).__qualname__
-        if len(values) > len(self._fields):
-            raise TypeError(f"{name}() takes {len(self._fields)} values, got {len(values)}")
-        for field, value in zip(self._fields, values):
-            if field in named:
-                raise TypeError(f"{name}() got multiple values for {field!r}")
-            named[field] = value
+    def __init__(self, **named: object) -> None:
         for field in self._fields:
             value = named.pop(field) if field in named else self._defaults.get(field, int)()
             setattr(self, field, value)
         if named:
+            name = type(self).__qualname__
             raise TypeError(f"{name}() got an unknown field {next(iter(named))!r}")
 
     def format(self) -> str:

@@ -41,10 +41,11 @@ Herzog, Vladoiu and Zheng (J. Algebra 322, 2009):
 - Prunes.  A low is stranded when no uncovered top of rho exactly k lies above
   it; that is exact since the partition found has that form.  When
   k <= maximal_rho every low has such a top, as rho rises by at most 1 per unit
-  step towards a maximal element.  On a squarefree bound whose tops all sit
-  at one degree, the degree counts must also split into Boolean intervals
-  (``beta_profile``); ``exists_partition`` runs that test before the search,
-  as no placement of the search can make it fail.
+  step towards a maximal element.  When k is the largest rho, the poset's
+  Hilbert series H(t), the sum of t^|e| / (1 - t)^rho(e), must have no
+  negative coefficient in (1 - t)^k H(t), which is then a polynomial
+  (``hilbert_negative_degree``); ``exists_partition`` runs that test before
+  the search.
 
 The elements come from bitmask passes over the box, indexed by code: the cells
 of each ideal are the upward closure of its generators' cells (``ideal_cells``).
@@ -104,10 +105,10 @@ from __future__ import annotations
 import re
 import sys
 import time
-from bisect import bisect_right
-from functools import lru_cache, reduce
-from itertools import accumulate, compress, repeat, starmap
-from typing import Iterator, NamedTuple, Sequence
+from bisect import bisect_left, bisect_right
+from functools import lru_cache, partial, reduce
+from itertools import accumulate, compress, pairwise, repeat, starmap
+from typing import Iterator, Mapping, NamedTuple, Sequence
 from math import comb, prod
 from operator import add, and_, eq, getitem, itemgetter, le, mul, or_, sub
 
@@ -434,8 +435,8 @@ class SearchStats(Counters):
 
     ``levels`` lists the levels tried, in order; ``sdepth_of_poset`` lists
     value + 1 unless it exceeds ``maximal_rho``.  Three outcomes need no
-    search: a level above ``maximal_rho``; a moment prune, a level whose
-    degree counts cannot be split into intervals, the only one counted; and a
+    search: a level above ``maximal_rho``; a moment prune, a level refuted by
+    the Hilbert test on its (degree, rho) counts, the only one counted; and a
     level with no element of rho below it, settled by singletons.  A placement
     covers the cells of one interval.  A stranded prune rejects the covered
     set a placement made, or the root, because some uncovered element has no
@@ -474,9 +475,10 @@ def exists_partition(
     outcome from infeasibility.  A ``stats`` record, when given, gets k and
     this search's counts added.  Three outcomes need no search, in this
     order: a level above ``maximal_rho`` is refuted, as a maximal element of
-    smaller rho tops every interval that contains it, and so is one whose
-    degree counts have no ``beta_profile``, a moment prune; a level with no
-    element of rho below k is settled by singletons.
+    smaller rho tops every interval that contains it, and so is the level of
+    the largest rho when its (degree, rho) counts fail the Hilbert test
+    (``hilbert_negative_degree``), a moment prune; a level with no element of
+    rho below k is settled by singletons.
 
     Any other level is searched on its rho = k layer (module docstring): each
     interval of the partition returned is a singleton of rho >= k or has a top
@@ -489,18 +491,18 @@ def exists_partition(
     stats.levels.append(k)
     if k > poset.maximal_rho:
         return None
-    # Degree-moment test.  On a bound of zeros and ones rho is degree plus
-    # the count z of coordinates pinned at zero.  When max(rho) = k, every
-    # interval top sits at the poset's maximal degree kappa = k - z, so the
-    # degree counts, those of rho = z + d, must have a ``beta_profile``.
-    # The test never fails below the root, so it runs before the search only:
-    # a placement at the lowest uncovered element, of degree d0, takes one
-    # Boolean interval of height s0 = kappa - d0, whose profile is the unit
-    # vector at s0.  The recursion is linear and the profile's entry at s0
-    # is the uncovered count at d0, at least 1, so it stays >= 0.
-    rho, z = poset.rho, poset.g.count(0)
-    if max(poset.g) <= 1 and max(rho) == k:
-        if beta_profile([rho.count(d) for d in range(z, k + 1)], k - z) is None:
+    # The Hilbert test at the largest rho.  An element's degree is the sum of
+    # its part degrees, each one translation of a part's bytes.  The elements
+    # ascend by degree, so each degree's rho bytes are one run, found by
+    # bisection, and each class is counted in it in C.
+    rho = poset.rho
+    if k == max(rho):
+        parts = zip(poset.parts, poset._tables)
+        degrees = list(reduce(partial(map, add), [part.translate(t.degrees) for part, t in parts]))
+        starts = [bisect_left(degrees, d) for d in range(degrees[-1] + 2)]
+        counts = {(d, r): count for d, (start, end) in enumerate(pairwise(starts))
+                  for r in range(k + 1) if (count := rho.count(r, start, end))}
+        if hilbert_negative_degree(counts, k) is not None:
             stats.moment_prunes += 1
             return None
     if min(rho) >= k:
@@ -606,27 +608,23 @@ def candidate_ranks(
     return above & ~between
 
 
-def beta_profile(alpha: Sequence[int], kappa: int) -> list[int] | None:
-    """The interval counts by height that degree counts force, or None if one is negative.
+def hilbert_negative_degree(counts: Mapping[tuple[int, int], int], k: int) -> int | None:
+    """The least degree of a negative coefficient of (1 - t)^k H(t), or None if there is none.
 
-    ``alpha[d]`` counts the elements of degree d, for d in 0..kappa, of a
-    squarefree set to be split into Boolean intervals whose tops all sit at
-    degree kappa.  An interval of height s covers C(s, j) cells at degree
-    kappa - s + j, so the count of height-s intervals is the degree-(kappa - s)
-    count less the cells that the taller intervals cover there, tallest first.
-    This is the N-graded Hilbert-depth recursion (Bruns, Krattenthaler and
-    Uliczka, J. Commut. Algebra 2, 2010); in closed form the count of height
-    kappa - d is the sum over j of (-1)^(d - j) C(kappa - j, d - j) alpha_j.
+    ``counts[d, r]`` counts the elements of degree d and rho r, each r <= k, so
+    (1 - t)^k H(t), the sum of count * t^d * (1 - t)^(k - r), is a polynomial.
+    A partition with every top of rho >= k leaves no negative coefficient: an
+    interval [c, t] adds t^|c| / (1 - t)^rho(t) to H(t), times
+    1 + t + ... + t^(t_j - c_j) for each coordinate j where t is below the
+    bound.  This is the N-graded Hilbert-depth test (Uliczka, Manuscripta
+    Math. 132, 2010; Bruns, Krattenthaler and Uliczka, J. Commut. Algebra 2,
+    2010).
     """
-    heights = [0] * (kappa + 1)
-    for s in range(kappa, -1, -1):
-        forced = alpha[kappa - s]
-        for t in range(s + 1, kappa + 1):
-            forced -= heights[t] * comb(t, s)
-        if forced < 0:
-            return None
-        heights[s] = forced
-    return heights
+    coefficients = [0] * (max((d + k - r for d, r in counts), default=0) + 1)
+    for (d, r), count in counts.items():
+        for j in range(k - r + 1):
+            coefficients[d + j] += (-1) ** j * comb(k - r, j) * count
+    return next((d for d, c in enumerate(coefficients) if c < 0), None)
 
 
 def _search(poset, k, deadline, stats):

@@ -500,6 +500,17 @@ PINNED_THM14_N4_MD = (
 )
 
 
+# The sha256 of each default scan's stdout, the digests of CI's "Default scan
+# bytes" step.
+DEFAULT_SCAN_DIGESTS = {
+    "thm14": "9ce45b3d5cdc0a8bd936034effd8e8030c5288f7bfdb9475f12f99ffaeef4ae0",
+    "cor15": "8a8c7a8784c3963979cb4933ab20a9ba12f8aafc2dae89bef198c10448123958",
+    "prop16": "db9e216e4a9e3110afb25d167bbd31688a67ebb83cedea850dc88d6827f67c61",
+    "conjecture": "413828e453ac375b1134a6c28b01d744005708f4d1731e6858deaa7894a7fe6e",
+    "formulas": "da75836f64f2dbd4c4c5df21b4425896433485d4cae8d2e3628ee1eac9d4831f",
+}
+
+
 class TestPinnedOutput:
     def test_small_grid_csv_bytes(self):
         for (check, n_max), text in PINNED_CSV.items():
@@ -509,6 +520,12 @@ class TestPinnedOutput:
         rows = run_scan("thm14", n_max=4)
         assert emit_json(rows) == PINNED_THM14_N4_JSON
         assert emit_md(rows) == PINNED_THM14_N4_MD
+
+    @pytest.mark.parametrize("check", DEFAULT_SCAN_DIGESTS)
+    def test_default_scan_bytes(self, capsys, check):
+        assert cli.main(["scan", "--check", check]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == DEFAULT_SCAN_DIGESTS[check]
 
 
 class TestUnknownRows:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from math import comb, prod
 from operator import eq, le
 
@@ -629,7 +630,7 @@ class TestLevelOrder:
         assert result.infeasible_at == 6
 
     def test_cycle_nine_six_refutes_maximal_rho_by_degrees(self, monkeypatch):
-        # Level 7 = maximal_rho is refuted by the degree counts' beta profile.
+        # Level 7 = maximal_rho is refuted by the Hilbert test on its counts.
         stats = SearchStats()
         exists_partition(build_poset(cycle_quotient(9, 6)), 7, stats=stats)
         assert (stats.moment_prunes, stats.placements) == (1, 0)
@@ -702,20 +703,27 @@ class TestSearchStats:
 
     # Recorded when each level began to be searched on its rho = k layer,
     # which leaves the singletons above k out of ``placements`` and
-    # ``candidate_tops``; the line (6,3)^2 and root-refuted rows kept their
-    # earlier counts.  Cycle (9,3) level 5 made 44,316 placements and cycle
-    # (13,2) level 5 672,260 before, so a lost reduction shows here.  The
-    # middle four levels are on posets of 2,025 and 6,516 elements
-    # (squarefree and not), where a changed candidate or witness order would
-    # show only in these counts.
+    # ``candidate_tops``; the root-refuted rows kept their earlier counts.
+    # Cycle (9,3) level 5 made 44,316 placements and cycle (13,2) level 5
+    # 672,260 before, so a lost reduction shows here.  Line (6,3)^2 level 4
+    # made 6,615 placements until the Hilbert test ran on every bound, which
+    # refutes it; line (5,3)^2 level 3 passes that test, so a level of a
+    # bound that is not squarefree refuted by the search stays pinned.  The
+    # cycle (11,9) and cycle (8,7)^2 levels are on posets of 2,025 and 6,516
+    # elements (squarefree and not), where a changed candidate or witness
+    # order would show only in these counts.
     @pytest.mark.parametrize("pair, k, feasible, counts", [
         (cycle_quotient(9, 3), 5, True, dict(
             placements=23_990, stranded_prunes=6_123, moment_prunes=0,
             table_hits=7_216, stored_states=17_831, table_clears=0, candidate_tops=147,
         )),
         (ring_quotient(square(line_path_ideal(6, 3))), 4, False, dict(
-            placements=6_615, stranded_prunes=2_136, moment_prunes=0,
-            table_hits=3_559, stored_states=4_479, table_clears=0, candidate_tops=320,
+            placements=0, stranded_prunes=0, moment_prunes=1,
+            table_hits=0, stored_states=0, table_clears=0, table_peak_bytes=0, candidate_tops=0,
+        )),
+        (ring_quotient(square(line_path_ideal(5, 3))), 3, False, dict(
+            placements=127_591, stranded_prunes=17_285, moment_prunes=0,
+            table_hits=122_893, stored_states=110_306, table_clears=0, candidate_tops=452,
         )),
         (cycle_quotient(11, 9), 9, False, dict(
             placements=0, stranded_prunes=0, moment_prunes=1,
@@ -751,9 +759,10 @@ class TestSearchStats:
             table_hits=0, stored_states=0, table_clears=0, table_peak_bytes=0, candidate_tops=0,
         )),
     ], ids=[
-        "cycle-9-3-level-5", "line-6-3-squared-level-4", "cycle-11-9-level-9",
-        "cycle-11-9-level-8", "cycle-8-7-squared-level-6", "cycle-8-7-squared-level-5",
-        "cycle-13-2-level-5", "cycle-line-8-6-level-7", "cycle-line-8-6-level-6",
+        "cycle-9-3-level-5", "line-6-3-squared-level-4", "line-5-3-squared-level-3",
+        "cycle-11-9-level-9", "cycle-11-9-level-8", "cycle-8-7-squared-level-6",
+        "cycle-8-7-squared-level-5", "cycle-13-2-level-5", "cycle-line-8-6-level-7",
+        "cycle-line-8-6-level-6",
     ])
     def test_pinned_counts(self, pair, k, feasible, counts):
         # Each search takes well under a second; the limit turns a weakened
@@ -765,19 +774,19 @@ class TestSearchStats:
         assert {name: getattr(stats, name) for name in counts} == counts
 
     def test_sdepth_sums_the_levels(self):
-        # Level 4 = maximal_rho is refuted by its search (6,615 placements,
-        # pinned above) and level 3 is found.  Recorded when each level began
+        # Level 3 = maximal_rho is refuted by its search (127,591 placements,
+        # pinned above) and level 2 is found.  Recorded when each level began
         # to be searched on its rho = k layer.
         stats = SearchStats()
-        sdepth_of_pair(ring_quotient(square(line_path_ideal(6, 3))), stats=stats)
-        assert stats.levels == [4, 3]
+        sdepth_of_pair(ring_quotient(square(line_path_ideal(5, 3))), stats=stats)
+        assert stats.levels == [3, 2]
         counts = (stats.placements, stats.stranded_prunes, stats.candidate_tops)
-        assert counts == (6_719, 2_136, 444)
+        assert counts == (127_665, 17_285, 526)
 
     def test_no_search_below_level_one_or_above_max_rho(self, monkeypatch):
         # The levels that need no search never enter it: level 0 and any
         # level with no element of rho below it (singletons), a level above
-        # maximal_rho, and one whose degree counts refute it.
+        # maximal_rho, and one that the Hilbert test refutes.
         def unreachable(*args):
             raise AssertionError("the level was searched")
 
@@ -803,15 +812,23 @@ def counts_of_heights(heights):
     return alpha
 
 
+def hilbert_counts(poset, elements=None):
+    """The (degree, rho) counts of ``elements``, every element by default."""
+    points = rows(poset)
+    elements = range(len(points)) if elements is None else elements
+    return Counter((sum(points[i]), poset.rho[i]) for i in elements)
+
+
 class TestMomentLemma:
-    """Below the root the degree-moment test never fails, so the search runs
-    it at the root only.
+    """Below the root the Hilbert test never fails on a squarefree bound, so
+    the search runs it at the root only.
 
     On a squarefree bound with z coordinates at 0 and largest degree kappa,
-    the level k = kappa + z has its tops at degree kappa.  The search branches
-    on the lowest uncovered element and places a Boolean interval up to a top
-    of degree kappa that misses the covered cells; after each placement the
-    uncovered degree counts keep a ``beta_profile``.
+    the level k = kappa + z is the largest rho and has its tops at degree
+    kappa.  The search branches on the lowest uncovered element and places a
+    Boolean interval up to a top of degree kappa that misses the covered
+    cells; after each placement the uncovered (degree, rho) counts still
+    pass the test.
     """
 
     @settings(max_examples=200, deadline=None)
@@ -820,18 +837,16 @@ class TestMomentLemma:
         points = rows(poset)
         degree = list(map(sum, points))
         kappa = degree[-1]
+        k = max(poset.rho)
 
         def below(a, b):
             return all(x <= y for x, y in zip(a, b))
 
-        def profile(uncovered):
-            counts = [0] * (kappa + 1)
-            for i in uncovered:
-                counts[degree[i]] += 1
-            return solver.beta_profile(counts, kappa)
+        def negative_degree(uncovered):
+            return solver.hilbert_negative_degree(hilbert_counts(poset, uncovered), k)
 
         uncovered = set(range(len(points)))
-        if profile(uncovered) is None:
+        if negative_degree(uncovered) is not None:
             reject()
         while uncovered:
             # Element order is (degree, code), so the lowest index is the
@@ -851,13 +866,14 @@ class TestMomentLemma:
             if not intervals:
                 break  # the search backtracks here
             uncovered -= data.draw(st.sampled_from(intervals))
-            assert profile(uncovered) is not None, sorted(uncovered)
+            assert negative_degree(uncovered) is None, sorted(uncovered)
 
 
 class TestBetaProfile:
-    """``beta_profile`` against the closed form of the Hilbert-depth recursion,
+    """The Hilbert test on squarefree counts {(d, d): alpha_d} at k = kappa
+    against the closed form of the Hilbert-depth recursion,
     beta_d = sum_j (-1)^(d-j) C(kappa-j, d-j) alpha_j for the intervals with
-    bottom at degree d."""
+    bottom at degree d: the test names the least d with beta_d < 0."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(min_value=0, max_value=12).flatmap(lambda kappa: st.one_of(
@@ -875,11 +891,55 @@ class TestBetaProfile:
             sum((-1) ** (d - j) * comb(kappa - j, d - j) * alpha[j] for j in range(d + 1))
             for d in range(kappa + 1)
         ]
-        profile = solver.beta_profile(alpha, kappa)
-        if min(beta) < 0:
-            assert profile is None
-        else:
-            assert profile == beta[::-1]
+        counts = {(d, d): count for d, count in enumerate(alpha)}
+        first = next((d for d, count in enumerate(beta) if count < 0), None)
+        assert solver.hilbert_negative_degree(counts, kappa) == first
+
+
+class TestHilbertRoot:
+    """The Hilbert test refutes a level only where no partition exists."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_presentations())
+    # Exponent 3, and raised bounds, as in the order bitsets' examples.
+    @example(principal_poset("x1^3*x2, x2^2*x3", 3))
+    @example(build_poset(ring_quotient(parse_ideal("n=3: x1^2*x2, x2*x3")), g_override=(3, 2, 2)))
+    @example(build_poset(ring_quotient(parse_ideal("n=3: x1^3*x2*x3")), g_override=(3, 1, 1)))
+    @example(build_poset(ring_quotient(parse_ideal("n=2: x1^2*x2")), g_override=(3, 2)))
+    # Seven elements on two code parts, x1 and then x2, x3: level 3 is
+    # refuted at degree 61, and brute force finds 2.
+    @example(build_poset(
+        QuotientPresentation(parse_ideal("n=3: x1^29*x2^28*x3, x1^30*x2^30"), zero_ideal(3))
+    ))
+    def test_refutes_only_infeasible_levels(self, poset):
+        if len(poset) > 12:
+            reject()
+        k = max(poset.rho)
+        if k > poset.maximal_rho:
+            reject()
+        # The search's own count of the classes decides as the reference's.
+        refuted = solver.hilbert_negative_degree(hilbert_counts(poset), k) is not None
+        stats = SearchStats()
+        exists_partition(poset, k, stats=stats)
+        assert stats.moment_prunes == refuted
+        if refuted:
+            assert brute_force_sdepth(poset) < k, rows(poset)
+
+    # S/I^2 levels that the search alone refuted before the test ran on
+    # every bound; the search, called without the test, still refutes each.
+    @pytest.mark.parametrize("pair, value", [
+        (ring_quotient(square(line_path_ideal(4, 2))), 1),
+        (ring_quotient(square(cycle_path_ideal(4, 2))), 1),
+        (ring_quotient(square(line_path_ideal(6, 3))), 3),
+    ], ids=["line-4-2-squared", "cycle-4-2-squared", "line-6-3-squared"])
+    def test_refuted_squares_the_search_confirms(self, pair, value):
+        poset = build_poset(pair)
+        k = max(poset.rho)
+        assert k == poset.maximal_rho == value + 1
+        assert solver.hilbert_negative_degree(hilbert_counts(poset), k) is not None
+        assert solver._search(poset, k, None, SearchStats()) is None
+        result = sdepth_of_poset(poset)
+        assert (result.value, result.infeasible_at) == (value, k)
 
 
 class TestOrderBitsets:
