@@ -152,13 +152,16 @@ def _cmd_sdepth(args) -> int:
         certified = f"partition at {result.value}, none at {result.infeasible_at}"
     else:
         certified = f"partition at {result.value} (ambient bound)"
-    _write(
+    text = (
         f"sdepth = {result.value}\nposet elements = {len(result.poset)}\n"
         f"certified: {certified}\n"
     )
+    # The certificate goes first: a write that fails is an input error, which
+    # leaves standard output empty.
     if args.certificate:
         write_certificate(args.certificate, result.certificate)
-        _write(f"certificate written to {args.certificate}\n")
+        text += f"certificate written to {args.certificate}\n"
+    _write(text)
     return EXIT_OK
 
 

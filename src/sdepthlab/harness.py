@@ -27,7 +27,6 @@ from .homology import depth_squarefree
 from .ideals import (
     MAX_AMBIENT,
     QuotientPresentation,
-    box_steps,
     box_upset,
     ideal_cells,
     minimalize,
@@ -354,12 +353,18 @@ def emit_md(rows: list[ScanRow], *, timings: bool = False) -> str:
 
 
 class ComponentReport(NamedTuple):
+    """One wrap-window component that passed the structure check.
+
+    Its residual family equals the faces of the complex on the ambient
+    whose minimal nonfaces are ``minimal_nonfaces``, the predicted runs: a
+    truncated run at the left edge, then the full-length runs that fit.
+    """
+
     t: int
     wrap_window: tuple[int, ...]
     forced_var: int
     residual_count: int
     minimal_nonfaces: tuple[tuple[int, ...], ...]
-    predicted_nonfaces: tuple[tuple[int, ...], ...]
     residual_depth: int
     component_depth: int
 
@@ -380,30 +385,23 @@ def prop16_structure_check(n: int, m: int) -> Prop16Report:
     squarefree multidegrees are the cells of the box [0, (1,)*n] in the
     cycle's ideal but not the line's (``ideal_cells``).  Each must contain one
     of the m-1 windows that cross the n-to-1 seam, and is assigned to the
-    smallest one it contains.  Per component the residual sets (window
-    removed) must form a downward-closed family over the variables strictly
-    between the window and its forced excluded variable, with minimal
-    non-faces that are consecutive runs: one truncated run at the left edge
-    plus full-length runs, whenever those fit inside the ambient.  The derived
-    depth is the minimum over components of the residual quotient depth plus
-    the window size.  The report passes no verdict on it: the ``prop16`` scan
-    row compares it with ``quotient_module_bound(n, m)``, as it does every
-    claim.  The check enumerates the 2^n cells at once, for every n up to
-    ``MAX_AMBIENT``.
+    smallest one it contains.  Per component one equality is checked: the
+    residual sets (window removed) are exactly the faces of the complex on
+    the variables strictly between the window and its forced excluded
+    variable whose minimal nonfaces are consecutive runs (the run complex):
+    a truncated run at the left edge, then the full-length runs that fit
+    inside that ambient.  A component that fails gets one problem line,
+    naming the least set in one family but not the other, and no
+    ``ComponentReport``.  The derived depth is the minimum over the passing
+    components of the residual quotient depth plus the window size.  The
+    report passes no verdict on it: the ``prop16`` scan row compares it with
+    ``quotient_module_bound(n, m)``, as it does every claim.  The check
+    enumerates the 2^n cells at once, for every n up to ``MAX_AMBIENT``.
     """
     if not (2 <= m < n <= MAX_AMBIENT):
         raise InputError(f"need 2 <= m < n <= {MAX_AMBIENT}, got (n, m) = ({n}, {m})")
 
-    box, full = (1,) * n, (1 << n) - 1
-    steps = box_steps(box)
-
-    def step_up(cells, mask):
-        # The cells one step above ``cells`` along a variable of ``mask``.
-        out = 0
-        for j in set_bits(mask):
-            weight, below = steps[j]
-            out |= (cells & below) << weight
-        return out
+    box = (1,) * n
 
     def variables(mask):
         return [j + 1 for j in set_bits(mask)]
@@ -418,36 +416,25 @@ def prop16_structure_check(n: int, m: int) -> Prop16Report:
         cells = unassigned & box_upset(1 << wrap, box)
         unassigned ^= cells
         family = cells >> wrap  # bit w - wrap for each w assigned here: the residuals
-        if not family:
-            problems.append(f"component {t} is empty")
-            continue
-        # Bit r is set when r less some variable is not a residual.
-        unclosed = family & step_up(submasks(full) & ~family, full)
-        inner = submasks(ambient)
-        for r in set_bits(family & ~inner | unclosed):
-            if r >> forced - 1 & 1:
-                problems.append(f"component {t}: residual {variables(r)} uses x{forced}")
-            if r & ~ambient:
-                problems.append(f"component {t}: residual {variables(r)} leaves the ambient")
-            if unclosed >> r & 1:
-                problems.append(f"component {t} is not downward closed at {variables(r)}")
-
-        # The minimal non-faces: no set one variable smaller is a non-face.
-        outside = inner & ~family
-        minimal = outside & ~step_up(outside, ambient)
-        nonfaces = sorted(tuple(variables(s)) for s in set_bits(minimal))
         # A truncated run at the left edge, then the full-length runs that fit.
-        predicted = [tuple(range(t + 1, m + 1))] if m <= n - m + t - 1 else []
-        predicted += [tuple(range(i, i + m)) for i in range(t + 2, n - 2 * m + t + 1)]
-        if nonfaces != predicted:
+        runs = [tuple(range(t + 1, m + 1))] if m <= n - m + t - 1 else []
+        runs += [tuple(range(i, i + m)) for i in range(t + 2, n - 2 * m + t + 1)]
+        run_cells = sum(1 << sum(1 << v - 1 for v in run) for run in runs)
+        faces = submasks(ambient) & ~box_upset(run_cells, box)
+        if family != faces:
+            differ = family ^ faces
+            least = (differ & -differ).bit_length() - 1
             problems.append(
-                f"component {t}: minimal non-faces {nonfaces} differ from expected {predicted}"
+                f"component {t}: residual {variables(least)} is not a face of the run complex"
+                if family >> least & 1 else
+                f"component {t}: face {variables(least)} of the run complex is not a residual"
             )
+            continue
 
         size = ambient.bit_count()
         residual_depth = size  # with no nonface, of the polynomial ring
-        if nonfaces:
-            gens = [monomial(size, [v - t for v in nf]) for nf in nonfaces]
+        if runs:
+            gens = [monomial(size, [v - t for v in run]) for run in runs]
             residual_depth = depth_squarefree(minimalize(gens, size))
         components.append(
             ComponentReport(
@@ -455,8 +442,7 @@ def prop16_structure_check(n: int, m: int) -> Prop16Report:
                 wrap_window=tuple(variables(wrap)),
                 forced_var=forced,
                 residual_count=family.bit_count(),
-                minimal_nonfaces=tuple(nonfaces),
-                predicted_nonfaces=tuple(predicted),
+                minimal_nonfaces=tuple(runs),
                 residual_depth=residual_depth,
                 component_depth=residual_depth + m,
             )

@@ -22,7 +22,7 @@ from sdepthlab import (
     sr_complex,
     variable,
 )
-from sdepthlab.ideals import MAX_AMBIENT
+from sdepthlab.ideals import MAX_AMBIENT, box_steps, box_upset, set_bits, submasks
 
 
 def run_optimized(code: str) -> str:
@@ -481,3 +481,50 @@ def reference_verification(poset, decomposition, k) -> VerificationReport:
         failures.append(f"uncovered element {Monomial(decode(poset, missing))}")
 
     return VerificationReport(not failures, tuple(failures), min(rhos, default=None))
+
+
+def reference_structure_ok(n: int, m: int, cells: int) -> bool:
+    """``prop16_structure_check``'s verdict on the module cells ``cells``, by
+    the four separate tests it made before its one set equality per component.
+
+    Per wrap-window component: the family is not empty; no residual uses the
+    forced variable or leaves the ambient, and the family is downward closed;
+    its minimal nonfaces in the ambient are the predicted runs.  Every cell
+    must be assigned.  The old check went on to compute a depth from a failed
+    family's nonfaces, and raised on an empty one; such a family is never
+    accepted here, so the verdict counts that raise as not ok.
+    """
+    box, full = (1,) * n, (1 << n) - 1
+    steps = box_steps(box)
+
+    def step_up(found, mask):
+        # The cells one step above ``found`` along a variable of ``mask``.
+        out = 0
+        for j in set_bits(mask):
+            weight, below = steps[j]
+            out |= (found & below) << weight
+        return out
+
+    unassigned = cells
+    for t in range(1, m):
+        wrap = (1 << m - t) - 1 << n - m + t | (1 << t) - 1
+        ambient = (1 << n - m - 1) - 1 << t
+        assigned = unassigned & box_upset(1 << wrap, box)
+        unassigned ^= assigned
+        family = assigned >> wrap
+        if not family:
+            return False
+        inner = submasks(ambient)
+        unclosed = family & step_up(submasks(full) & ~family, full)
+        # The forced variable lies outside the ambient, so a residual that
+        # uses it also leaves the ambient.
+        if family & ~inner or unclosed:
+            return False
+        outside = inner & ~family
+        minimal = outside & ~step_up(outside, ambient)
+        nonfaces = sorted(tuple(j + 1 for j in set_bits(s)) for s in set_bits(minimal))
+        predicted = [tuple(range(t + 1, m + 1))] if m <= n - m + t - 1 else []
+        predicted += [tuple(range(i, i + m)) for i in range(t + 2, n - 2 * m + t + 1)]
+        if nonfaces != predicted:
+            return False
+    return not unassigned

@@ -10,7 +10,9 @@ import time
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers import reference_structure_ok
 from sdepthlab import (
     InputError,
     PosetCapExceededError,
@@ -30,6 +32,7 @@ from sdepthlab import (
     run_scan,
 )
 from sdepthlab import cli, harness
+from sdepthlab.ideals import ideal_cells, set_bits
 
 
 def rows_by_nm(rows):
@@ -527,6 +530,15 @@ class TestPinnedOutput:
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == DEFAULT_SCAN_DIGESTS[check]
 
+    def test_structure_scan_to_twenty_bytes(self):
+        # CI's "Structure check to n = 20" digest.  A poset cap of 1 makes
+        # every sdepth unknown before any search, so only the structure
+        # checks and the claim run.
+        text = emit_csv(run_scan("prop16", n_max=20, max_poset=1))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "5f83ddb5dfd25a91018e7754d57f5bddc34d8d2066265d47575906e9a5053cfd"
+        )
+
 
 class TestUnknownRows:
     def test_poset_cap_makes_sdepth_unknown(self):
@@ -674,11 +686,52 @@ class TestStructureCheck:
     def test_reports_match_the_pinned_digest(self):
         # The values were recorded with the frozenset enumeration that the
         # masks replaced; the digest is of those reports without the claimed
-        # depth and its comparison, which the scan's claim rule makes instead.
+        # depth and its comparison, which the scan's claim rule makes instead,
+        # and without the predicted nonfaces, which equal the minimal ones in
+        # every report.
         reports = [prop16_structure_check(n, m) for n in range(3, 13) for m in range(2, n)]
         assert hashlib.sha256(repr(reports).encode()).hexdigest() == (
-            "a338fd0b4a5cdfd9dbed3ae18399a052b9f23641f5965c9923911258c8d8a9f5"
+            "ece7e43fe970a6e0715c3bf15fdc3babd2f8f2e033a1a36dbe2dbb858fa7e9c4"
         )
+
+    @staticmethod
+    def module_cells(n, m):
+        box = (1,) * n
+        return ideal_cells(cycle_path_ideal(n, m), box) & ~ideal_cells(line_path_ideal(n, m), box)
+
+    def check_flipped(self, n, m, flips):
+        """The check, and the four-test reference, on the module's cells with
+        the cells ``flips`` toggled."""
+        cycle, cells = cycle_path_ideal(n, m), self.module_cells(n, m) ^ flips
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harness, "ideal_cells", lambda ideal, box: cells if ideal == cycle else 0)
+            report = prop16_structure_check(n, m)
+        return report, reference_structure_ok(n, m, cells)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_flipped_cells_match_the_four_tests(self, data):
+        n = data.draw(st.integers(3, 9), label="n")
+        m = data.draw(st.integers(2, n - 1), label="m")
+        module = set_bits(self.module_cells(n, m))
+        # Both removed module cells and added cells of the whole box.
+        cell = st.one_of(st.sampled_from(module), st.integers(0, (1 << n) - 1))
+        flips = data.draw(st.sets(cell, min_size=1, max_size=3), label="flips")
+        report, reference = self.check_flipped(n, m, sum(1 << c for c in flips))
+        assert report.ok == reference, report.problems
+
+    def test_mismatch_names_the_least_differing_set(self):
+        # (5,2) has one component: window {x1, x5}, ambient {x2, x3}, run
+        # complex with faces {} and {x3}.  Adding {x1, x2, x5} adds the
+        # residual {x2}; removing {x1, x5} removes the face {}.
+        for cell, problem in [
+            (0b10011, "component 1: residual [2] is not a face of the run complex"),
+            (0b10001, "component 1: face [] of the run complex is not a residual"),
+        ]:
+            report, reference = self.check_flipped(5, 2, 1 << cell)
+            assert report.problems == (problem,)
+            assert (report.ok, reference) == (False, False)
+            assert (report.components, report.derived_depth) == ((), None)
 
     def test_structure_holds_across_grid(self):
         from sdepthlab import cycle_depth_formula
@@ -914,6 +967,17 @@ class TestCli:
         assert proc.stdout == ""
         assert proc.stderr.splitlines() == [proc.stderr.strip()]
         assert proc.stderr.startswith(f"error: cannot write {cert}: it is a directory")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_certificate_file_writes_no_stdout(self, tmp_path):
+        # The certificate is written before the result lines, so a write that
+        # fails leaves stdout empty, as every input error does.
+        proc, _ = self.sdepth_with_certificate(tmp_path, "/dev/full")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "error: cannot write /dev/full: [Errno 28] No space left on device"
+        ]
 
     @staticmethod
     def sdepth_with_certificate(tmp_path, name):
