@@ -95,50 +95,35 @@ def _gf2_rank(rows: list[int]) -> int:
 def _integer_rank(rows: list[dict[int, int]]) -> int:
     """Rank of an integer matrix given as sparse rows, by exact elimination.
 
-    Cross-multiplication keeps everything in the integers; rows are reduced by
-    their gcd after each elimination step so entries stay small.  The rank does
-    not depend on the pivot order, so the pivot rule only affects the cost.
+    As in ``_gf2_rank``, each row is reduced by the stored pivot rows, keyed
+    by their greatest column, until it is zero or has a new greatest column,
+    where it becomes a pivot row.  A step sets row <- a * row - b * pivot, with
+    a and b the pivot's and the row's entries at that column: it stays in the
+    integers, keeps the row's span over Q (a is nonzero) and lowers the row's
+    greatest column.  The row is then divided by the gcd of its entries so
+    they stay small.  Pivots with distinct greatest columns are independent.
+    Each step builds a new row, so ``rows`` is left as it was.
     """
-    active = [dict(r) for r in rows if r]
-    rank = 0
-    while active:
-        # A shortest row, and in it a +-1 entry if there is one, keeps fill-in
-        # and entry growth low without scanning every entry of every row.
-        pivot_row = min(active, key=len)
-        pc = next((col for col, val in pivot_row.items() if abs(val) == 1), None)
-        if pc is None:
-            pc = min(pivot_row, key=lambda col: abs(pivot_row[col]))
-        pv = pivot_row[pc]
-        rank += 1
-        next_rows = []
-        for row in active:
-            if row is pivot_row:
-                continue
-            v = row.get(pc)
-            if v is None:
-                next_rows.append(row)
-                continue
-            new_row = {}
-            for col, val in row.items():
-                if col == pc:
-                    continue
-                nv = val * pv - pivot_row.get(col, 0) * v
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        while row:
+            lead = max(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            a, b = pivot[lead], row[lead]
+            row = {col: a * val for col, val in row.items()}
+            for col, val in pivot.items():
+                nv = row.get(col, 0) - b * val
                 if nv:
-                    new_row[col] = nv
-            for col, val in pivot_row.items():
-                if col != pc and col not in row:
-                    nv = -val * v
-                    if nv:
-                        new_row[col] = nv
-            if new_row:
-                g = 0
-                for val in new_row.values():
-                    g = gcd(g, val)
-                if g > 1:
-                    new_row = {c: v // g for c, v in new_row.items()}
-                next_rows.append(new_row)
-        active = next_rows
-    return rank
+                    row[col] = nv
+                else:
+                    del row[col]
+            g = gcd(*row.values())
+            if g > 1:
+                row = {col: val // g for col, val in row.items()}
+    return len(pivots)
 
 
 # A prime for the check that no exact fallback rank is below its rank over F_p.

@@ -22,6 +22,7 @@ from sdepthlab import (
     sr_complex,
     variable,
 )
+from sdepthlab import homology
 from sdepthlab.ideals import MAX_AMBIENT, box_steps, box_upset, set_bits, submasks
 
 
@@ -354,6 +355,20 @@ def enumerate_small_ideals(n: int, max_gens: int = 3, max_exp: int = 2):
             if ideal not in seen:
                 seen[ideal] = None
     return sorted(seen, key=lambda ideal: (len(ideal.gens), tuple(g.sort_key() for g in ideal.gens)))
+
+
+def counting_integer_rank(monkeypatch) -> list[list[dict[int, int]]]:
+    """Wrap the exact fallback so a test can count how often it runs; each
+    call appends a copy of the sparse rows it was given."""
+    calls = []
+    rank = homology._integer_rank
+
+    def counted(rows):
+        calls.append([dict(row) for row in rows])
+        return rank(rows)
+
+    monkeypatch.setattr(homology, "_integer_rank", counted)
+    return calls
 
 
 def fraction_rank(matrix: list[list[int]]) -> int:

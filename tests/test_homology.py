@@ -1,4 +1,5 @@
 import hashlib
+import random
 from functools import reduce
 from itertools import combinations
 from operator import or_
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
+    counting_integer_rank,
     fraction_rank,
     reference_betti,
     reference_faces,
@@ -49,18 +51,6 @@ RP2_TEXT = "n=6: " + ", ".join(
     for triple in combinations(range(1, 7), 3)
     if frozenset(triple) not in RP2_FACETS
 )
-
-
-def counting_integer_rank(monkeypatch):
-    """Wrap the exact fallback so a test can count how often it runs."""
-    calls = []
-
-    def counted(rows):
-        calls.append(len(rows))
-        return _integer_rank(rows)
-
-    monkeypatch.setattr(homology, "_integer_rank", counted)
-    return calls
 
 
 @st.composite
@@ -397,7 +387,39 @@ def small_matrices(draw):
     return draw(st.lists(row, max_size=7))
 
 
+def seeded_squarefree_ideals(seed):
+    """Random squarefree ideals, without end, from ``random.Random(seed)``:
+    5 <= n <= 9 and 2 to 2n generators of 2 to n - 1 variables each."""
+    rng = random.Random(seed)
+    while True:
+        n = rng.randint(5, 9)
+        masks = [
+            sum(1 << j for j in rng.sample(range(n), rng.randint(2, n - 1)))
+            for _ in range(rng.randint(2, 2 * n))
+        ]
+        yield minimalize([Monomial(tuple(m >> j & 1 for j in range(n))) for m in masks], n)
+
+
 class TestIntegerRank:
+    def test_matches_fraction_rank_on_fallback_matrices(self, monkeypatch):
+        # The boundaries that Betti tables rank again by exact elimination:
+        # RP^2's top boundary, the circle and point's edge boundary, and the
+        # first 60 met on seeded random ideals.
+        calls = counting_integer_rank(monkeypatch)
+        homology_ranks(sr_complex(parse_ideal(RP2_TEXT)))
+        homology_ranks(sr_complex(parse_ideal(CIRCLE_AND_POINT_TEXT)))
+        assert len(calls) == 2
+        ideals = seeded_squarefree_ideals(11)
+        while len(calls) < 62:
+            hochster_betti(next(ideals))
+        for rows in calls:
+            width = 1 + max(col for row in rows for col in row)
+            dense = [[row.get(col, 0) for col in range(width)] for row in rows]
+            # ``_ranks_of`` passes the same rows to ``_modp_rank`` next.
+            before = [dict(row) for row in rows]
+            assert _integer_rank(rows) == fraction_rank(dense)
+            assert rows == before
+
     @settings(max_examples=300)
     @given(small_matrices())
     @example([[0, 0, 0], [2, -2, 0], [0, 0, 0], [3, 3, -2]])
