@@ -184,15 +184,6 @@ def _claim_rows(work: list[tuple], claims: int) -> tuple[list, tuple | None]:
     return done, None
 
 
-def _send_rows(work: list[tuple], claims: int, sink: int) -> None:
-    """A forked child's whole job: claim rows, then pickle the outcome into ``sink``."""
-    import pickle
-
-    payload = pickle.dumps(_claim_rows(work, claims))
-    with open(sink, "wb") as out:
-        out.write(payload)
-
-
 def _fork_rows(work: list[tuple], workers: int) -> list[list[ScanRow]]:
     """``_compute_rows`` of each work item, in work order, computed by this
     process and ``workers - 1`` forked children.
@@ -206,9 +197,13 @@ def _fork_rows(work: list[tuple], workers: int) -> list[list[ScanRow]]:
     # Fork, not spawn: a child starts from this process's memory instead of
     # importing the package again, which costs more than most rows.  The scan
     # starts no threads, so nothing is forked mid-operation.
-    if workers > 1 and not hasattr(os, "fork"):
-        raise InputError("jobs > 1 needs the fork start method, "
-                         "which this platform does not have")
+    if workers > 1:
+        if not hasattr(os, "fork"):
+            raise InputError("jobs > 1 needs the fork start method, "
+                             "which this platform does not have")
+        # Once, before the first fork, so no child imports it again; a scan
+        # without children never loads it.
+        import pickle
     claims, feed = os.pipe()
     # run_scan caps n at MAX_AMBIENT, so the records fit in the pipe's buffer
     # and the write returns before any process reads.
@@ -223,12 +218,15 @@ def _fork_rows(work: list[tuple], workers: int) -> list[list[ScanRow]]:
             try:
                 pid = os.fork()
                 if pid == 0:
-                    # The child never returns into the caller's stack, and
-                    # leaves without the interpreter's flushes, exit handlers
-                    # and final collections.
+                    # The child's whole job: claim rows, then pickle the
+                    # outcome into ``sink``.  It never returns into the
+                    # caller's stack, and leaves without the interpreter's
+                    # flushes, exit handlers and final collections.
                     code = 1
                     try:
-                        _send_rows(work, claims, sink)
+                        payload = pickle.dumps(_claim_rows(work, claims))
+                        with open(sink, "wb") as out:
+                            out.write(payload)
                         code = 0
                     finally:
                         os._exit(code)
@@ -238,8 +236,6 @@ def _fork_rows(work: list[tuple], workers: int) -> list[list[ScanRow]]:
         done, failure = _claim_rows(work, claims)
         failures = [] if failure is None else [failure]
         for pid, stream in list(live.items()):
-            import pickle  # only here: a scan without children never loads it
-
             payload = stream.read()
             status = os.waitpid(pid, 0)[1]
             del live[pid]

@@ -80,12 +80,17 @@ is the AND of one such column bitset per coordinate, and so is the down-set of
 a top.  An interval's cells are the up-set of its bottom ANDed with the
 down-set of its top.  The tops of a level are kept a second time, as bitsets
 indexed by rank, ranked once by (-|[t, g]|, code of t), where |[t, g]| counts
-the cells from t up to the bound (``ranked_tops``).  A canonical top t of e
-has |[e, t]| = |[e, g]| / |[t, g]|, so rank order is every element's (box,
-code) order on its candidates: an element's candidate tops are read off its
-rank-indexed up-set lowest bit first (``candidate_ranks``), with no sort of
-its own, and a low element's witness is the uncovered top of highest rank in
-that up-set.
+the cells from t up to the bound (``ranked_tops``), and the search names each
+top by its rank.  A canonical top t of e has |[e, t]| = |[e, g]| / |[t, g]|,
+so rank order is every element's (box, code) order on its candidates: an
+element's candidate tops are read off its rank-indexed up-set lowest bit
+first (``candidate_ranks``), with no sort of its own, and a low element's
+witness is the uncovered top of highest rank in that up-set.  An interval
+[e, t] with rho(t) = k holds no other element of rho k: an element c of it
+keeps e's coordinates wherever t does, so it has k coordinates at the bound
+only if it reaches g on every raised coordinate, which makes c = t.  So a
+placement covers one top, its candidate's rank, and only the lows watching
+that rank need a new witness.
 
 Every certificate the solver reports is checked again by
 ``verify_decomposition``, which shares no code with the search.  It holds the
@@ -638,7 +643,8 @@ def _search(poset, k, deadline, stats):
     # depend only on the covered set and k, so a subtree's outcome does too:
     # skipping a stored set never skips a partition, and the first partition
     # found is the same.  Failure depends on k, so the table lives one search.
-    # ``taken`` is the covered set's tops, by rank.
+    # ``taken`` is the covered set's tops, by rank: each placement covers one
+    # top, its candidate (module docstring).
     mask = taken = 0
     failed: set[int] = set()
     empty_bytes = sys.getsizeof(failed)
@@ -654,19 +660,22 @@ def _search(poset, k, deadline, stats):
         # the others, the lows, can get stranded.  The order is kept as bitsets
         # twice: over all elements, for the cells of intervals, and over the
         # tops alone, bit r standing for top_of[r] (``ranked_tops``), for
-        # candidates and witnesses.  An element's set of the tops above it by
-        # rank, ``ranks_above``, is built on first use and kept for the rest of
-        # this level: one bit per top, not one per element.
+        # candidates and witnesses.  A top is named by its rank r everywhere
+        # in the search, and by its element index only in the partition
+        # returned.  A low's set of the tops above it by rank, ``ranks_above``,
+        # is built on first use and kept for the rest of this level: one bit
+        # per top, not one per element.
         rho_text = rho[::-1]
         high = int(rho_text.translate(b"0" * (k + 1) + b"1" * (255 - k)), 2)
         tops = int(rho_text.translate(b"0" * k + b"1" + b"0" * (255 - k)), 2)
         top_of = ranked_tops(poset, tops)
+        rank_of = {t: r for r, t in enumerate(top_of)}
         ge, le = order_bitsets(poset.parts, g)
         top_parts, decoded, _, _ = decode(poset, top_of)
-        top_ge, top_le = order_bitsets(top_parts, g)
-        # The tops' exponents by element, decoded once for the watchers, the
-        # tops' own tables and the cells of the candidates that name them.
-        top_exps = dict(zip(top_of, decoded))
+        top_ge, _ = order_bitsets(top_parts, g)
+        # The tops' exponents by rank, decoded once for the watchers and the
+        # cells of the candidates that name them.
+        top_exps = list(decoded)
         ranks_above: list[int | None] = [None] * size
 
         # watchers[r] is the bitset of the lows whose current witness (an
@@ -676,68 +685,63 @@ def _search(poset, k, deadline, stats):
         watchers = [0] * len(top_of)
 
         # Candidate tops of an element depend only on the element and k, so
-        # each table is built once per level, on first use.  A table is (tops,
-        # cells of each, the element's up-set).  Rank order is the tops' (box,
-        # code) order, so a table lists only its lowest bit, followed, when
-        # there are more, by ~rest, the negative complement of the unlisted
-        # ones; they are listed when a frame gets to that entry, since most
-        # tables are never read past their first candidate.  The cells of a
-        # candidate, as (bitset, tops among them by rank), are found on its
-        # first try.  A top's table is its one candidate, itself, with its
-        # cells, and keeps no up-set.
+        # each table is built once per level, on first use.  A table is (top
+        # ranks, cells of each, the element's up-set).  Rank order is the
+        # tops' (box, code) order, so a table lists only its lowest bit,
+        # followed, when there are more, by ~rest, the negative complement of
+        # the unlisted ones; they are listed when a frame gets to that entry,
+        # since most tables are never read past their first candidate.  The
+        # cells of a candidate are found on its first try.  A top's table is
+        # its one candidate, its own rank, with its own bit as its cells, and
+        # keeps no up-set.
         tables: list[tuple | None] = [None] * size
 
         def opened(ei, placed):
             # A frame is (element index, its table, its untried candidates,
-            # (bottom, top, cells) of the placement that opened it or None).
+            # (bottom, top rank, cells) of the placement that opened it or
+            # None).
             nonlocal listed
             found = tables[ei]
             if found is None:
-                e = top_exps[ei] if rho[ei] == k else exponents(ei)
-                above = ranks_above[ei]
-                if above is None:
-                    above = ranks_above[ei] = up_set(top_ge, e)
                 if rho[ei] == k:
                     # A top's only candidate is itself: any other top above
-                    # it has the same rho, so it is not canonical.  Its cells
-                    # are itself and, by rank, the lowest bit of the tops
-                    # above it, whose boxes [t, g] all lie inside its own.
-                    found = tables[ei] = ([ei], [(1 << ei, above & -above)], None)
+                    # it has the same rho, so it is not canonical.
+                    found = tables[ei] = ([rank_of[ei]], [1 << ei], None)
                 else:
                     # The set is never empty: the guard below gives every low
                     # e a top t above it, and the element equal to t where t
                     # meets g and to e elsewhere lies between them, has t's
                     # rho and is canonical.
+                    e = exponents(ei)
+                    above = ranks_above[ei]
+                    if above is None:
+                        above = ranks_above[ei] = up_set(top_ge, e)
                     rest = candidate_ranks(top_ge, g, e, above)
                     first = rest & -rest
                     rest ^= first
-                    cands = [top_of[first.bit_length() - 1]] + ([~rest] if rest else [])
+                    cands = [first.bit_length() - 1] + ([~rest] if rest else [])
                     found = tables[ei] = (cands, [None] * len(cands), up_set(ge, e))
                 listed += 1
             return ei, found, enumerate(found[0]), placed
 
-        def none_stranded(covered, uncovered, free):
-            # Only the uncovered lows watching a newly covered top lost their
-            # witness; each moves to the free top of highest rank above it.
-            # On failure the low that found none and those not yet scanned
-            # stay with the top, which backtracking uncovers again.
-            while covered:
-                low = covered & -covered
-                covered ^= low
-                r = low.bit_length() - 1
-                lost = watchers[r] & uncovered
-                while lost:
-                    bit = lost & -lost
-                    u = bit.bit_length() - 1
-                    above = ranks_above[u]
-                    if above is None:
-                        above = ranks_above[u] = up_set(top_ge, exponents(u))
-                    above &= free
-                    if not above:
-                        return False
-                    watchers[above.bit_length() - 1] |= bit
-                    watchers[r] ^= bit
-                    lost ^= bit
+        def none_stranded(r, uncovered, free):
+            # Only the uncovered lows watching the newly covered top r lost
+            # their witness; each moves to the free top of highest rank above
+            # it.  On failure the low that found none and those not yet
+            # scanned stay with r, which backtracking uncovers again.
+            lost = watchers[r] & uncovered
+            while lost:
+                bit = lost & -lost
+                u = bit.bit_length() - 1
+                above = ranks_above[u]
+                if above is None:
+                    above = ranks_above[u] = up_set(top_ge, exponents(u))
+                above &= free
+                if not above:
+                    return False
+                watchers[above.bit_length() - 1] |= bit
+                watchers[r] ^= bit
+                lost ^= bit
             return True
 
         # Each low's first witness is the top of highest rank above it: the
@@ -749,7 +753,7 @@ def _search(poset, k, deadline, stats):
         for r in range(len(top_of) - 1, -1, -1):
             if not unwatched:
                 break
-            watchers[r] = down_set(le, top_exps[top_of[r]]) & unwatched
+            watchers[r] = down_set(le, top_exps[r]) & unwatched
             unwatched ^= watchers[r]
         if unwatched:
             stranded += 1
@@ -762,55 +766,52 @@ def _search(poset, k, deadline, stats):
         frames = [opened((mask ^ (mask + 1)).bit_length() - 1, None)]
         while frames:
             ei, (cands, cells_of, up), untried, placed = frames[-1]
-            for pos, top in untried:
+            for pos, r in untried:
                 cells = cells_of[pos]
                 if cells is None:
-                    if top < 0:
+                    if r < 0:
                         # The unlisted candidates: list them in place of this
                         # entry.  A list's iterator reads what is appended
                         # to it while the loop runs, so the loop goes on over
                         # them.
-                        more = list(map(top_of.__getitem__, set_bits(~top)))
+                        more = set_bits(~r)
                         listed += len(more)
-                        top = cands[pos] = more[0]
+                        r = cands[pos] = more[0]
                         cands += more[1:]
                         cells_of += repeat(None, len(more) - 1)
-                    t = top_exps[top]
-                    cells = cells_of[pos] = (
-                        up & down_set(le, t), ranks_above[ei] & down_set(top_le, t)
-                    )
-                bits, covered = cells
-                if bits & mask:
+                    cells = cells_of[pos] = up & down_set(le, top_exps[r])
+                if cells & mask:
                     continue
                 # The table is empty until a subtree fails, so a search that
                 # never backtracks hashes no covered set.
-                state = mask | bits
+                state = mask | cells
                 if failed and state in failed:
                     hits += 1
                     continue
 
                 mask = state
-                taken |= covered
+                taken |= 1 << r
                 placements += 1
                 if mask == full:
                     # Every frame but the root was opened by one placement, so
                     # the placed intervals ascend by bottom; the singletons
                     # above k go in between.
-                    intervals = [f[3][:2] for f in frames[1:]] + [(ei, top)]
+                    placed_ranks = [f[3][:2] for f in frames[1:]] + [(ei, r)]
+                    intervals = [(bottom, top_of[rank]) for bottom, rank in placed_ranks]
                     return sorted(intervals + [(i, i) for i in set_bits(high)])
                 if deadline is not None and placements % 512 == 0 and time.monotonic() > deadline:
                     raise TimeLimitExceededError(
                         f"partition search at level {k} hit the time limit"
                     )
 
-                if none_stranded(covered, ~mask, ~taken):
+                if none_stranded(r, ~mask, ~taken):
                     # The next branch element is the lowest uncovered one.
                     nxt = (mask ^ (mask + 1)).bit_length() - 1
-                    frames.append(opened(nxt, (ei, top, cells)))
+                    frames.append(opened(nxt, (ei, r, cells)))
                     break
                 stranded += 1
-                mask ^= bits
-                taken ^= covered
+                mask ^= cells
+                taken ^= 1 << r
             else:
                 frames.pop()
                 if placed is not None:
@@ -822,9 +823,9 @@ def _search(poset, k, deadline, stats):
                         clears += 1
                     failed.add(mask)
                     stored += 1
-                    bottom, top, (bits, covered) = placed
-                    mask ^= bits
-                    taken ^= covered
+                    _, r, cells = placed
+                    mask ^= cells
+                    taken ^= 1 << r
 
         return None
     finally:

@@ -285,6 +285,31 @@ except ChildProcessError:
             "exit handler",
         ]
 
+    def test_pickle_is_loaded_once_before_the_first_fork(self):
+        # A scan without children never loads it; a forked scan loads it in
+        # the scan's own process before it forks, so no child imports it.
+        code = """
+import os, sys
+from sdepthlab import run_scan
+
+run_scan("thm14", n_max=5)
+print("without children:", "pickle" in sys.modules)
+fork = os.fork
+
+def recording():
+    print("at the fork:", "pickle" in sys.modules, flush=True)
+    return fork()
+
+os.fork = recording
+print("rows", len(run_scan("thm14", n_max=5, jobs=2)))
+"""
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "without children: False", "at the fork: True", "rows 6",
+        ]
+
 
 class TestCor15Scan:
     def test_equality_rows_asserted(self):

@@ -972,6 +972,45 @@ class TestOrderBitsets:
                 assert found == reference_candidate_tops(poset, k, i), (e, k)
 
 
+class TestOneTopPerInterval:
+    """A canonical interval [e, t] with rho(t) = k holds no element of rho k but t.
+
+    An element c of it keeps e's coordinates wherever t does, so it has k
+    coordinates at the bound only if it reaches g on every raised
+    coordinate, which makes c = t.  The search names the one top that a
+    placement covers by its candidate's rank on that ground.  The intervals
+    come from the reference candidates and the reference order, so no
+    solver code is read.
+    """
+
+    @staticmethod
+    def assert_one_top(poset):
+        ups, downs = zip(*(reference_up_down(poset, i) for i in range(len(poset))))
+        for k in range(poset.maximal_rho + 1):
+            rho_k = sum(1 << i for i, r in enumerate(poset.rho) if r == k)
+            for e, r in enumerate(poset.rho):
+                if r >= k:
+                    continue
+                for t in reference_candidate_tops(poset, k, e):
+                    if poset.rho[t] == k:
+                        assert ups[e] & downs[t] & rho_k == 1 << t, (rows(poset)[e], k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_presentations())
+    @example(build_poset(cycle_quotient(7, 3)))
+    def test_small_presentations(self, poset):
+        self.assert_one_top(poset)
+
+    @settings(max_examples=150, deadline=None)
+    @given(box_presentations())
+    # A raised bound: x1 and x3 run past their generators' exponents.
+    @example((ring_quotient(parse_ideal("n=3: x1^2*x2, x2*x3")), (3, 2, 2)))
+    @example((ring_quotient(square(line_path_ideal(5, 3))), None))
+    def test_box_presentations(self, case):
+        pair, g_override = case
+        self.assert_one_top(build_poset(pair, g_override=g_override))
+
+
 class TestPartBytes:
     """The poset keeps one byte per code part per element and no exponent rows."""
 
