@@ -133,12 +133,13 @@ _CHECK_PRIME = 2_147_483_647
 def _modp_rank(rows: list[dict[int, int]]) -> int:
     """Rank over F_p, p = ``_CHECK_PRIME``, of an integer matrix given as
     sparse rows; at most its rank over Q, since a minor nonzero mod p is
-    nonzero.  Pivot rows are kept monic and keyed by their least column."""
+    nonzero.  As in ``_integer_rank``, pivot rows are keyed by their greatest
+    column; they are kept monic."""
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
         row = {col: val % _CHECK_PRIME for col, val in row.items() if val % _CHECK_PRIME}
         while row:
-            lead = min(row)
+            lead = max(row)
             pivot = pivots.get(lead)
             if pivot is None:
                 inverse = pow(row[lead], -1, _CHECK_PRIME)

@@ -83,9 +83,12 @@ indexed by rank, ranked once by (-|[t, g]|, code of t), where |[t, g]| counts
 the cells from t up to the bound (``ranked_tops``), and the search names each
 top by its rank.  A canonical top t of e has |[e, t]| = |[e, g]| / |[t, g]|,
 so rank order is every element's (box, code) order on its candidates: an
-element's candidate tops are read off its rank-indexed up-set lowest bit
-first (``candidate_ranks``), with no sort of its own, and a low element's
-witness is the uncovered top of highest rank in that up-set.  An interval
+element's candidate tops are its rank-indexed up-set less the tops that are
+not canonical (``candidate_ranks``), one int that a frame reads lowest bit
+first, with no sort of its own, and a low element's witness is the uncovered
+top of highest rank in that up-set.  A low's table keeps that int, its
+exponents and the cells of each candidate tried so far, not its up-set over
+every element: a candidate's cells are built on its first try.  An interval
 [e, t] with rho(t) = k holds no other element of rho k: an element c of it
 keeps e's coordinates wherever t does, so it has k coordinates at the bound
 only if it reaches g on every raised coordinate, which makes c = t.  So a
@@ -112,7 +115,7 @@ import sys
 import time
 from bisect import bisect_left, bisect_right
 from functools import lru_cache, partial, reduce
-from itertools import accumulate, compress, pairwise, repeat, starmap
+from itertools import accumulate, compress, pairwise, starmap
 from typing import Iterator, Mapping, NamedTuple, Sequence
 from math import comb, prod
 from operator import add, and_, eq, getitem, itemgetter, le, mul, or_, sub
@@ -449,14 +452,13 @@ class SearchStats(Counters):
     stored as one whose subtree holds no partition; ``stored_states`` counts
     those stores, ``table_clears`` the times the table reached its byte
     budget, and ``table_peak_bytes`` the most it held, in the budget's units.
-    ``candidate_tops`` counts the tops the search took out of the rank bitsets
-    into its candidate tables, one table per element it branched on: a table
-    takes its first candidate when it is built and the rest only once a frame
-    has tried that one.  The elements of rho above the level are covered as
-    singletons before the search starts, so neither placements nor candidate
-    tops count them.  Each search adds its counts once, when it returns or
-    hits the time limit, so a record passed to ``sdepth_of_poset`` sums over
-    the levels it tried.
+    ``candidate_tops`` counts the candidates whose cells the search built,
+    each on its first try; an element of rho k has one candidate, itself,
+    whose cells are built with its table.  The elements of rho above the
+    level are covered as singletons before the search starts, so neither
+    placements nor candidate tops count them.  Each search adds its counts
+    once, when it returns or hits the time limit, so a record passed to
+    ``sdepth_of_poset`` sums over the levels it tried.
     """
 
     _fields = (
@@ -650,7 +652,7 @@ def _search(poset, k, deadline, stats):
     empty_bytes = sys.getsizeof(failed)
     entry_bytes = sys.getsizeof(full) + _SET_SLOT_BYTES
     capacity = max(1, (FAILED_STATES_BYTES - empty_bytes) // entry_bytes)
-    placements = stranded = hits = stored = clears = peak = listed = 0
+    placements = stranded = hits = stored = clears = peak = built = 0
 
     try:
         # The level is searched on its rho = k layer (module docstring): the
@@ -685,28 +687,29 @@ def _search(poset, k, deadline, stats):
         watchers = [0] * len(top_of)
 
         # Candidate tops of an element depend only on the element and k, so
-        # each table is built once per level, on first use.  A table is (top
-        # ranks, cells of each, the element's up-set).  Rank order is the
-        # tops' (box, code) order, so a table lists only its lowest bit,
-        # followed, when there are more, by ~rest, the negative complement of
-        # the unlisted ones; they are listed when a frame gets to that entry,
-        # since most tables are never read past their first candidate.  The
-        # cells of a candidate are found on its first try.  A top's table is
-        # its one candidate, its own rank, with its own bit as its cells, and
-        # keeps no up-set.
+        # each table is built once per level, on first use.  A table is (its
+        # candidates as a rank bitset, the cells of each candidate tried so
+        # far by rank, the element's exponents).  Rank order is the tops'
+        # (box, code) order, so a frame tries its candidates lowest bit first.
+        # A candidate's cells, the element's up-set ANDed with the top's
+        # down-set, are built on its first try and kept, so the table keeps
+        # no up-set over every element.  A top's table is its one candidate,
+        # its own rank, with its own bit as its cells.
         tables: list[tuple | None] = [None] * size
 
         def opened(ei, placed):
-            # A frame is (element index, its table, its untried candidates,
-            # (bottom, top rank, cells) of the placement that opened it or
-            # None).
-            nonlocal listed
+            # A frame is [element index, its table, its untried candidates as
+            # a rank bitset, (bottom, top rank, cells) of the placement that
+            # opened it or None].
+            nonlocal built
             found = tables[ei]
             if found is None:
                 if rho[ei] == k:
                     # A top's only candidate is itself: any other top above
                     # it has the same rho, so it is not canonical.
-                    found = tables[ei] = ([rank_of[ei]], [1 << ei], None)
+                    r = rank_of[ei]
+                    found = tables[ei] = (1 << r, {r: 1 << ei}, None)
+                    built += 1
                 else:
                     # The set is never empty: the guard below gives every low
                     # e a top t above it, and the element equal to t where t
@@ -716,33 +719,8 @@ def _search(poset, k, deadline, stats):
                     above = ranks_above[ei]
                     if above is None:
                         above = ranks_above[ei] = up_set(top_ge, e)
-                    rest = candidate_ranks(top_ge, g, e, above)
-                    first = rest & -rest
-                    rest ^= first
-                    cands = [first.bit_length() - 1] + ([~rest] if rest else [])
-                    found = tables[ei] = (cands, [None] * len(cands), up_set(ge, e))
-                listed += 1
-            return ei, found, enumerate(found[0]), placed
-
-        def none_stranded(r, uncovered, free):
-            # Only the uncovered lows watching the newly covered top r lost
-            # their witness; each moves to the free top of highest rank above
-            # it.  On failure the low that found none and those not yet
-            # scanned stay with r, which backtracking uncovers again.
-            lost = watchers[r] & uncovered
-            while lost:
-                bit = lost & -lost
-                u = bit.bit_length() - 1
-                above = ranks_above[u]
-                if above is None:
-                    above = ranks_above[u] = up_set(top_ge, exponents(u))
-                above &= free
-                if not above:
-                    return False
-                watchers[above.bit_length() - 1] |= bit
-                watchers[r] ^= bit
-                lost ^= bit
-            return True
+                    found = tables[ei] = (candidate_ranks(top_ge, g, e, above), {}, e)
+            return [ei, found, found[0], placed]
 
         # Each low's first witness is the top of highest rank above it: the
         # tops, highest rank first, take the lows below them that no higher
@@ -760,26 +738,22 @@ def _search(poset, k, deadline, stats):
             return None
 
         # The innermost frame's loop runs until a placement opens a child
-        # frame or its candidates run out.  The branch element is always the
-        # lowest uncovered one.
+        # frame or its candidates run out.  It takes the untried ranks lowest
+        # bit first and writes those left back into the frame before a child
+        # opens.  The branch element is always the lowest uncovered one.
         mask = high
         frames = [opened((mask ^ (mask + 1)).bit_length() - 1, None)]
         while frames:
-            ei, (cands, cells_of, up), untried, placed = frames[-1]
-            for pos, r in untried:
-                cells = cells_of[pos]
+            frame = frames[-1]
+            ei, (_, cells_of, e), untried, placed = frame
+            while untried:
+                bit = untried & -untried
+                untried ^= bit
+                r = bit.bit_length() - 1
+                cells = cells_of.get(r)
                 if cells is None:
-                    if r < 0:
-                        # The unlisted candidates: list them in place of this
-                        # entry.  A list's iterator reads what is appended
-                        # to it while the loop runs, so the loop goes on over
-                        # them.
-                        more = set_bits(~r)
-                        listed += len(more)
-                        r = cands[pos] = more[0]
-                        cands += more[1:]
-                        cells_of += repeat(None, len(more) - 1)
-                    cells = cells_of[pos] = up & down_set(le, top_exps[r])
+                    cells = cells_of[r] = up_set(ge, e) & down_set(le, top_exps[r])
+                    built += 1
                 if cells & mask:
                     continue
                 # The table is empty until a subtree fails, so a search that
@@ -790,7 +764,7 @@ def _search(poset, k, deadline, stats):
                     continue
 
                 mask = state
-                taken |= 1 << r
+                taken |= bit
                 placements += 1
                 if mask == full:
                     # Every frame but the root was opened by one placement, so
@@ -804,14 +778,34 @@ def _search(poset, k, deadline, stats):
                         f"partition search at level {k} hit the time limit"
                     )
 
-                if none_stranded(r, ~mask, ~taken):
-                    # The next branch element is the lowest uncovered one.
+                # Only the uncovered lows watching the newly covered top r
+                # lost their witness; each moves to the free top of highest
+                # rank above it.  On failure the low that found none and
+                # those not yet scanned stay with r, which backtracking
+                # uncovers again.
+                lost = watchers[r] & ~mask
+                while lost:
+                    low = lost & -lost
+                    u = low.bit_length() - 1
+                    above = ranks_above[u]
+                    if above is None:
+                        above = ranks_above[u] = up_set(top_ge, exponents(u))
+                    above &= ~taken
+                    if not above:
+                        break
+                    watchers[above.bit_length() - 1] |= low
+                    watchers[r] ^= low
+                    lost ^= low
+                else:
+                    # None is stranded: the next branch element is the lowest
+                    # uncovered one.
+                    frame[2] = untried
                     nxt = (mask ^ (mask + 1)).bit_length() - 1
                     frames.append(opened(nxt, (ei, r, cells)))
                     break
                 stranded += 1
                 mask ^= cells
-                taken ^= 1 << r
+                taken ^= bit
             else:
                 frames.pop()
                 if placed is not None:
@@ -836,7 +830,7 @@ def _search(poset, k, deadline, stats):
         stats.table_clears += clears
         peak = empty_bytes + max(peak, len(failed)) * entry_bytes
         stats.table_peak_bytes = max(stats.table_peak_bytes, peak)
-        stats.candidate_tops += listed
+        stats.candidate_tops += built
 
 
 class SdepthResult(NamedTuple):

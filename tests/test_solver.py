@@ -711,11 +711,15 @@ class TestSearchStats:
     # bound that is not squarefree refuted by the search stays pinned.  The
     # cycle (11,9) and cycle (8,7)^2 levels are on posets of 2,025 and 6,516
     # elements (squarefree and not), where a changed candidate or witness
-    # order would show only in these counts.
+    # order would show only in these counts.  ``candidate_tops`` counts the
+    # candidates whose cells the search built, each on its first try; cycle
+    # (9,3) level 5 read 147 and cycle (13,2) level 5 127 while it counted
+    # the candidates a table listed, every one of them once a frame had
+    # tried the first.
     @pytest.mark.parametrize("pair, k, feasible, counts", [
         (cycle_quotient(9, 3), 5, True, dict(
             placements=23_990, stranded_prunes=6_123, moment_prunes=0,
-            table_hits=7_216, stored_states=17_831, table_clears=0, candidate_tops=147,
+            table_hits=7_216, stored_states=17_831, table_clears=0, candidate_tops=139,
         )),
         (ring_quotient(square(line_path_ideal(6, 3))), 4, False, dict(
             placements=0, stranded_prunes=0, moment_prunes=1,
@@ -744,7 +748,7 @@ class TestSearchStats:
         )),
         (cycle_quotient(13, 2), 5, True, dict(
             placements=25_358, stranded_prunes=5_826, moment_prunes=0,
-            table_hits=208, stored_states=19_441, table_clears=0, candidate_tops=127,
+            table_hits=208, stored_states=19_441, table_clears=0, candidate_tops=124,
         )),
         # Nine elements, of rho 6 and 7: level 7 is refuted by its degree
         # counts, and level 6, with no element below it, is settled by
@@ -1167,6 +1171,25 @@ class TestFailedStates:
         assert len(sizes) == stats.stored_states
         assert max(sizes) <= budget
         assert stats.table_peak_bytes <= budget
+
+
+class TestSearchMemory:
+    """What one level's search allocates at its peak, under tracemalloc."""
+
+    def test_search_peak_under_12_5_mib(self):
+        # Cycle (16,3) level 8, 17,155 elements, found in well under a
+        # second: 14.1 MiB while each low's table kept its up-set over every
+        # element, 11.2 MiB since it keeps its exponents instead.
+        poset = build_poset(cycle_quotient(16, 3))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            found = exists_partition(poset, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found is not None
+        assert peak < 12.5 * 2**20, peak
 
 
 class TestPrincipalDecomposition:
